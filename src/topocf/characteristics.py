@@ -73,21 +73,6 @@ class CharacteristicVector:
                 if not math.isfinite(value)]
 
 
-@dataclass(frozen=True)
-class DegreeMixingTable:
-    """Joint degree-degree fractions over directed edge endpoints.
-
-    ``e[h, k]`` is the fraction of directed edges whose endpoints have
-    degrees ``degrees[h]`` and ``degrees[k]``; ``q`` is the marginal and
-    ``std_q`` its standard deviation.
-    """
-
-    degrees: np.ndarray
-    e: np.ndarray
-    q: np.ndarray
-    std_q: float
-
-
 def gini(values):
     """Concentration of a degree sequence via the pairwise-difference form,
     computed with the sort-based O(n log n) identity."""
@@ -185,36 +170,6 @@ def degree_assortativity(proj):
     return float((xc * yc).sum() / var)
 
 
-def degree_mixing_table(proj):
-    """Degree-mixing fractions of a projection's symmetric edge list."""
-    if proj.num_edges < 1:
-        raise ValueError("projection has no edges")
-    deg = proj.degrees
-    degrees = np.unique(np.concatenate([deg[proj.v], deg[proj.w]]))
-    index = {int(d): k for k, d in enumerate(degrees)}
-    D = len(degrees)
-    e = np.zeros((D, D))
-    for a, b in ((proj.v, proj.w), (proj.w, proj.v)):
-        for dv, dw in zip(deg[a], deg[b]):
-            e[index[int(dv)], index[int(dw)]] += 1.0
-    e /= e.sum()
-    q = e.sum(axis=1)
-    mean_q = float((degrees * q).sum())
-    var_q = float((degrees.astype(np.float64) ** 2 * q).sum() - mean_q ** 2)
-    return DegreeMixingTable(degrees=degrees.astype(np.float64), e=e, q=q,
-                             std_q=math.sqrt(max(var_q, 0.0)))
-
-
-def assortativity_from_mixing(table):
-    """Evaluate assortativity from the degree-mixing form."""
-    if table.std_q == 0:
-        return math.nan
-    d = table.degrees
-    outer = np.outer(d, d)
-    return float((outer * (table.e - np.outer(table.q, table.q))).sum()
-                 / table.std_q ** 2)
-
-
 def compute_vector(g, edge_cap=DEFAULT_PROJECTION_EDGE_CAP):
     """All eleven characteristics of one graph.
 
@@ -252,13 +207,14 @@ def compute_vector(g, edge_cap=DEFAULT_PROJECTION_EDGE_CAP):
     )
 
 
-def pearson_matrix(vectors):
-    """Pairwise Pearson correlations of the eleven characteristics.
+def pearson_matrix(rows):
+    """Pairwise Pearson correlations of the eleven characteristics, given
+    one row of values per sample in Table-shorthand order.
 
     Rows containing undefined (NaN) fields are dropped first; a remaining
     zero-variance column is an error naming the characteristic.
     """
-    rows = np.array([v.as_row() for v in vectors], dtype=np.float64)
+    rows = np.array(rows, dtype=np.float64)
     rows = rows[np.isfinite(rows).all(axis=1)]
     if len(rows) < 3:
         raise ValueError("need at least 3 fully defined characteristic vectors")
@@ -317,16 +273,16 @@ def degree_distribution_fit(g, partition="all"):
 def write_degree_distribution(fit, path):
     with open(path, "w", encoding="utf-8") as fh:
         for d, p in zip(fit.degrees, fit.probabilities):
-            fh.write(f"{int(d)}\t{p!r}\n")
+            fh.write(f"{int(d)}\t{float(p)!r}\n")
 
 
 def write_characteristics_csv(rows, path):
-    """Write ``(sample_id, CharacteristicVector)`` pairs with the exact
-    Table-shorthand header."""
+    """Write ``(sample_id, values)`` pairs, values in Table-shorthand order,
+    under the exact Table-shorthand header."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
-        for sample_id, vec in rows:
-            fields = ",".join(repr(v) for v in vec.as_row())
+        for sample_id, values in rows:
+            fields = ",".join(repr(float(v)) for v in values)
             fh.write(f"{sample_id},{fields}\n")
 
 
@@ -348,4 +304,5 @@ def write_correlation_csv(matrix, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("," + ",".join(SHORTHAND_NAMES) + "\n")
         for name, row in zip(SHORTHAND_NAMES, matrix):
-            fh.write(name + "," + ",".join(repr(v) for v in row) + "\n")
+            fh.write(name + "," + ",".join(repr(float(v)) for v in row)
+                     + "\n")

@@ -58,12 +58,6 @@ def _load_config(args):
     return parse_config([], overrides)
 
 
-def _prepare(cfg):
-    lcc = pipeline.load_dataset(cfg)
-    samples, paths = pipeline.prepare_samples(cfg, lcc)
-    return lcc, samples, paths
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -88,37 +82,19 @@ def _dispatch(command, cfg, resume):
         return 0
 
     if command == "sample":
-        _, samples, _ = _prepare(cfg)
+        _, samples, *_ = pipeline.start_run(cfg, resume)
         print(f"wrote {len(samples)} samples to "
               f"{os.path.join(cfg.out_dir, 'samples')}")
         return 0
 
     if command == "characterize":
-        _, samples, paths = _prepare(cfg)
-        ledger = pipeline.RunLedger(os.path.join(cfg.out_dir, "ledger.json"))
-        if not resume:
-            ledger.cells = {}
-        result = pipeline.RunResult(out_dir=cfg.out_dir)
-        vectors = pipeline.characterize_samples(cfg, samples, paths, ledger,
-                                                result)
-        ledger.save()
-        pipeline.chars.write_characteristics_csv(
-            [(sid, pipeline._as_vector(vectors[sid]))
-             for sid in sorted(vectors)],
-            os.path.join(cfg.out_dir, "characteristics.csv"))
+        _, samples, paths, ledger, result = pipeline.start_run(cfg, resume)
+        pipeline.characterize_samples(cfg, samples, paths, ledger, result)
         return _finish(result)
 
     if command in ("train", "evaluate"):
-        _, samples, paths = _prepare(cfg)
-        ledger = pipeline.RunLedger(os.path.join(cfg.out_dir, "ledger.json"))
-        if not resume:
-            ledger.cells = {}
-        result = pipeline.RunResult(out_dir=cfg.out_dir)
+        _, samples, paths, ledger, result = pipeline.start_run(cfg, resume)
         rows = pipeline.train_samples(cfg, samples, paths, ledger, result)
-        ledger.save()
-        pipeline.write_metrics_csv(rows,
-                                   os.path.join(cfg.out_dir, "metrics.csv"),
-                                   cfg.metric_k)
         if command == "evaluate":
             _print_metric_summary(rows, cfg)
         return _finish(result)

@@ -54,10 +54,10 @@ def evaluate(model, split, k=20, phase="test"):
 
     if phase == "test":
         users = split.test_users
-        targets = split.test_user_sets
+        targets = split.test_items
     elif phase == "valid":
         users = split.valid_users
-        targets = split.valid_user_sets
+        targets = split.valid_items
     else:
         raise ValueError(f"unknown phase {phase!r}")
     if len(users) == 0:
@@ -67,7 +67,7 @@ def evaluate(model, split, k=20, phase="test"):
     per_ndcg = {}
     for u in users:
         ranked = rank_items(model, split, u, k, phase=phase)
-        test_set = targets[u]
+        test_set = set(targets(u).tolist())
         per_recall[u] = recall_at_k(ranked, test_set, k)
         per_ndcg[u] = ndcg_at_k(ranked, test_set, k)
     recall = float(np.mean(list(per_recall.values())))

@@ -227,11 +227,13 @@ def _pivoted_qr(A):
 REPORT_HEADER = ["characteristic", "coefficient", "std_err", "t", "p", "stars"]
 
 
-def write_report_csv(report, path):
-    """Summary rows (R2, adj R2, M, C) then the coefficient table."""
+def write_report_csv(report, path, statistics=()):
+    """Summary rows (the given ``(name, value)`` statistics, then R2, adj
+    R2, M, C) then the coefficient table."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["statistic", "value"])
+        writer.writerows(statistics)
         writer.writerow(["R2", repr(float(report.r2))])
         writer.writerow(["adj_R2", repr(float(report.adj_r2))])
         writer.writerow(["M", report.num_rows])
@@ -241,37 +243,6 @@ def write_report_csv(report, path):
         for name, coef, se, t, p, stars in report.rows():
             writer.writerow([name, repr(float(coef)), repr(float(se)),
                              repr(float(t)), repr(float(p)), stars])
-
-
-def read_report_csv(path):
-    """Round-trip of write_report_csv."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    stats = {}
-    i = 0
-    if rows and rows[0] == ["statistic", "value"]:
-        i = 1
-    while i < len(rows) and rows[i] != REPORT_HEADER:
-        stats[rows[i][0]] = rows[i][1]
-        i += 1
-    if i >= len(rows):
-        raise DesignError(f"{path}: missing coefficient table header")
-    table = rows[i + 1:]
-    if not table or table[0][0] != "Constant":
-        raise DesignError(f"{path}: coefficient table must start at Constant")
-    names = tuple(r[0] for r in table[1:])
-    coefs = np.array([float(r[1]) for r in table[1:]])
-    se = np.array([float(r[2]) for r in table])
-    t = np.array([float(r[3]) for r in table])
-    p = np.array([float(r[4]) for r in table])
-    stars = tuple(r[5] for r in table)
-    m = int(stats["M"])
-    return RegressionReport(
-        theta0=float(table[0][1]), coefficients=coefs, std_errors=se,
-        t_stats=t, p_values=p, stars=stars, r2=float(stats["R2"]),
-        adj_r2=float(stats["adj_R2"]), residuals=np.zeros(m),
-        y=np.zeros(m), column_names=names,
-        dropped_rows=int(stats.get("dropped_rows", 0)))
 
 
 def render_markdown(report, title="Explanatory model"):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,74 +21,68 @@ class ProjectionCapError(GraphError):
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Immutable user-item graph with dual adjacency lists.
+    """Immutable user-item graph stored as a user-side CSR.
 
-    ``user_adj[u]`` is the strictly increasing array of item indices that
-    user ``u`` interacted with; ``item_adj[i]`` is the symmetric view.
-    ``user_ids`` / ``item_ids`` map compacted indices back to the original
-    tokens.
+    User ``u`` interacted with the strictly increasing item indices
+    ``indices[indptr[u]:indptr[u + 1]]``; ``indptr`` has one entry per user
+    plus one. ``user_ids`` / ``item_ids`` map compacted indices back to the
+    original tokens. Item-side views (degrees, the transposed matrix) are
+    derived from these arrays on demand.
     """
 
-    user_adj: tuple
-    item_adj: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
     user_ids: tuple
     item_ids: tuple
 
     @property
     def num_users(self):
-        return len(self.user_adj)
+        return len(self.user_ids)
 
     @property
     def num_items(self):
-        return len(self.item_adj)
+        return len(self.item_ids)
 
     @property
     def num_interactions(self):
-        return int(sum(len(a) for a in self.user_adj))
+        return len(self.indices)
 
     @property
     def user_degrees(self):
-        return np.array([len(a) for a in self.user_adj], dtype=np.int64)
+        return np.diff(self.indptr)
 
     @property
     def item_degrees(self):
-        return np.array([len(a) for a in self.item_adj], dtype=np.int64)
+        return np.bincount(self.indices, minlength=self.num_items)
 
     def edge_array(self):
         """All (user, item) edges as an (E, 2) array, sorted by (u, i)."""
-        if self.num_interactions == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        users = np.concatenate([np.full(len(a), u, dtype=np.int64)
-                                for u, a in enumerate(self.user_adj)])
-        items = np.concatenate([np.asarray(a, dtype=np.int64) for a in self.user_adj])
-        return np.column_stack([users, items])
+        users = np.repeat(np.arange(self.num_users, dtype=np.int64),
+                          self.user_degrees)
+        return np.column_stack([users, self.indices])
 
     def to_sparse(self):
         """Interaction matrix as a CSR of shape (num_users, num_items)."""
-        edges = self.edge_array()
-        data = np.ones(len(edges), dtype=np.float64)
-        return sp.csr_matrix((data, (edges[:, 0], edges[:, 1])),
+        data = np.ones(self.num_interactions, dtype=np.float64)
+        return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=(self.num_users, self.num_items))
 
     @classmethod
     def from_edge_array(cls, edges, user_ids, item_ids):
         """Build from a deduplicated (E, 2) index array and token maps."""
-        edges = np.asarray(edges, dtype=np.int64)
-        n_users, n_items = len(user_ids), len(item_ids)
-        user_adj = [[] for _ in range(n_users)]
-        item_adj = [[] for _ in range(n_items)]
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        for u, i in edges[order]:
-            user_adj[u].append(i)
-        order = np.lexsort((edges[:, 0], edges[:, 1]))
-        for u, i in edges[order]:
-            item_adj[i].append(u)
-        return cls(
-            user_adj=tuple(np.array(a, dtype=np.int64) for a in user_adj),
-            item_adj=tuple(np.array(a, dtype=np.int64) for a in item_adj),
-            user_ids=tuple(user_ids),
-            item_ids=tuple(item_ids),
-        )
+        edges, indptr = sort_rows(edges, len(user_ids))
+        return cls(indptr=indptr, indices=np.ascontiguousarray(edges[:, 1]),
+                   user_ids=tuple(user_ids), item_ids=tuple(item_ids))
+
+
+def sort_rows(edges, num_rows):
+    """(row, col) pairs sorted by row then column, and the CSR row pointers
+    (``num_rows + 1`` entries) over them."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(edges[:, 0], minlength=num_rows), out=indptr[1:])
+    return edges, indptr
 
 
 @dataclass(frozen=True)
@@ -150,21 +143,54 @@ def load_graph(path):
         return ingest_and_build(fh)
 
 
-def dump_edges(g, path):
-    """Write the compacted edge list as CSV rows ``u,i``."""
-    edges = g.edge_array()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("u,i\n")
-        for u, i in edges:
-            fh.write(f"{u},{i}\n")
-
-
 def write_interactions(g, path):
     """Write edges as token pairs, re-readable by :func:`load_graph`."""
     edges = g.edge_array()
     with open(path, "w", encoding="utf-8") as fh:
         for u, i in edges:
             fh.write(f"{g.user_ids[u]}\t{g.item_ids[i]}\n")
+
+
+def induced_subgraph(g, edges):
+    """Compacted subgraph on a subset of g's (u, i) edges.
+
+    Nodes not incident to any retained edge are dropped, so every node in
+    the result has degree >= 1; kept nodes keep their relative order.
+    """
+    kept_users = np.unique(edges[:, 0])
+    kept_items = np.unique(edges[:, 1])
+    new_edges = np.column_stack([np.searchsorted(kept_users, edges[:, 0]),
+                                 np.searchsorted(kept_items, edges[:, 1])])
+    return BipartiteGraph.from_edge_array(
+        new_edges,
+        [g.user_ids[u] for u in kept_users],
+        [g.item_ids[i] for i in kept_items],
+    )
+
+
+def _component_roots(g, edges):
+    """Per combined node (users first, then items), the smallest node index
+    in its connected component.
+
+    Min-label hooking with full shortcutting: every round hooks each tree
+    root onto the smallest root it shares an edge with, then points every
+    node at its root, until no edge joins two trees. Roots only ever move
+    to smaller indices, so each component ends at its minimum node.
+    """
+    src, dst = edges[:, 0], g.num_users + edges[:, 1]
+    root = np.arange(g.num_users + g.num_items)
+    while True:
+        a, b = root[src], root[dst]
+        cross = a != b
+        if not cross.any():
+            return root
+        a, b = a[cross], b[cross]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
 
 
 def largest_connected_component(g):
@@ -177,50 +203,14 @@ def largest_connected_component(g):
     """
     if g.num_interactions < 1:
         raise GraphError("graph has no edges")
-    n_users = g.num_users
-    total = n_users + g.num_items
-    comp = np.full(total, -1, dtype=np.int64)
-    n_comp = 0
-    for start in range(total):
-        if comp[start] >= 0:
-            continue
-        comp[start] = n_comp
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            if node < n_users:
-                neighbors = g.user_adj[node] + n_users
-            else:
-                neighbors = g.item_adj[node - n_users]
-            for nb in neighbors:
-                if comp[nb] < 0:
-                    comp[nb] = n_comp
-                    queue.append(nb)
-        n_comp += 1
-
-    node_counts = np.bincount(comp, minlength=n_comp)
     edges = g.edge_array()
-    edge_counts = np.bincount(comp[edges[:, 0]], minlength=n_comp)
-    min_index = np.full(n_comp, total, dtype=np.int64)
-    for node in range(total - 1, -1, -1):
-        min_index[comp[node]] = node
-    best = max(range(n_comp),
-               key=lambda c: (node_counts[c], edge_counts[c], -min_index[c]))
-
-    keep_edges = edges[comp[edges[:, 0]] == best]
-    kept_users = np.unique(keep_edges[:, 0])
-    kept_items = np.unique(keep_edges[:, 1])
-    user_map = {int(u): k for k, u in enumerate(kept_users)}
-    item_map = {int(i): k for k, i in enumerate(kept_items)}
-    new_edges = np.column_stack([
-        [user_map[int(u)] for u in keep_edges[:, 0]],
-        [item_map[int(i)] for i in keep_edges[:, 1]],
-    ])
-    return BipartiteGraph.from_edge_array(
-        new_edges,
-        [g.user_ids[int(u)] for u in kept_users],
-        [g.item_ids[int(i)] for i in kept_items],
-    )
+    root = _component_roots(g, edges)
+    node_counts = np.bincount(root, minlength=len(root))
+    edge_counts = np.bincount(root[edges[:, 0]], minlength=len(root))
+    # roots are the components' minimum indices: among the largest by
+    # (nodes, edges), the first in index order wins
+    best = np.lexsort((-np.arange(len(root)), edge_counts, node_counts))[-1]
+    return induced_subgraph(g, edges[root[edges[:, 0]] == best])
 
 
 def project(g, partition, edge_cap=DEFAULT_PROJECTION_EDGE_CAP):
@@ -258,8 +248,7 @@ def project(g, partition, edge_cap=DEFAULT_PROJECTION_EDGE_CAP):
     wt = P.data[mask]
     order = np.lexsort((w, v))
     v, w, wt = v[order], w[order], wt[order]
-    degrees = np.zeros(R.shape[0], dtype=np.int64)
-    np.add.at(degrees, v, 1)
-    np.add.at(degrees, w, 1)
+    degrees = (np.bincount(v, minlength=R.shape[0])
+               + np.bincount(w, minlength=R.shape[0]))
     return ProjectedGraph(partition=partition, n=R.shape[0], v=v, w=w,
                           weight=wt, degrees=degrees)

@@ -58,9 +58,6 @@ class TrainedModel:
     epochs_trained: int = 0
     stopped_early: bool = False
 
-    def score(self, u, i):
-        return float(self.user_embeddings[u] @ self.item_embeddings[i])
-
 
 class Adam:
     """Adaptive-moment estimation with the standard defaults."""
@@ -87,29 +84,33 @@ def rank_items(model, split, u, k, phase="test"):
     """Top-k items for user u by dot product, excluding the user's train
     (and, at test time, validation) items; ties break by item index."""
     scores = model.item_embeddings @ model.user_embeddings[u]
-    excluded = set(split.train_user_sets[u])
-    if phase == "test":
-        excluded |= split.valid_user_sets[u]
     candidates = np.ones(len(scores), dtype=bool)
-    if excluded:
-        candidates[list(excluded)] = False
+    candidates[split.train_items(u)] = False
+    if phase == "test":
+        candidates[split.valid_items(u)] = False
     cand_idx = np.flatnonzero(candidates)
     order = np.argsort(-scores[cand_idx], kind="stable")
     return cand_idx[order][:k]
 
 
-def sample_negative_items(rng, users, pos_sets, num_items):
+def sample_negative_items(rng, users, split, num_items):
     """One uniform negative per row, resampled on collision with the
     user's train positives (skipped for users with a full positive set)."""
-    n = len(users)
-    negs = rng.integers(num_items, size=n)
-    resample = np.array([len(pos_sets[u]) < num_items for u in users])
-    mask = np.array([resample[j] and int(negs[j]) in pos_sets[users[j]]
-                     for j in range(n)])
-    while mask.any():
-        idx = np.flatnonzero(mask)
+    # sorted u*I+i keys of the train edges, closed by a sentinel above any
+    # key so that every search lands on a valid position
+    keys = np.append(split.train_edges[:, 0] * num_items
+                     + split.train_edges[:, 1], np.iinfo(np.int64).max)
+    negs = rng.integers(num_items, size=len(users))
+
+    def collides(rows):
+        wanted = users[rows] * num_items + negs[rows]
+        return keys[np.searchsorted(keys, wanted)] == wanted
+
+    idx = np.flatnonzero(split.train_user_degrees[users] < num_items)
+    idx = idx[collides(idx)]
+    while len(idx):
         negs[idx] = rng.integers(num_items, size=len(idx))
-        mask[idx] = [int(negs[j]) in pos_sets[users[j]] for j in idx]
+        idx = idx[collides(idx)]
     return negs
 
 
@@ -185,8 +186,7 @@ class PropagationTrainer:
         for start in range(0, len(edges), cfg.batch_size):
             batch = edges[order[start:start + cfg.batch_size]]
             users, pos = batch[:, 0], batch[:, 1]
-            negs = sample_negative_items(self.rng, users,
-                                         self.split.train_user_sets,
+            negs = sample_negative_items(self.rng, users, self.split,
                                          self.num_items)
             final = self.propagator.forward(self.E0)
             eu = final[users]
@@ -232,12 +232,3 @@ def train_model(split, cfg, rng):
         raise ValueError(f"unknown model kind {cfg.kind!r}")
     return trainers[cfg.kind](split, cfg, rng)
 
-
-def write_embeddings(model, out_dir):
-    """CSV embedding dumps, row index = node index."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    for name, matrix in (("user_embeddings.csv", model.user_embeddings),
-                         ("item_embeddings.csv", model.item_embeddings)):
-        np.savetxt(os.path.join(out_dir, name), matrix, delimiter=",")

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..graph import sort_rows
 from ..sampling import round_half_up
 
 
@@ -15,55 +16,63 @@ class SplitError(Exception):
 
 @dataclass
 class Split:
+    """Train/validation/test edges of one graph, each a user-side CSR.
+
+    ``train_edges``, ``valid_edges`` and ``test_edges`` are (E, 2)
+    ``(user, item)`` arrays, sorted by user then item on construction;
+    ``train_indptr`` (likewise ``valid_``/``test_``) holds their row
+    pointers, so ``train_items(u)`` is the slice
+    ``train_edges[train_indptr[u]:train_indptr[u + 1], 1]``.
+    """
+
     graph: object
     train_edges: np.ndarray
     valid_edges: np.ndarray
     test_edges: np.ndarray
-    train_user_sets: list = field(default_factory=list)
-    valid_user_sets: list = field(default_factory=list)
-    test_user_sets: list = field(default_factory=list)
-    test_users: np.ndarray = None
-    valid_users: np.ndarray = None
-    excluded_users: int = 0
-    excluded_items: int = 0
+    train_indptr: np.ndarray = field(init=False)
+    valid_indptr: np.ndarray = field(init=False)
+    test_indptr: np.ndarray = field(init=False)
+    test_users: np.ndarray = field(init=False)
+    valid_users: np.ndarray = field(init=False)
+    excluded_users: int = field(init=False)
+    excluded_items: int = field(init=False)
 
     def __post_init__(self):
         U = self.graph.num_users
-        self.train_user_sets = [set() for _ in range(U)]
-        self.valid_user_sets = [set() for _ in range(U)]
-        self.test_user_sets = [set() for _ in range(U)]
-        for u, i in self.train_edges:
-            self.train_user_sets[u].add(int(i))
-        for u, i in self.valid_edges:
-            self.valid_user_sets[u].add(int(i))
-        for u, i in self.test_edges:
-            self.test_user_sets[u].add(int(i))
-        has_train = np.array([len(s) > 0 for s in self.train_user_sets])
-        has_valid = np.array([len(s) > 0 for s in self.valid_user_sets])
-        has_test = np.array([len(s) > 0 for s in self.test_user_sets])
+        self.train_edges, self.train_indptr = sort_rows(self.train_edges, U)
+        self.valid_edges, self.valid_indptr = sort_rows(self.valid_edges, U)
+        self.test_edges, self.test_indptr = sort_rows(self.test_edges, U)
+        has_train = self.train_user_degrees > 0
+        has_valid = np.diff(self.valid_indptr) > 0
+        has_test = np.diff(self.test_indptr) > 0
         self.test_users = np.flatnonzero(has_train & has_test)
         self.valid_users = np.flatnonzero(has_train & has_valid)
         # users/items with no train edge cannot be learned; recorded, and
         # such users are excluded from evaluation
         self.excluded_users = int((~has_train & (has_test | has_valid)).sum())
-        train_items = np.zeros(self.graph.num_items, dtype=bool)
-        if len(self.train_edges):
-            train_items[self.train_edges[:, 1]] = True
-        self.excluded_items = int((~train_items).sum())
+        self.excluded_items = int((self.train_item_degrees == 0).sum())
+
+    def train_items(self, u):
+        return _row(self.train_edges, self.train_indptr, u)
+
+    def valid_items(self, u):
+        return _row(self.valid_edges, self.valid_indptr, u)
+
+    def test_items(self, u):
+        return _row(self.test_edges, self.test_indptr, u)
 
     @property
     def train_user_degrees(self):
-        deg = np.zeros(self.graph.num_users, dtype=np.int64)
-        if len(self.train_edges):
-            np.add.at(deg, self.train_edges[:, 0], 1)
-        return deg
+        return np.diff(self.train_indptr)
 
     @property
     def train_item_degrees(self):
-        deg = np.zeros(self.graph.num_items, dtype=np.int64)
-        if len(self.train_edges):
-            np.add.at(deg, self.train_edges[:, 1], 1)
-        return deg
+        return np.bincount(self.train_edges[:, 1],
+                           minlength=self.graph.num_items)
+
+
+def _row(edges, indptr, u):
+    return edges[indptr[u]:indptr[u + 1], 1]
 
 
 def split_dataset(g, rng):

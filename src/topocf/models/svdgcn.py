@@ -93,8 +93,7 @@ class SvdGcnTrainer:
         for start in range(0, len(edges), cfg.batch_size):
             batch = edges[order[start:start + cfg.batch_size]]
             users, pos = batch[:, 0], batch[:, 1]
-            negs = sample_negative_items(self.rng, users,
-                                         self.split.train_user_sets,
+            negs = sample_negative_items(self.rng, users, self.split,
                                          self.num_items)
             Eu = self.Fu @ self.W
             Ei = self.Fi @ self.W

@@ -181,7 +181,8 @@ def prepare_samples(cfg, lcc):
 
 
 def characterize_samples(cfg, samples, sample_paths, ledger, result):
-    """Per-sample characteristic vectors, reusing current ledger cells."""
+    """Per-sample characteristic vectors, reusing current ledger cells,
+    aggregated into ``characteristics.csv``."""
     out = cfg.out_dir
     os.makedirs(os.path.join(out, "chars"), exist_ok=True)
     vectors = {}
@@ -204,10 +205,15 @@ def characterize_samples(cfg, samples, sample_paths, ledger, result):
             _log(f"characterize[{sid}]: FAILED ({error})")
             continue
         path = os.path.join(out, "chars", f"{sid}.csv")
-        chars.write_characteristics_csv([(sid, vec)], path)
+        chars.write_characteristics_csv([(sid, vec.as_row())], path)
         ledger.mark_done(key, inputs[sid], [path])
         vectors[sid] = np.array(vec.as_row())
         _log(f"characterize[{sid}]: done")
+    ledger.save()
+    chars.write_characteristics_csv(
+        [(sid, vectors[sid]) for sid in sorted(vectors)],
+        os.path.join(out, "characteristics.csv"))
+    result.characteristic_rows = len(vectors)
     return vectors
 
 
@@ -230,7 +236,8 @@ def _write_metric_row(row, path, k):
 
 
 def train_samples(cfg, samples, sample_paths, ledger, result):
-    """Per-(sample, model) training and evaluation cells."""
+    """Per-(sample, model) training and evaluation cells, aggregated into
+    ``metrics.csv``."""
     out = cfg.out_dir
     os.makedirs(os.path.join(out, "metrics"), exist_ok=True)
     rows = []
@@ -266,6 +273,9 @@ def train_samples(cfg, samples, sample_paths, ledger, result):
         rows.append(row)
         _log(f"train[{sid},{kind}]: done (recall@{cfg.metric_k}="
              f"{row[2]:.4f}, {row[4]} epochs)")
+    ledger.save()
+    write_metrics_csv(rows, os.path.join(out, "metrics.csv"), cfg.metric_k)
+    result.metric_rows = len(rows)
     return rows
 
 
@@ -329,7 +339,7 @@ def emit_graph_diagnostics(lcc, vectors, out):
     fits of the ingested graph."""
     vecs = [v for _, v in sorted(vectors.items())]
     try:
-        matrix = chars.pearson_matrix([_as_vector(v) for v in vecs])
+        matrix = chars.pearson_matrix(vecs)
         chars.write_correlation_csv(matrix,
                                     os.path.join(out, "correlations.csv"))
     except ValueError as exc:
@@ -344,18 +354,28 @@ def emit_graph_diagnostics(lcc, vectors, out):
             fit, os.path.join(out, f"degree_distribution_{partition}.tsv"))
 
 
-class _RowVector:
-    """Adapter giving plain characteristic rows the as_row() interface."""
+def start_run(cfg, resume=False):
+    """Set-up shared by every command that writes outputs: open the ledger
+    (cleared unless resuming), keep the dataset's LCC in ``lcc_edges.tsv``
+    and write the sample pool.
 
-    def __init__(self, values):
-        self._values = list(values)
+    Returns (lcc, samples, sample_paths, ledger, result).
+    """
+    out = cfg.out_dir
+    lcc = load_dataset(cfg)
+    os.makedirs(out, exist_ok=True)
+    ledger = RunLedger(os.path.join(out, "ledger.json"))
+    if not resume:
+        ledger.cells = {}
+    result = RunResult(out_dir=out)
+    write_interactions(lcc, os.path.join(out, "lcc_edges.tsv"))
+    _log(f"ingest: LCC with {lcc.num_users} users, {lcc.num_items} items, "
+         f"{lcc.num_interactions} interactions")
 
-    def as_row(self):
-        return self._values
-
-
-def _as_vector(v):
-    return v if hasattr(v, "as_row") else _RowVector(v)
+    samples, sample_paths = prepare_samples(cfg, lcc)
+    result.num_samples = len(samples)
+    _log(f"sample: wrote {len(samples)} sub-datasets")
+    return lcc, samples, sample_paths, ledger, result
 
 
 def run_experiment(cfg, resume=False):
@@ -364,39 +384,12 @@ def run_experiment(cfg, resume=False):
     Cell failures are recorded and skipped; regressions use the completed
     rows and note the attrition.
     """
-    out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    ledger = RunLedger(os.path.join(out, "ledger.json"))
-    if not resume:
-        ledger.cells = {}
-    result = RunResult(out_dir=out)
-
-    lcc = load_dataset(cfg)
-    write_interactions(lcc, os.path.join(out, "lcc_edges.tsv"))
-    _log(f"ingest: LCC with {lcc.num_users} users, {lcc.num_items} items, "
-         f"{lcc.num_interactions} interactions")
-
-    samples, sample_paths = prepare_samples(cfg, lcc)
-    result.num_samples = len(samples)
-    _log(f"sample: wrote {len(samples)} sub-datasets")
-
+    lcc, samples, sample_paths, ledger, result = start_run(cfg, resume)
     vectors = characterize_samples(cfg, samples, sample_paths, ledger, result)
-    ledger.save()
     metric_rows = train_samples(cfg, samples, sample_paths, ledger, result)
-    ledger.save()
-
-    chars.write_characteristics_csv(
-        [(sid, _as_vector(vectors[sid])) for sid in sorted(vectors)],
-        os.path.join(out, "characteristics.csv"))
-    result.characteristic_rows = len(vectors)
-    write_metrics_csv(metric_rows, os.path.join(out, "metrics.csv"),
-                      cfg.metric_k)
-    result.metric_rows = len(metric_rows)
-
     fit_reports(cfg, vectors, metric_rows, result,
-                os.path.join(out, "reports"))
-    emit_graph_diagnostics(lcc, vectors, out)
-    ledger.save()
+                os.path.join(cfg.out_dir, "reports"))
+    emit_graph_diagnostics(lcc, vectors, cfg.out_dir)
     return result, samples, vectors, metric_rows
 
 
@@ -477,17 +470,11 @@ def _rq2_header_markdown(report):
 def _write_rq2_csv(report, path):
     """Standard report CSV prefixed by the sampling-statistics rows."""
     md = report.metadata
-    write_report_csv(report, path + ".body")
-    with open(path + ".body", encoding="utf-8") as fh:
-        body = fh.read()
-    os.remove(path + ".body")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("statistic,value\n")
-        fh.write(f"alpha,{md['alpha']:g}\n")
-        fh.write(f"mean_users,{md['mean_users']!r}\n")
-        fh.write(f"mean_items,{md['mean_items']!r}\n")
-        fh.write(f"mean_interactions,{md['mean_interactions']!r}\n")
-        fh.write(body.partition("\n")[2])
+    write_report_csv(report, path, statistics=[
+        ("alpha", f"{md['alpha']:g}"),
+        ("mean_users", repr(md["mean_users"])),
+        ("mean_items", repr(md["mean_items"])),
+        ("mean_interactions", repr(md["mean_interactions"]))])
 
 
 def emit_report(cfg, out=None):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BipartiteGraph
+from .graph import BipartiteGraph, induced_subgraph, write_interactions
 from .seeds import stable_seed
 
 
@@ -47,26 +47,6 @@ def round_half_up(x):
     return int(math.floor(x + 0.5))
 
 
-def _subgraph_from_edges(g, edges):
-    """Induce a compacted subgraph from a subset of (u, i) edges.
-
-    Nodes not incident to any retained edge are dropped, so every node in
-    the result has degree >= 1.
-    """
-    kept_users = np.unique(edges[:, 0])
-    kept_items = np.unique(edges[:, 1])
-    user_map = np.full(g.num_users, -1, dtype=np.int64)
-    item_map = np.full(g.num_items, -1, dtype=np.int64)
-    user_map[kept_users] = np.arange(len(kept_users))
-    item_map[kept_items] = np.arange(len(kept_items))
-    new_edges = np.column_stack([user_map[edges[:, 0]], item_map[edges[:, 1]]])
-    return BipartiteGraph.from_edge_array(
-        new_edges,
-        [g.user_ids[int(u)] for u in kept_users],
-        [g.item_ids[int(i)] for i in kept_items],
-    )
-
-
 def node_dropout(g, mu, rng):
     """Keep exactly round((U+I)*(1-mu)) uniformly drawn nodes.
 
@@ -90,7 +70,7 @@ def node_dropout(g, mu, rng):
     mask = user_kept[edges[:, 0]] & item_kept[edges[:, 1]]
     if not mask.any():
         raise DegenerateSampleError("degenerate sample: no surviving edge")
-    return _subgraph_from_edges(g, edges[mask])
+    return induced_subgraph(g, edges[mask])
 
 
 def edge_dropout(g, mu, rng):
@@ -106,7 +86,7 @@ def edge_dropout(g, mu, rng):
     if mu == 0:
         return g
     chosen = np.sort(rng.choice(g.num_interactions, size=n_keep, replace=False))
-    return _subgraph_from_edges(g, g.edge_array()[chosen])
+    return induced_subgraph(g, g.edge_array()[chosen])
 
 
 _STRATEGY_FN = {NODE_DROPOUT: node_dropout, EDGE_DROPOUT: edge_dropout}
@@ -203,8 +183,5 @@ def write_sample_edges(sample, directory):
     """Dump one sample's edge list as ``samples/<id>.tsv`` token pairs."""
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{sample.spec.sample_id}.tsv")
-    g = sample.graph
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, i in g.edge_array():
-            fh.write(f"{g.user_ids[u]}\t{g.item_ids[i]}\n")
+    write_interactions(sample.graph, path)
     return path

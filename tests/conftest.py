@@ -15,6 +15,17 @@ def make_graph(edges, num_users=None, num_items=None):
         edges, [f"u{j}" for j in range(nu)], [f"i{j}" for j in range(ni)])
 
 
+def adjacency(g):
+    """Per-user item arrays read from the CSR rows, and per-item user
+    arrays from scipy's transpose of the interaction matrix."""
+    user_adj = [g.indices[g.indptr[u]:g.indptr[u + 1]]
+                for u in range(g.num_users)]
+    RT = g.to_sparse().T.tocsr()
+    item_adj = [RT.indices[RT.indptr[i]:RT.indptr[i + 1]]
+                for i in range(g.num_items)]
+    return user_adj, item_adj
+
+
 def random_bipartite(rng, max_users=10, max_items=10, p=0.3):
     """Random dense-ish bipartite graph with at least one edge."""
     while True:

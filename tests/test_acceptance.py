@@ -51,21 +51,21 @@ def _random_split(g, rng):
 
 def _oracle_evaluate(model, split, k, phase):
     users = split.test_users if phase == "test" else split.valid_users
-    targets = (split.test_user_sets if phase == "test"
-               else split.valid_user_sets)
+    targets = split.test_items if phase == "test" else split.valid_items
     recalls, ndcgs = [], []
     for u in users:
         scores = model.item_embeddings @ model.user_embeddings[u]
-        excluded = set(split.train_user_sets[u])
+        excluded = set(split.train_items(u).tolist())
         if phase == "test":
-            excluded |= split.valid_user_sets[u]
+            excluded |= set(split.valid_items(u).tolist())
         ranked = sorted((i for i in range(len(scores)) if i not in excluded),
                         key=lambda i: (-scores[i], i))[:k]
-        hits = [pos for pos, i in enumerate(ranked, 1) if i in targets[u]]
-        recalls.append(len(hits) / len(targets[u]))
+        held_out = set(targets(u).tolist())
+        hits = [pos for pos, i in enumerate(ranked, 1) if i in held_out]
+        recalls.append(len(hits) / len(held_out))
         dcg = sum(1.0 / math.log2(pos + 1) for pos in hits)
         idcg = sum(1.0 / math.log2(pos + 1)
-                   for pos in range(1, min(k, len(targets[u])) + 1))
+                   for pos in range(1, min(k, len(held_out)) + 1))
         ndcgs.append(dcg / idcg)
     return float(np.mean(recalls)), float(np.mean(ndcgs))
 
@@ -231,8 +231,8 @@ def test_acceptance_6_model_capability():
     split = split_dataset(g, np.random.default_rng(1))
     k = 20
     baseline = float(np.mean(
-        [k / (g.num_items - len(split.train_user_sets[u])
-              - len(split.valid_user_sets[u]))
+        [k / (g.num_items - len(split.train_items(u))
+              - len(split.valid_items(u)))
          for u in split.test_users]))
     lifts = {}
     for kind in MODEL_KINDS:

@@ -1,23 +1,23 @@
 """The eleven graph characteristics against independent oracles."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from topocf.characteristics import (SHORTHAND_NAMES, assortativity_from_mixing,
+from topocf.characteristics import (SHORTHAND_NAMES,
                                     average_clustering_coefficient,
                                     average_degree, classical_characteristics,
                                     classical_from_counts, compute_vector,
                                     degree_assortativity,
-                                    degree_distribution_fit,
-                                    degree_mixing_table, gini, pearson_matrix,
-                                    read_characteristics_csv,
+                                    degree_distribution_fit, gini,
+                                    pearson_matrix, read_characteristics_csv,
                                     write_characteristics_csv)
 from topocf.graph import project
 from topocf.synthetic import heavy_tailed_graph
 
-from conftest import make_graph, random_bipartite
+from conftest import adjacency, make_graph, random_bipartite
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +74,10 @@ def test_classical_counts_vs_adjacency(rng):
         g = random_bipartite(rng)
         out = classical_characteristics(g)
         # recompute the counts from the adjacency lists themselves
-        U = len(g.user_adj)
-        I = len(g.item_adj)
-        E = sum(len(a) for a in g.user_adj)
+        user_adj, item_adj = adjacency(g)
+        U = len(user_adj)
+        I = len(item_adj)
+        E = sum(len(a) for a in user_adj)
         again = classical_from_counts(U, I, E)
         for key in ("space_size_log", "shape_log", "density_log"):
             assert out[key] == pytest.approx(again[key], abs=1e-12)
@@ -96,8 +97,9 @@ def test_average_degree(small_graph):
 
 def _clustering_bruteforce(g, partition):
     """All-pairs Jaccard oracle over explicit neighbor sets."""
-    adj = ([set(map(int, a)) for a in g.user_adj] if partition == "user"
-           else [set(map(int, a)) for a in g.item_adj])
+    user_adj, item_adj = adjacency(g)
+    adj = ([set(map(int, a)) for a in user_adj] if partition == "user"
+           else [set(map(int, a)) for a in item_adj])
     n = len(adj)
     values = []
     for v in range(n):
@@ -173,6 +175,51 @@ def test_assortativity_matches_pearson_oracle(rng):
     assert checked >= 50
 
 
+@dataclass(frozen=True)
+class DegreeMixingTable:
+    """Joint degree-degree fractions over directed edge endpoints.
+
+    ``e[h, k]`` is the fraction of directed edges whose endpoints have
+    degrees ``degrees[h]`` and ``degrees[k]``; ``q`` is the marginal and
+    ``std_q`` its standard deviation.
+    """
+
+    degrees: np.ndarray
+    e: np.ndarray
+    q: np.ndarray
+    std_q: float
+
+
+def degree_mixing_table(proj):
+    """Degree-mixing fractions of a projection's symmetric edge list."""
+    if proj.num_edges < 1:
+        raise ValueError("projection has no edges")
+    deg = proj.degrees
+    degrees = np.unique(np.concatenate([deg[proj.v], deg[proj.w]]))
+    index = {int(d): k for k, d in enumerate(degrees)}
+    D = len(degrees)
+    e = np.zeros((D, D))
+    for a, b in ((proj.v, proj.w), (proj.w, proj.v)):
+        for dv, dw in zip(deg[a], deg[b]):
+            e[index[int(dv)], index[int(dw)]] += 1.0
+    e /= e.sum()
+    q = e.sum(axis=1)
+    mean_q = float((degrees * q).sum())
+    var_q = float((degrees.astype(np.float64) ** 2 * q).sum() - mean_q ** 2)
+    return DegreeMixingTable(degrees=degrees.astype(np.float64), e=e, q=q,
+                             std_q=math.sqrt(max(var_q, 0.0)))
+
+
+def assortativity_from_mixing(table):
+    """Evaluate assortativity from the degree-mixing form."""
+    if table.std_q == 0:
+        return math.nan
+    d = table.degrees
+    outer = np.outer(d, d)
+    return float((outer * (table.e - np.outer(table.q, table.q))).sum()
+                 / table.std_q ** 2)
+
+
 def test_assortativity_matches_mixing_matrix_route(rng):
     checked = 0
     for _ in range(200):
@@ -232,7 +279,7 @@ def test_pearson_matrix_against_two_pass_oracle(rng):
 
     vectors = [compute_vector(s.graph)
                for s in generate_samples(g, 12, master_seed=0)]
-    matrix = pearson_matrix(vectors)
+    matrix = pearson_matrix([v.as_row() for v in vectors])
     rows = np.array([v.as_row() for v in vectors])
     rows = rows[np.isfinite(rows).all(axis=1)]
     for a in range(11):
@@ -251,7 +298,7 @@ def test_pearson_matrix_needs_enough_rows():
                            seed=2)
     vec = compute_vector(g)
     with pytest.raises(ValueError, match="at least 3"):
-        pearson_matrix([vec, vec])
+        pearson_matrix([vec.as_row(), vec.as_row()])
 
 
 def test_degree_distribution_fit_prefers_power_law_on_heavy_tail():
@@ -274,7 +321,7 @@ def test_characteristics_csv_round_trip(tmp_path):
     vec = compute_vector(g)
     star = compute_vector(make_graph([(u, 0) for u in range(5)]))
     path = tmp_path / "chars.csv"
-    write_characteristics_csv([(0, vec), (1, star)], path)
+    write_characteristics_csv([(0, vec.as_row()), (1, star.as_row())], path)
     header = path.read_text().splitlines()[0]
     assert header == "sample_id," + ",".join(SHORTHAND_NAMES)
     rows = read_characteristics_csv(path)

@@ -95,8 +95,8 @@ def test_random_model_matches_analytic_baseline():
     split = split_dataset(g, np.random.default_rng(0))
     k = 10
     expected = float(np.mean(
-        [k / (g.num_items - len(split.train_user_sets[u])
-              - len(split.valid_user_sets[u]))
+        [k / (g.num_items - len(split.train_items(u))
+              - len(split.valid_items(u)))
          for u in split.test_users]))
     rng = np.random.default_rng(8)
     recalls = []

@@ -1,14 +1,15 @@
 """OLS fitting, inference, and report serialization against oracles."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from topocf.explain import (DesignError, DesignMatrix, RankDeficiencyError,
-                            build_design, fit_ols, read_report_csv,
-                            render_markdown, significance_stars,
-                            write_report_csv)
+from topocf.explain import (REPORT_HEADER, DesignError, DesignMatrix,
+                            RankDeficiencyError, RegressionReport,
+                            build_design, fit_ols, render_markdown,
+                            significance_stars, write_report_csv)
 
 
 def _design(X, names=None):
@@ -279,6 +280,37 @@ def test_intercept_equals_mean_with_standardized_predictors():
 
 # ---------------------------------------------------------------------------
 # serialization
+
+def read_report_csv(path):
+    """Round-trip of write_report_csv."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    stats = {}
+    i = 0
+    if rows and rows[0] == ["statistic", "value"]:
+        i = 1
+    while i < len(rows) and rows[i] != REPORT_HEADER:
+        stats[rows[i][0]] = rows[i][1]
+        i += 1
+    if i >= len(rows):
+        raise DesignError(f"{path}: missing coefficient table header")
+    table = rows[i + 1:]
+    if not table or table[0][0] != "Constant":
+        raise DesignError(f"{path}: coefficient table must start at Constant")
+    names = tuple(r[0] for r in table[1:])
+    coefs = np.array([float(r[1]) for r in table[1:]])
+    se = np.array([float(r[2]) for r in table])
+    t = np.array([float(r[3]) for r in table])
+    p = np.array([float(r[4]) for r in table])
+    stars = tuple(r[5] for r in table)
+    m = int(stats["M"])
+    return RegressionReport(
+        theta0=float(table[0][1]), coefficients=coefs, std_errors=se,
+        t_stats=t, p_values=p, stars=stars, r2=float(stats["R2"]),
+        adj_r2=float(stats["adj_R2"]), residuals=np.zeros(m),
+        y=np.zeros(m), column_names=names,
+        dropped_rows=int(stats.get("dropped_rows", 0)))
+
 
 def test_report_csv_round_trip(tmp_path):
     rng = np.random.default_rng(6)

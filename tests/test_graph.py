@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from topocf.graph import (GraphError, ProjectionCapError, ingest_and_build,
-                          largest_connected_component, project)
+from topocf.graph import (BipartiteGraph, GraphError, ProjectionCapError,
+                          ingest_and_build, largest_connected_component,
+                          project)
 
-from conftest import make_graph, random_bipartite
+from conftest import adjacency, make_graph, random_bipartite
 
 
 # ---------------------------------------------------------------------------
@@ -52,14 +53,48 @@ def test_degree_sums_match_edge_count(rng):
 def test_adjacency_symmetry_and_sortedness(rng):
     for _ in range(25):
         g = random_bipartite(rng)
-        for u, adj in enumerate(g.user_adj):
+        user_adj, item_adj = adjacency(g)
+        for u, adj in enumerate(user_adj):
             assert np.all(np.diff(adj) > 0)
             for i in adj:
-                assert u in g.item_adj[i]
-        for i, adj in enumerate(g.item_adj):
+                assert u in item_adj[i]
+        for i, adj in enumerate(item_adj):
             assert np.all(np.diff(adj) > 0)
             for u in adj:
-                assert i in g.user_adj[u]
+                assert i in user_adj[u]
+
+
+def _adjacency_by_append(edges, n_users, n_items):
+    """Per-edge append loop: the reference the CSR builder must match."""
+    user_adj = [[] for _ in range(n_users)]
+    item_adj = [[] for _ in range(n_items)]
+    for u, i in edges[np.lexsort((edges[:, 1], edges[:, 0]))]:
+        user_adj[u].append(i)
+    for u, i in edges[np.lexsort((edges[:, 0], edges[:, 1]))]:
+        item_adj[i].append(u)
+    return user_adj, item_adj
+
+
+def test_from_edge_array_matches_append_loop(rng):
+    for trial in range(60):
+        n_users = int(rng.integers(1, 15))
+        n_items = int(rng.integers(1, 15))
+        # some rows and columns stay empty; edges arrive in random order
+        mask = rng.random((n_users, n_items)) < rng.uniform(0.05, 0.5)
+        us, its = np.nonzero(mask)
+        edges = np.column_stack([us, its])[rng.permutation(len(us))]
+        g = BipartiteGraph.from_edge_array(
+            edges, [f"u{j}" for j in range(n_users)],
+            [f"i{j}" for j in range(n_items)])
+        expected_users, expected_items = _adjacency_by_append(
+            edges, n_users, n_items)
+        user_adj, item_adj = adjacency(g)
+        assert g.num_users == n_users and g.num_items == n_items
+        assert g.num_interactions == len(edges)
+        assert [a.tolist() for a in user_adj] == expected_users
+        assert [a.tolist() for a in item_adj] == expected_items
+        assert g.user_degrees.tolist() == [len(a) for a in expected_users]
+        assert g.item_degrees.tolist() == [len(a) for a in expected_items]
 
 
 def test_edge_array_sorted_and_consistent(small_graph):
@@ -159,10 +194,11 @@ def test_lcc_of_two_component_fixture(small_graph):
 
 def _project_bruteforce(g, partition):
     """All-pairs co-occurrence counts via explicit neighbor sets."""
+    user_adj, item_adj = adjacency(g)
     if partition == "user":
-        adj = [set(map(int, a)) for a in g.user_adj]
+        adj = [set(map(int, a)) for a in user_adj]
     else:
-        adj = [set(map(int, a)) for a in g.item_adj]
+        adj = [set(map(int, a)) for a in item_adj]
     weights = {}
     for v in range(len(adj)):
         for w in range(v + 1, len(adj)):

@@ -13,7 +13,7 @@ from topocf.models.base import (Adam, ModelConfig, TrainedModel,
 from topocf.models.dgcf import DGCFPropagator, train_dgcf
 from topocf.models.lightgcn import (LightGCNPropagator, normalized_operator,
                                     train_lightgcn)
-from topocf.models.split import SplitError, split_dataset
+from topocf.models.split import Split, SplitError, split_dataset
 from topocf.models.svd import SvdConvergenceError, randomized_subspace_svd
 from topocf.models.svdgcn import (SvdGcnTrainer, cooccurrence_pairs,
                                   normalized_interactions)
@@ -232,12 +232,56 @@ def test_rank_items_breaks_ties_by_index():
     assert list(ranked_valid) == [0, 1, 3, 4]  # only train excluded
 
 
+def _train_only_split(pos_sets, num_items):
+    """Split whose train edges are exactly the given per-user item sets."""
+    edges = [(u, i) for u, items in enumerate(pos_sets) for i in items]
+    g = make_graph(edges, len(pos_sets), num_items)
+    return Split(graph=g, train_edges=g.edge_array(),
+                 valid_edges=np.empty((0, 2), dtype=np.int64),
+                 test_edges=np.empty((0, 2), dtype=np.int64))
+
+
 def test_sample_negative_items_avoids_train_positives(rng):
     pos_sets = [{0, 1, 2}, {3}, set(range(9))]
     users = np.array([0, 1, 2] * 20)
-    negs = sample_negative_items(rng, users, pos_sets, 10)
+    split = _train_only_split(pos_sets, 10)
+    negs = sample_negative_items(rng, users, split, 10)
     for u, j in zip(users, negs):
         assert int(j) not in pos_sets[u]
+
+
+def _sample_negative_items_loop(rng, users, pos_sets, num_items):
+    """Per-row resampling against Python sets: the reference the
+    vectorized sampler must match draw for draw."""
+    n = len(users)
+    negs = rng.integers(num_items, size=n)
+    resample = np.array([len(pos_sets[u]) < num_items for u in users])
+    mask = np.array([resample[j] and int(negs[j]) in pos_sets[users[j]]
+                     for j in range(n)])
+    while mask.any():
+        idx = np.flatnonzero(mask)
+        negs[idx] = rng.integers(num_items, size=len(idx))
+        mask[idx] = [int(negs[j]) in pos_sets[users[j]] for j in idx]
+    return negs
+
+
+def test_sample_negative_items_matches_set_loop(rng):
+    for trial in range(40):
+        num_items = int(rng.integers(1, 12))
+        pos_sets = [set(np.flatnonzero(rng.random(num_items) < 0.6).tolist())
+                    for _ in range(int(rng.integers(1, 8)))]
+        pos_sets[0] = set(range(num_items))  # full: never resampled
+        pos_sets.append(set())               # no train edge at all
+        users = rng.integers(len(pos_sets), size=int(rng.integers(1, 50)))
+        split = _train_only_split(pos_sets, num_items)
+        seed = int(rng.integers(2**32))
+        fast_rng = np.random.default_rng(seed)
+        loop_rng = np.random.default_rng(seed)
+        got = sample_negative_items(fast_rng, users, split, num_items)
+        expected = _sample_negative_items_loop(loop_rng, users, pos_sets,
+                                               num_items)
+        np.testing.assert_array_equal(got, expected)
+        assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 def test_train_loop_divergence_raises():

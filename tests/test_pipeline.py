@@ -1,11 +1,14 @@
 """Configuration parsing, orchestration, resume, parallelism, and the CLI."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from topocf import pipeline
+from topocf.characteristics import read_characteristics_csv
 from topocf.cli import main
 from topocf.config import ConfigError, parse_config
 from topocf.graph import write_interactions
@@ -162,6 +165,22 @@ def test_run_output_files(full_run):
         assert sum(1 for _ in fh) == 56
 
 
+def test_aggregates_hold_plain_floats(full_run):
+    cfg, *_ = full_run
+    out = cfg.out_dir
+    rows = read_characteristics_csv(os.path.join(out, "characteristics.csv"))
+    assert len(rows) == 28
+    for sid, values in rows:
+        (per_sample,) = read_characteristics_csv(
+            os.path.join(out, "chars", f"{sid}.csv"))
+        assert per_sample[0] == sid
+        np.testing.assert_array_equal(values, per_sample[1])
+    for base, _, names in os.walk(out):
+        for name in names:
+            with open(os.path.join(base, name), encoding="utf-8") as fh:
+                assert "np.float64(" not in fh.read(), name
+
+
 def test_resume_reruns_only_invalidated_cells(full_run, monkeypatch):
     cfg, *_ = full_run
     victim = os.path.join(cfg.out_dir, "metrics", "3_lightgcn.csv")
@@ -254,6 +273,18 @@ def test_emit_report_without_outputs_raises(tmp_path):
 
 # ---------------------------------------------------------------------------
 # command-line interface
+
+def test_cli_import_leaves_out_dense_linalg_and_csgraph():
+    # scipy.linalg (which scipy.sparse.csgraph also pulls in) costs about
+    # 8 MB of resident memory and 0.1 s in every process
+    code = ("import sys, topocf.cli; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.csgraph')"
+            " if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
 
 def test_cli_rejects_unknown_key():
     assert main(["sample", "bogus_key=1"]) == 2
