@@ -74,12 +74,3 @@ def evaluate(model, split, k=20, phase="test"):
     ndcg = float(np.mean(list(per_ndcg.values())))
     return EvaluationResult(k=k, recall=recall, ndcg=ndcg,
                             per_user_recall=per_recall, per_user_ndcg=per_ndcg)
-
-
-def write_per_user_metrics(result, split, path):
-    """Optional per-user TSV dump ``user_id recall@K ndcg@K``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"user_id\trecall@{result.k}\tndcg@{result.k}\n")
-        for u in sorted(result.per_user_recall):
-            fh.write(f"{split.graph.user_ids[u]}\t{result.per_user_recall[u]!r}"
-                     f"\t{result.per_user_ndcg[u]!r}\n")

@@ -1,4 +1,11 @@
-"""Shared training machinery: configs, optimizer, ranking, early stopping."""
+"""Shared training machinery: configs, optimizer, ranking, early stopping,
+and the one Trainer that runs every model.
+
+Every model's loss is a sum of sigmoid terms over sampled node pairs, so a
+model supplies only the map from its parameters P to node embeddings E,
+the adjoint of that map, and the pairs a batch samples with each pair's
+loss slope; ``pair_gradient`` turns the pairs into the gradient in E.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +13,7 @@ import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from ..evaluation import evaluate
@@ -123,6 +131,24 @@ def bpr_loss_and_coeff(eu, ei, ej, batch_size):
     return loss, coeff
 
 
+def bpr_pairs(users, pos, negs, E, num_users):
+    """Batch-mean BPR loss over (user, positive, negative) triples and its
+    pair terms: the loss depends on E[u].E[i] with slope coeff and on
+    E[u].E[j] with slope -coeff."""
+    items = num_users + pos
+    others = num_users + negs
+    loss, coeff = bpr_loss_and_coeff(E[users], E[items], E[others], len(users))
+    return loss, [(users, items, coeff), (users, others, -coeff)]
+
+
+def pair_gradient(rows, cols, coeffs, E):
+    """(C + C^T) @ E for the sparse n x n matrix C with C[rows, cols] =
+    coeffs, duplicate pairs adding up: the gradient in E of a loss whose
+    slope in E[rows[t]] . E[cols[t]] is coeffs[t]."""
+    C = sp.coo_matrix((coeffs, (rows, cols)), shape=(len(E), len(E)))
+    return C @ E + C.T @ E
+
+
 def train_loop(trainer, split, cfg):
     """Generic epoch loop with early stopping on validation Recall@20.
 
@@ -159,76 +185,99 @@ def train_loop(trainer, split, cfg):
     return model
 
 
-class PropagationTrainer:
-    """BPR trainer for models whose embeddings are a linear propagation of
-    the layer-0 matrix (LightGCN, DGCF). L2 applies to layer-0 embeddings;
-    the propagation adjoint routes ranking gradients back to layer 0."""
+class Trainer:
+    """Adam on one parameter matrix P, in shuffled train-edge batches.
 
-    def __init__(self, split, cfg, rng, propagator):
+    The model maps P to node embeddings E (users, then items) and back:
+    - ``init_params(rng)`` draws P, and any other random state the model
+      keeps fixed;
+    - ``forward(P)`` returns E;
+    - ``backward(G)`` returns the gradient in P for a gradient G in E from
+      the latest ``forward``;
+    - ``batch_pairs(rng, batch, split, E)`` draws the batch's negatives and
+      returns ``(loss, [(rows, cols, coeffs), ...])``: the batch loss and,
+      per sampled node pair, its slope in E[row] . E[col];
+    - ``extras(P)`` returns the diagnostics kept on the TrainedModel.
+
+    L2 applies to P.
+    """
+
+    def __init__(self, model, split, cfg, rng):
+        self.model = model
         self.split = split
         self.cfg = cfg
         self.rng = rng
-        self.propagator = propagator
-        g = split.graph
-        self.num_users = g.num_users
-        self.num_items = g.num_items
-        self.E0 = rng.normal(0.0, 0.1,
-                             size=(self.num_users + self.num_items,
-                                   cfg.embedding_dim))
-        self.adam = Adam(self.E0.shape, cfg.learning_rate)
-        self.train_edges = split.train_edges
+        self.P = model.init_params(rng)
+        self.adam = Adam(self.P.shape, cfg.learning_rate)
 
     def run_epoch(self, epoch):
-        cfg = self.cfg
-        edges = self.train_edges
+        edges = self.split.train_edges
         order = self.rng.permutation(len(edges))
-        total, count = 0.0, 0
-        for start in range(0, len(edges), cfg.batch_size):
-            batch = edges[order[start:start + cfg.batch_size]]
-            users, pos = batch[:, 0], batch[:, 1]
-            negs = sample_negative_items(self.rng, users, self.split,
-                                         self.num_items)
-            final = self.propagator.forward(self.E0)
-            eu = final[users]
-            ei = final[self.num_users + pos]
-            ej = final[self.num_users + negs]
-            loss, coeff = bpr_loss_and_coeff(eu, ei, ej, len(batch))
-            grad_final = np.zeros_like(final)
-            np.add.at(grad_final, users, coeff[:, None] * (ei - ej))
-            np.add.at(grad_final, self.num_users + pos, coeff[:, None] * eu)
-            np.add.at(grad_final, self.num_users + negs, -coeff[:, None] * eu)
-            grad0 = self.propagator.backward(grad_final)
-            grad0 += cfg.l2_weight * self.E0
-            self.adam.step(self.E0, grad0)
-            total += loss * len(batch)
-            count += len(batch)
-        return total / max(count, 1)
+        total = 0.0
+        for start in range(0, len(edges), self.cfg.batch_size):
+            batch = edges[order[start:start + self.cfg.batch_size]]
+            total += self.step(batch) * len(batch)
+        return total / max(len(edges), 1)
+
+    def step(self, batch):
+        """One Adam step on a batch of train edges; returns the batch loss.
+        Its temporaries are freed before the next batch draws its own."""
+        E = self.model.forward(self.P)
+        loss, terms = self.model.batch_pairs(self.rng, batch, self.split, E)
+        rows, cols, coeffs = (np.concatenate(t) for t in zip(*terms))
+        grad = self.model.backward(pair_gradient(rows, cols, coeffs, E))
+        grad += self.cfg.l2_weight * self.P
+        self.adam.step(self.P, grad)
+        return loss
 
     def materialize(self):
-        final = self.propagator.forward(self.E0)
-        return TrainedModel(user_embeddings=final[:self.num_users].copy(),
-                            item_embeddings=final[self.num_users:].copy(),
+        E = self.model.forward(self.P)
+        num_users = self.split.graph.num_users
+        return TrainedModel(user_embeddings=E[:num_users].copy(),
+                            item_embeddings=E[num_users:].copy(),
                             config=self.cfg,
-                            extras=dict(self.propagator.extras))
+                            extras=self.model.extras(self.P))
 
     def params_copy(self):
-        return (self.E0.copy(), copy.deepcopy(self.adam))
+        return (self.P.copy(), copy.deepcopy(self.adam))
 
     def set_params(self, params):
-        self.E0, self.adam = params[0].copy(), copy.deepcopy(params[1])
+        self.P, self.adam = params[0].copy(), copy.deepcopy(params[1])
+
+
+class PropagationModel:
+    """BPR on embeddings propagated linearly from the layer-0 matrix
+    P = E0 (LightGCN, DGCF); subclasses supply forward/backward."""
+
+    def __init__(self, split, cfg):
+        self.cfg = cfg
+        self.num_users = split.graph.num_users
+        self.num_items = split.graph.num_items
+
+    def init_params(self, rng):
+        return rng.normal(0.0, 0.1, size=(self.num_users + self.num_items,
+                                          self.cfg.embedding_dim))
+
+    def batch_pairs(self, rng, batch, split, E):
+        users, pos = batch[:, 0], batch[:, 1]
+        negs = sample_negative_items(rng, users, split, self.num_items)
+        return bpr_pairs(users, pos, negs, E, self.num_users)
+
+    def extras(self, P):
+        return {}
 
 
 def train_model(split, cfg, rng):
-    """Dispatch to the trainer for cfg.kind."""
-    from . import dgcf, lightgcn, svdgcn, ultragcn
+    """Train the model for cfg.kind."""
+    from .dgcf import DGCFPropagator
+    from .lightgcn import LightGCNPropagator
+    from .svdgcn import SvdGcn
+    from .ultragcn import UltraGCN
 
-    trainers = {
-        "lightgcn": lightgcn.train_lightgcn,
-        "dgcf": dgcf.train_dgcf,
-        "ultragcn": ultragcn.train_ultragcn,
-        "svdgcn": svdgcn.train_svdgcn,
-    }
-    if cfg.kind not in trainers:
+    models = {"lightgcn": LightGCNPropagator, "dgcf": DGCFPropagator,
+              "ultragcn": UltraGCN, "svdgcn": SvdGcn}
+    if cfg.kind not in models:
         raise ValueError(f"unknown model kind {cfg.kind!r}")
-    return trainers[cfg.kind](split, cfg, rng)
-
+    trainer = Trainer(models[cfg.kind](split, cfg), split, cfg,
+                      np.random.default_rng(rng))
+    return train_loop(trainer, split, cfg)

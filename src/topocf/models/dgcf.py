@@ -13,22 +13,20 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import softmax
 
-from .base import PropagationTrainer, train_loop
+from .base import PropagationModel
 from .lightgcn import normalized_operator
 
 
-class DGCFPropagator:
+class DGCFPropagator(PropagationModel):
     def __init__(self, split, cfg):
         if cfg.embedding_dim % cfg.intents:
             raise ValueError(
                 f"embedding_dim {cfg.embedding_dim} not divisible by "
                 f"intents {cfg.intents}")
+        super().__init__(split, cfg)
         self.edges = split.train_edges
-        self.num_users = split.graph.num_users
-        self.num_items = split.graph.num_items
-        self.cfg = cfg
         self.layer_ops = []
-        self.extras = {}
+        self.intent_weights = None
 
     def _build_ops(self, weights):
         return [normalized_operator(self.edges, weights[:, k],
@@ -64,7 +62,7 @@ class DGCFPropagator:
             self.layer_ops.append(ops)
             X = self._apply(ops, X)
             acc += X
-        self.extras["intent_weights"] = weights
+        self.intent_weights = weights
         return acc / (cfg.layers + 1)
 
     def backward(self, G):
@@ -73,10 +71,5 @@ class DGCFPropagator:
             B = G + self._apply(ops, B)
         return B / (self.cfg.layers + 1)
 
-
-def train_dgcf(split, cfg, rng):
-    if cfg.kind != "dgcf":
-        raise ValueError(f"config kind {cfg.kind!r} is not dgcf")
-    rng = np.random.default_rng(rng)
-    trainer = PropagationTrainer(split, cfg, rng, DGCFPropagator(split, cfg))
-    return train_loop(trainer, split, cfg)
+    def extras(self, P):
+        return {"intent_weights": self.intent_weights}

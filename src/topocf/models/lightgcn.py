@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .base import PropagationTrainer, train_loop
+from .base import PropagationModel
 
 
 def normalized_operator(edges, weights, num_users, num_items):
@@ -23,7 +23,7 @@ def normalized_operator(edges, weights, num_users, num_items):
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-class LightGCNPropagator:
+class LightGCNPropagator(PropagationModel):
     """Mean of layer-0..L embeddings under the fixed normalized adjacency.
 
     The operator is symmetric, so the backward pass reuses it to route
@@ -31,12 +31,11 @@ class LightGCNPropagator:
     """
 
     def __init__(self, split, cfg):
+        super().__init__(split, cfg)
         edges = split.train_edges
         self.A = normalized_operator(edges, np.ones(len(edges)),
-                                     split.graph.num_users,
-                                     split.graph.num_items)
+                                     self.num_users, self.num_items)
         self.layers = cfg.layers
-        self.extras = {}
 
     def forward(self, E0):
         acc = E0.copy()
@@ -51,11 +50,3 @@ class LightGCNPropagator:
         for _ in range(self.layers):
             B = G + self.A @ B
         return B / (self.layers + 1)
-
-
-def train_lightgcn(split, cfg, rng):
-    if cfg.kind != "lightgcn":
-        raise ValueError(f"config kind {cfg.kind!r} is not lightgcn")
-    rng = np.random.default_rng(rng)
-    trainer = PropagationTrainer(split, cfg, rng, LightGCNPropagator(split, cfg))
-    return train_loop(trainer, split, cfg)

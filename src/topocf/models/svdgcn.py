@@ -8,14 +8,11 @@ damping a2 that bounds the top singular value by d_max / (d_max + a2).
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .base import (Adam, TrainedModel, bpr_loss_and_coeff,
-                   sample_negative_items, train_loop)
+from .base import bpr_pairs, sample_negative_items
 from .svd import randomized_subspace_svd
 
 
@@ -40,99 +37,59 @@ def cooccurrence_pairs(edges, num_users, num_items):
     return pairs[0], pairs[1]
 
 
-class SvdGcnTrainer:
-    def __init__(self, split, cfg, rng):
-        self.split = split
-        self.cfg = cfg
-        self.rng = rng
+class SvdGcn:
+    """Node embeddings F @ W for the fixed spectral features F = [Fu; Fi]
+    (users, then items) and the trainable transform P = W."""
+
+    def __init__(self, split, cfg):
         g = split.graph
+        self.cfg = cfg
         self.num_users = g.num_users
         self.num_items = g.num_items
-        edges = split.train_edges
-        rank = min(cfg.svd_rank, g.num_users, g.num_items)
-        Rn = normalized_interactions(edges, g.num_users, g.num_items, cfg.a2)
-        P, s, Q = randomized_subspace_svd(Rn, rank, rng=rng)
-        scale = np.exp(cfg.a1 * s)
-        self.Fu = P * scale
-        self.Fi = Q * scale
-        self.singular_values = s
-        self.rank = rank
-        self.W = rng.normal(0.0, 0.1, size=(rank, cfg.embedding_dim))
-        self.adam = Adam(self.W.shape, cfg.learning_rate)
+        self.rank = min(cfg.svd_rank, g.num_users, g.num_items)
         self.user_pairs, self.item_pairs = cooccurrence_pairs(
-            edges, g.num_users, g.num_items)
+            split.train_edges, g.num_users, g.num_items)
+        self.Rn = normalized_interactions(split.train_edges, g.num_users,
+                                          g.num_items, cfg.a2)
 
-    def _pair_grads(self, pairs, F, num_nodes, n, G):
-        """Sigmoid losses pulling co-occurring same-partition nodes together
-        and pushing each sampled node away from a uniform random one.
-        Gradients accumulate into G (same shape as F); returns the loss."""
-        if len(pairs) == 0 or n == 0:
-            return 0.0
-        sel = pairs[self.rng.integers(len(pairs), size=n)]
-        ea = F[sel[:, 0]] @ self.W
-        eb = F[sel[:, 1]] @ self.W
-        s_pos = (ea * eb).sum(axis=1)
-        loss = float(np.logaddexp(0.0, -s_pos).sum()) / n
-        c = -expit(-s_pos) / n
-        np.add.at(G, sel[:, 0], c[:, None] * eb)
-        np.add.at(G, sel[:, 1], c[:, None] * ea)
-        negs = self.rng.integers(num_nodes, size=n)
-        en = F[negs] @ self.W
-        s_neg = (ea * en).sum(axis=1)
-        loss += float(np.logaddexp(0.0, s_neg).sum()) / n
-        cn = expit(s_neg) / n
-        np.add.at(G, sel[:, 0], cn[:, None] * en)
-        np.add.at(G, negs, cn[:, None] * ea)
-        return loss
+    def init_params(self, rng):
+        """The randomized SVD that fixes F, then the draw of W."""
+        P, s, Q = randomized_subspace_svd(self.Rn, self.rank, rng=rng)
+        self.F = np.vstack([P, Q]) * np.exp(self.cfg.a1 * s)
+        self.singular_values = s
+        return rng.normal(0.0, 0.1, size=(self.rank, self.cfg.embedding_dim))
 
-    def run_epoch(self, epoch):
-        cfg = self.cfg
-        edges = self.split.train_edges
-        order = self.rng.permutation(len(edges))
-        total, count = 0.0, 0
-        for start in range(0, len(edges), cfg.batch_size):
-            batch = edges[order[start:start + cfg.batch_size]]
-            users, pos = batch[:, 0], batch[:, 1]
-            negs = sample_negative_items(self.rng, users, self.split,
-                                         self.num_items)
-            Eu = self.Fu @ self.W
-            Ei = self.Fi @ self.W
-            eu, ei, ej = Eu[users], Ei[pos], Ei[negs]
-            loss, coeff = bpr_loss_and_coeff(eu, ei, ej, len(batch))
-            Gu = np.zeros_like(Eu)
-            Gi = np.zeros_like(Ei)
-            np.add.at(Gu, users, coeff[:, None] * (ei - ej))
-            np.add.at(Gi, pos, coeff[:, None] * eu)
-            np.add.at(Gi, negs, -coeff[:, None] * eu)
-            loss += self._pair_grads(self.user_pairs, self.Fu,
-                                     self.num_users, len(batch), Gu)
-            loss += self._pair_grads(self.item_pairs, self.Fi,
-                                     self.num_items, len(batch), Gi)
-            grad_w = self.Fu.T @ Gu + self.Fi.T @ Gi + cfg.l2_weight * self.W
-            self.adam.step(self.W, grad_w)
-            total += loss * len(batch)
-            count += len(batch)
-        return total / max(count, 1)
+    def forward(self, W):
+        return self.F @ W
 
-    def materialize(self):
-        return TrainedModel(user_embeddings=self.Fu @ self.W,
-                            item_embeddings=self.Fi @ self.W,
-                            config=self.cfg,
-                            extras={"singular_values": self.singular_values.copy(),
-                                    "svd_rank_used": self.rank,
-                                    "transform": self.W.copy()})
+    def backward(self, G):
+        return self.F.T @ G
 
-    def params_copy(self):
-        return (self.W.copy(), copy.deepcopy(self.adam))
+    def batch_pairs(self, rng, batch, split, E):
+        """BPR, plus per partition sigmoid losses pulling co-occurring node
+        pairs together and pushing each pair's first node away from a
+        uniform random node of its partition."""
+        users, pos = batch[:, 0], batch[:, 1]
+        negs = sample_negative_items(rng, users, split, self.num_items)
+        loss, terms = bpr_pairs(users, pos, negs, E, self.num_users)
+        n = len(batch)
+        for pairs, offset, size in ((self.user_pairs, 0, self.num_users),
+                                    (self.item_pairs, self.num_users,
+                                     self.num_items)):
+            if len(pairs) == 0:
+                continue
+            sel = offset + pairs[rng.integers(len(pairs), size=n)]
+            others = offset + rng.integers(size, size=n)
+            ea, eb, en = E[sel[:, 0]], E[sel[:, 1]], E[others]
+            s_pos = (ea * eb).sum(axis=1)
+            s_neg = (ea * en).sum(axis=1)
+            loss += (float(np.logaddexp(0.0, -s_pos).sum()) / n
+                     + float(np.logaddexp(0.0, s_neg).sum()) / n)
+            terms += [(sel[:, 0], sel[:, 1], -expit(-s_pos) / n),
+                      (sel[:, 0], others, expit(s_neg) / n)]
+        return loss, terms
 
-    def set_params(self, params):
-        self.W = params[0].copy()
-        self.adam = copy.deepcopy(params[1])
-
-
-def train_svdgcn(split, cfg, rng):
-    if cfg.kind != "svdgcn":
-        raise ValueError(f"config kind {cfg.kind!r} is not svdgcn")
-    rng = np.random.default_rng(rng)
-    trainer = SvdGcnTrainer(split, cfg, rng)
-    return train_loop(trainer, split, cfg)
+    def extras(self, P):
+        return {"singular_values": self.singular_values.copy(),
+                "svd_rank_used": self.rank,
+                "transform": P.copy()}

@@ -7,13 +7,9 @@ over each positive item's top-k weighted co-occurrence neighbors.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
-
-from .base import Adam, TrainedModel, train_loop
 
 
 def beta_coefficient(deg_u, deg_i):
@@ -29,125 +25,92 @@ def item_cooccurrence_topk(split, k):
     Built from the train interactions only. For item i with weighted
     co-occurrence row sum sigma_i (diagonal included), neighbor j gets
     omega = (w_ij / (sigma_i - w_ii)) * sqrt(sigma_i / sigma_j); items with
-    no off-diagonal co-occurrence mass are skipped and counted.
+    no off-diagonal co-occurrence mass are skipped and counted. Neighbors
+    are ordered by weight descending, then index ascending.
     """
     g = split.graph
     edges = split.train_edges
     R = sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
                       shape=(g.num_users, g.num_items))
-    RI = (R.T @ R).tocsr()
+    RI = (R.T @ R).tocoo()
     sigma = np.asarray(RI.sum(axis=1)).ravel()
-    diag = RI.diagonal()
-    denom = sigma - diag
+    denom = sigma - RI.diagonal()
 
-    num_items = g.num_items
-    neighbors = np.zeros((num_items, k), dtype=np.int64)
-    omega = np.zeros((num_items, k))
-    mask = np.zeros((num_items, k), dtype=bool)
-    skipped = 0
-    for i in range(num_items):
-        row = RI.getrow(i)
-        off = row.indices != i
-        idx = row.indices[off]
-        dat = row.data[off]
-        if denom[i] <= 0 or len(idx) == 0:
-            if sigma[i] > 0:
-                skipped += 1
-            continue
-        order = np.lexsort((idx, -dat))[:k]
-        sel = idx[order]
-        neighbors[i, :len(sel)] = sel
-        omega[i, :len(sel)] = (dat[order] / denom[i]) * np.sqrt(sigma[i] / sigma[sel])
-        mask[i, :len(sel)] = True
+    off = RI.row != RI.col
+    row, col, dat = RI.row[off], RI.col[off], RI.data[off]
+    order = np.lexsort((col, -dat, row))
+    row, col, dat = row[order], col[order], dat[order]
+    per_row = np.bincount(row, minlength=g.num_items)
+    rank = np.arange(len(row)) - (np.cumsum(per_row) - per_row)[row]
+    keep = rank < k
+    row, col, dat, rank = row[keep], col[keep], dat[keep], rank[keep]
+
+    neighbors = np.zeros((g.num_items, k), dtype=np.int64)
+    omega = np.zeros((g.num_items, k))
+    mask = np.zeros((g.num_items, k), dtype=bool)
+    neighbors[row, rank] = col
+    omega[row, rank] = (dat / denom[row]) * np.sqrt(sigma[row] / sigma[col])
+    mask[row, rank] = True
+    skipped = int(np.count_nonzero((per_row == 0) & (sigma > 0)))
     return neighbors, omega, mask, skipped
 
 
-class UltraGCNTrainer:
-    def __init__(self, split, cfg, rng):
-        self.split = split
+class UltraGCN:
+    """User and item embeddings stacked as P = [Eu; Ei] and scored directly,
+    so forward and backward are the identity."""
+
+    def __init__(self, split, cfg):
         self.cfg = cfg
-        self.rng = rng
-        g = split.graph
-        self.num_users = g.num_users
-        self.num_items = g.num_items
-        self.Eu = rng.normal(0.0, 0.1, size=(self.num_users, cfg.embedding_dim))
-        self.Ei = rng.normal(0.0, 0.1, size=(self.num_items, cfg.embedding_dim))
-        self.adam_u = Adam(self.Eu.shape, cfg.learning_rate)
-        self.adam_i = Adam(self.Ei.shape, cfg.learning_rate)
+        self.num_users = split.graph.num_users
+        self.num_items = split.graph.num_items
         self.deg_u = np.maximum(split.train_user_degrees, 1).astype(np.float64)
         self.deg_i = split.train_item_degrees.astype(np.float64)
         self.neighbors, self.omega, self.nb_mask, self.skipped_items = \
             item_cooccurrence_topk(split, cfg.item_topk)
 
-    def run_epoch(self, epoch):
+    def init_params(self, rng):
+        return rng.normal(0.0, 0.1, size=(self.num_users + self.num_items,
+                                          self.cfg.embedding_dim))
+
+    def forward(self, P):
+        return P
+
+    def backward(self, G):
+        return G
+
+    def batch_pairs(self, rng, batch, split, E):
+        """Weighted positive, uniform negative and item-neighbor constraint
+        losses, all over (user, item) pairs."""
         cfg = self.cfg
-        edges = self.split.train_edges
-        order = self.rng.permutation(len(edges))
-        total, count = 0.0, 0
-        for start in range(0, len(edges), cfg.batch_size):
-            batch = edges[order[start:start + cfg.batch_size]]
-            users, pos = batch[:, 0], batch[:, 1]
-            B = len(batch)
-            Gu = np.zeros_like(self.Eu)
-            Gi = np.zeros_like(self.Ei)
-            loss = 0.0
+        users, pos = batch[:, 0], batch[:, 1]
+        B = len(batch)
+        Ei = E[self.num_users:]
+        eu = E[users]
 
-            eu = self.Eu[users]
-            ei = self.Ei[pos]
-            s_pos = (eu * ei).sum(axis=1)
-            w_pos = beta_coefficient(self.deg_u[users], self.deg_i[pos])
-            loss += float((w_pos * np.logaddexp(0.0, -s_pos)).sum())
-            c_pos = -w_pos * expit(-s_pos) / B
-            np.add.at(Gu, users, c_pos[:, None] * ei)
-            np.add.at(Gi, pos, c_pos[:, None] * eu)
+        s_pos = (eu * Ei[pos]).sum(axis=1)
+        w_pos = beta_coefficient(self.deg_u[users], self.deg_i[pos])
+        loss = float((w_pos * np.logaddexp(0.0, -s_pos)).sum())
+        c_pos = -w_pos * expit(-s_pos) / B
 
-            negs = self.rng.integers(self.num_items, size=(B, cfg.negatives))
-            w_neg = beta_coefficient(self.deg_u[users][:, None],
-                                     self.deg_i[negs])
-            s_neg = np.einsum("bd,bnd->bn", eu, self.Ei[negs])
-            loss += float((w_neg * np.logaddexp(0.0, s_neg)).sum()) / cfg.negatives
-            c_neg = w_neg * expit(s_neg) / (B * cfg.negatives)
-            np.add.at(Gu, users, np.einsum("bn,bnd->bd", c_neg, self.Ei[negs]))
-            np.add.at(Gi, negs.ravel(),
-                      (c_neg[:, :, None] * eu[:, None, :]).reshape(-1, eu.shape[1]))
+        negs = rng.integers(self.num_items, size=(B, cfg.negatives))
+        w_neg = beta_coefficient(self.deg_u[users][:, None], self.deg_i[negs])
+        s_neg = np.einsum("bd,bnd->bn", eu, Ei[negs])
+        loss += float((w_neg * np.logaddexp(0.0, s_neg)).sum()) / cfg.negatives
+        c_neg = w_neg * expit(s_neg) / (B * cfg.negatives)
 
-            nb = self.neighbors[pos]
-            om = self.omega[pos] * self.nb_mask[pos]
-            s_ii = np.einsum("bd,bkd->bk", eu, self.Ei[nb])
-            loss += cfg.item_loss_weight * float((om * np.logaddexp(0.0, -s_ii)).sum())
-            c_ii = -cfg.item_loss_weight * om * expit(-s_ii) / B
-            np.add.at(Gu, users, np.einsum("bk,bkd->bd", c_ii, self.Ei[nb]))
-            np.add.at(Gi, nb.ravel(),
-                      (c_ii[:, :, None] * eu[:, None, :]).reshape(-1, eu.shape[1]))
+        nb = self.neighbors[pos]
+        om = self.omega[pos] * self.nb_mask[pos]
+        s_ii = np.einsum("bd,bkd->bk", eu, Ei[nb])
+        loss += cfg.item_loss_weight * float((om * np.logaddexp(0.0, -s_ii)).sum())
+        c_ii = -cfg.item_loss_weight * om * expit(-s_ii) / B
 
-            Gu += cfg.l2_weight * self.Eu
-            Gi += cfg.l2_weight * self.Ei
-            self.adam_u.step(self.Eu, Gu)
-            self.adam_i.step(self.Ei, Gi)
-            total += loss
-            count += B
-        return total / max(count, 1)
+        return loss / B, [
+            (users, self.num_users + pos, c_pos),
+            (np.repeat(users, cfg.negatives), self.num_users + negs.ravel(),
+             c_neg.ravel()),
+            (np.repeat(users, nb.shape[1]), self.num_users + nb.ravel(),
+             c_ii.ravel()),
+        ]
 
-    def materialize(self):
-        return TrainedModel(user_embeddings=self.Eu.copy(),
-                            item_embeddings=self.Ei.copy(),
-                            config=self.cfg,
-                            extras={"skipped_items": self.skipped_items})
-
-    def params_copy(self):
-        return (self.Eu.copy(), self.Ei.copy(),
-                copy.deepcopy(self.adam_u), copy.deepcopy(self.adam_i))
-
-    def set_params(self, params):
-        self.Eu = params[0].copy()
-        self.Ei = params[1].copy()
-        self.adam_u = copy.deepcopy(params[2])
-        self.adam_i = copy.deepcopy(params[3])
-
-
-def train_ultragcn(split, cfg, rng):
-    if cfg.kind != "ultragcn":
-        raise ValueError(f"config kind {cfg.kind!r} is not ultragcn")
-    rng = np.random.default_rng(rng)
-    trainer = UltraGCNTrainer(split, cfg, rng)
-    return train_loop(trainer, split, cfg)
+    def extras(self, P):
+        return {"skipped_items": self.skipped_items}

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from topocf.evaluation import (evaluate, ndcg_at_k, recall_at_k,
-                               write_per_user_metrics)
+from topocf.evaluation import evaluate, ndcg_at_k, recall_at_k
 from topocf.models.base import TrainedModel, default_config
 from topocf.models.split import Split, split_dataset
 from topocf.synthetic import two_block_graph
@@ -105,18 +104,3 @@ def test_random_model_matches_analytic_baseline():
                              rng.normal(size=(g.num_items, 4)))
         recalls.append(evaluate(model, split, k=k, phase="test").recall)
     assert np.mean(recalls) == pytest.approx(expected, rel=0.15)
-
-
-def test_write_per_user_metrics(tmp_path):
-    g = make_graph([(0, 0), (0, 1)])
-    split = Split(graph=g,
-                  train_edges=np.array([(0, 0)]),
-                  valid_edges=np.empty((0, 2), dtype=int),
-                  test_edges=np.array([(0, 1)]))
-    model = _fixed_model([[1.0]], [[1.0], [2.0]])
-    result = evaluate(model, split, k=1, phase="test")
-    path = tmp_path / "per_user.tsv"
-    write_per_user_metrics(result, split, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "user_id\trecall@1\tndcg@1"
-    assert lines[1].startswith("u0\t1.0")

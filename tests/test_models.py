@@ -1,4 +1,4 @@
-"""Recommender machinery: splits, propagation, the four trainers, SVD."""
+"""Recommender machinery: splits, propagation, the trainer and its four models, SVD."""
 
 import math
 
@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from topocf.models.base import (Adam, ModelConfig, TrainedModel,
-                                TrainingDivergedError, bpr_loss_and_coeff,
-                                default_config, rank_items,
+from topocf.models.base import (MODEL_KINDS, Adam, ModelConfig, TrainedModel,
+                                Trainer, TrainingDivergedError,
+                                bpr_loss_and_coeff, default_config,
+                                pair_gradient, rank_items,
                                 sample_negative_items, train_loop, train_model)
-from topocf.models.dgcf import DGCFPropagator, train_dgcf
-from topocf.models.lightgcn import (LightGCNPropagator, normalized_operator,
-                                    train_lightgcn)
+from topocf.models.dgcf import DGCFPropagator
+from topocf.models.lightgcn import LightGCNPropagator, normalized_operator
 from topocf.models.split import Split, SplitError, split_dataset
 from topocf.models.svd import SvdConvergenceError, randomized_subspace_svd
-from topocf.models.svdgcn import (SvdGcnTrainer, cooccurrence_pairs,
+from topocf.models.svdgcn import (SvdGcn, cooccurrence_pairs,
                                   normalized_interactions)
-from topocf.models.ultragcn import beta_coefficient, item_cooccurrence_topk
+from topocf.models.ultragcn import (UltraGCN, beta_coefficient,
+                                    item_cooccurrence_topk)
 from topocf.synthetic import two_block_graph
 
 from conftest import make_graph, random_bipartite
@@ -166,8 +167,9 @@ def test_dgcf_zero_routing_iterations_gives_uniform_weights(rng):
     cfg = default_config("dgcf", embedding_dim=8, intents=4,
                          routing_iterations=0)
     prop = DGCFPropagator(split, cfg)
-    prop.forward(rng.normal(size=(g.num_users + g.num_items, 8)))
-    np.testing.assert_allclose(prop.extras["intent_weights"], 0.25)
+    E0 = rng.normal(size=(g.num_users + g.num_items, 8))
+    prop.forward(E0)
+    np.testing.assert_allclose(prop.extras(E0)["intent_weights"], 0.25)
 
 
 def test_dgcf_requires_divisible_embedding(rng):
@@ -182,11 +184,11 @@ def test_dgcf_single_intent_matches_lightgcn(rng):
     g = _dense_graph(rng, nu=15, ni=15)
     split = _split_of(g)
     kw = dict(embedding_dim=16, layers=2, max_epochs=6, eval_interval=100)
-    m_light = train_lightgcn(split, default_config("lightgcn", **kw),
-                             np.random.default_rng(13))
-    m_dgcf = train_dgcf(split, default_config("dgcf", intents=1,
-                                              routing_iterations=2, **kw),
-                        np.random.default_rng(13))
+    m_light = train_model(split, default_config("lightgcn", **kw),
+                          np.random.default_rng(13))
+    m_dgcf = train_model(split, default_config("dgcf", intents=1,
+                                               routing_iterations=2, **kw),
+                         np.random.default_rng(13))
     np.testing.assert_allclose(m_light.user_embeddings,
                                m_dgcf.user_embeddings, atol=1e-9)
     np.testing.assert_allclose(m_light.item_embeddings,
@@ -284,6 +286,68 @@ def test_sample_negative_items_matches_set_loop(rng):
         assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
+def _pair_gradient_add_at(rows, cols, coeffs, E):
+    """Row-by-row scatter: the reference pair_gradient must match."""
+    G = np.zeros_like(E)
+    np.add.at(G, rows, coeffs[:, None] * E[cols])
+    np.add.at(G, cols, coeffs[:, None] * E[rows])
+    return G
+
+
+def test_pair_gradient_matches_add_at(rng):
+    for trial in range(30):
+        n = int(rng.integers(1, 25))
+        m = int(rng.integers(0, 200))
+        rows = rng.integers(n, size=m)
+        cols = rng.integers(n, size=m)
+        cols[:m // 4] = rows[:m // 4]  # self pairs
+        rows[m // 2:] = rows[:m - m // 2]  # repeated pairs
+        cols[m // 2:] = cols[:m - m // 2]
+        coeffs = rng.normal(size=m)
+        E = rng.normal(size=(n, 5))
+        np.testing.assert_allclose(pair_gradient(rows, cols, coeffs, E),
+                                   _pair_gradient_add_at(rows, cols, coeffs, E),
+                                   rtol=1e-12, atol=1e-12)
+
+
+_MODEL_CLASSES = {"lightgcn": LightGCNPropagator, "dgcf": DGCFPropagator,
+                  "ultragcn": UltraGCN, "svdgcn": SvdGcn}
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_batch_gradient_matches_finite_differences(kind):
+    """backward(pair_gradient(...)) is the gradient in P of the batch loss.
+    DGCF routes with zero iterations because its backward pass treats the
+    routing weights as constants."""
+    g = two_block_graph(num_users=12, num_items=10, interactions_per_user=4,
+                        seed=1)
+    split = _split_of(g)
+    cfg = default_config(kind, embedding_dim=4, layers=2, intents=2,
+                         routing_iterations=0, negatives=3, item_topk=3,
+                         svd_rank=3)
+    model = _MODEL_CLASSES[kind](split, cfg)
+    P = model.init_params(np.random.default_rng(0))
+    batch = split.train_edges[::3]
+
+    def batch_loss(P):
+        E = model.forward(P)
+        return model.batch_pairs(np.random.default_rng(5), batch, split, E)
+
+    E = model.forward(P)
+    _, terms = model.batch_pairs(np.random.default_rng(5), batch, split, E)
+    rows, cols, coeffs = (np.concatenate(t) for t in zip(*terms))
+    grad = model.backward(pair_gradient(rows, cols, coeffs, E))
+    h = 1e-6
+    numeric = np.zeros_like(P)
+    for idx in np.ndindex(P.shape):
+        step = np.zeros_like(P)
+        step[idx] = h
+        numeric[idx] = (batch_loss(P + step)[0]
+                        - batch_loss(P - step)[0]) / (2 * h)
+    assert np.abs(grad).max() > 1e-3
+    np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)
+
+
 def test_train_loop_divergence_raises():
     class BadTrainer:
         def run_epoch(self, epoch):
@@ -312,11 +376,9 @@ def test_training_loss_decreases(rng):
     g = two_block_graph(num_users=40, num_items=40, interactions_per_user=10,
                         seed=6)
     split = _split_of(g)
-    from topocf.models.base import PropagationTrainer
-
     cfg = default_config("lightgcn", embedding_dim=16)
-    trainer = PropagationTrainer(split, cfg, np.random.default_rng(3),
-                                 LightGCNPropagator(split, cfg))
+    trainer = Trainer(LightGCNPropagator(split, cfg), split, cfg,
+                      np.random.default_rng(3))
     losses = [trainer.run_epoch(e) for e in range(1, 31)]
     assert losses[-1] < losses[0]
 
@@ -367,6 +429,55 @@ def test_item_cooccurrence_topk_matches_bruteforce(rng):
         for slot, j in enumerate(order):
             expected = (row[j] / denom) * math.sqrt(sigma[i] / sigma[j])
             assert omega[i, slot] == pytest.approx(expected, abs=1e-12)
+
+
+def _item_cooccurrence_topk_loop(split, k):
+    """Per-item loop over co-occurrence rows: the reference the vectorized
+    top-k must match exactly."""
+    g = split.graph
+    edges = split.train_edges
+    R = sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                      shape=(g.num_users, g.num_items))
+    RI = (R.T @ R).tocsr()
+    sigma = np.asarray(RI.sum(axis=1)).ravel()
+    denom = sigma - RI.diagonal()
+    neighbors = np.zeros((g.num_items, k), dtype=np.int64)
+    omega = np.zeros((g.num_items, k))
+    mask = np.zeros((g.num_items, k), dtype=bool)
+    skipped = 0
+    for i in range(g.num_items):
+        row = RI.getrow(i)
+        off = row.indices != i
+        idx = row.indices[off]
+        dat = row.data[off]
+        if denom[i] <= 0 or len(idx) == 0:
+            if sigma[i] > 0:
+                skipped += 1
+            continue
+        order = np.lexsort((idx, -dat))[:k]
+        sel = idx[order]
+        neighbors[i, :len(sel)] = sel
+        omega[i, :len(sel)] = (dat[order] / denom[i]) * np.sqrt(sigma[i] / sigma[sel])
+        mask[i, :len(sel)] = True
+    return neighbors, omega, mask, skipped
+
+
+def test_item_cooccurrence_topk_matches_loop(rng):
+    skipped_seen = 0
+    for trial in range(40):
+        num_items = int(rng.integers(1, 15))
+        pos_sets = [set(np.flatnonzero(rng.random(num_items) < p).tolist())
+                    for p in rng.uniform(0.05, 0.7, size=int(rng.integers(1, 12)))]
+        pos_sets.append({num_items - 1})  # a single-item user
+        split = _train_only_split(pos_sets, num_items)
+        for k in (1, 3, 20):
+            got = item_cooccurrence_topk(split, k)
+            expected = _item_cooccurrence_topk_loop(split, k)
+            for a, b in zip(got[:3], expected[:3]):
+                np.testing.assert_array_equal(a, b)
+            assert got[3] == expected[3]
+        skipped_seen += expected[3]
+    assert skipped_seen > 0
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +543,10 @@ def test_svdgcn_features_without_sharpening(rng):
     g = _dense_graph(rng, nu=15, ni=15)
     split = _split_of(g)
     cfg = default_config("svdgcn", svd_rank=6, embedding_dim=6, a1=0.0)
-    trainer = SvdGcnTrainer(split, cfg, np.random.default_rng(2))
+    trainer = Trainer(SvdGcn(split, cfg), split, cfg, np.random.default_rng(2))
     # with a1=0 the features are the raw singular vectors; an identity
     # transform must return them unchanged
-    trainer.W = np.eye(6)
+    trainer.P = np.eye(6)
     model = trainer.materialize()
     Rn = normalized_interactions(split.train_edges, g.num_users,
                                  g.num_items, cfg.a2)
