@@ -1,49 +1,43 @@
-"""Truncated SVD of sparse matrices by randomized subspace iteration."""
+"""Truncated SVD of sparse matrices by ARPACK (implicitly restarted Lanczos)."""
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 
-class SvdConvergenceError(Exception):
-    pass
+def randomized_subspace_svd(A, k, rng=None):
+    """Top-k singular triplets (U, s, V) of a sparse or dense matrix, with s
+    in descending order.
 
-
-def randomized_subspace_svd(A, k, oversample=8, power_iters=7, max_iters=100,
-                            tol=1e-6, rng=None):
-    """Top-k singular triplets (U, s, V) of a sparse or dense matrix.
-
-    Iterates an oversampled random range through A.A^T power steps (QR
-    re-orthonormalized). After the minimum number of power iterations the
-    leading-k triplets are extracted each round and accepted once the
-    subspace residual ||A V - U diag(s)||_F / (sqrt(k) s_1) drops below
-    ``tol``; exceeding ``max_iters`` raises with the last residual. The
-    aggregate norm keeps near-degenerate singular-value clusters (whose
-    vectors may rotate freely within the cluster) from blocking
-    convergence of an otherwise settled subspace.
+    ARPACK's ``eigsh`` finds the top-k eigenvectors of the smaller Gram
+    matrix, then a dense SVD of A times them gives the triplets, as
+    ``scipy.sparse.linalg.svds`` does. It is called directly because
+    ``svds`` leaves ARPACK's restart vectors, which repeated singular
+    values need, to operating-system entropy; here the start vector and
+    every restart vector come from ``rng``, so equal seeds give identical
+    triplets. ARPACK cannot return all min(A.shape) triplets, so
+    k == min(A.shape) takes a dense SVD. The name predates ARPACK;
+    ``models.svdgcn`` and ``bench/trace_cli.py`` look it up.
     """
     m, n = A.shape
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k must be in [1, {min(m, n)}], got {k}")
-    width = min(k + oversample, min(m, n))
     rng = np.random.default_rng(rng)
-    Q, _ = np.linalg.qr(A @ rng.standard_normal((n, width)))
-    residual = np.inf
-    for it in range(max_iters):
-        Z, _ = np.linalg.qr(A.T @ Q)
-        Q, _ = np.linalg.qr(A @ Z)
-        if it + 1 < power_iters:
-            continue
-        B = Q.T @ A
-        Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
-        U = Q @ Ub[:, :k]
-        V = Vt[:k].T
-        if s[0] == 0:
-            return U, s[:k], V
-        gap = A @ V - U * s[:k]
-        residual = float(np.linalg.norm(gap) / (np.sqrt(k) * s[0]))
-        if residual < tol:
-            return U, s[:k], V
-    raise SvdConvergenceError(
-        f"subspace iteration did not converge within {max_iters} iterations "
-        f"(residual {residual:.3e}, tol {tol:.1e})")
+    v0 = rng.standard_normal(min(m, n))
+    if k == min(m, n):
+        U, s, Vt = np.linalg.svd(A.toarray() if sp.issparse(A) else A,
+                                 full_matrices=False)
+        return U, s, Vt.T
+    # imported here, not at module level: scipy.sparse.linalg loads
+    # scipy.linalg (about 8 MB and 0.1 s per process), and train_model
+    # imports this module for every model kind
+    from scipy.sparse.linalg import LinearOperator, eigsh
+    X = A if m >= n else A.T
+    gram = LinearOperator((min(m, n),) * 2, matvec=lambda x: X.T @ (X @ x),
+                          dtype=np.float64)
+    _, W = eigsh(gram, k, v0=v0, rng=rng)
+    W, _ = np.linalg.qr(W)  # ARPACK's vectors drift from orthonormal in clusters
+    Y, s, Zt = np.linalg.svd(X @ W, full_matrices=False)
+    Z = W @ Zt.T
+    return (Y, s, Z) if m >= n else (Z, s, Y)

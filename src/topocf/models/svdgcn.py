@@ -53,7 +53,8 @@ class SvdGcn:
                                           g.num_items, cfg.a2)
 
     def init_params(self, rng):
-        """The randomized SVD that fixes F, then the draw of W."""
+        """The truncated SVD that fixes F (ARPACK, seeded from ``rng``),
+        then the draw of W."""
         P, s, Q = randomized_subspace_svd(self.Rn, self.rank, rng=rng)
         self.F = np.vstack([P, Q]) * np.exp(self.cfg.a1 * s)
         self.singular_values = s

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import expit
 
 from topocf.models.base import (MODEL_KINDS, Adam, ModelConfig, TrainedModel,
                                 Trainer, TrainingDivergedError,
@@ -14,12 +15,12 @@ from topocf.models.base import (MODEL_KINDS, Adam, ModelConfig, TrainedModel,
 from topocf.models.dgcf import DGCFPropagator
 from topocf.models.lightgcn import LightGCNPropagator, normalized_operator
 from topocf.models.split import Split, SplitError, split_dataset
-from topocf.models.svd import SvdConvergenceError, randomized_subspace_svd
+from topocf.models.svd import randomized_subspace_svd
 from topocf.models.svdgcn import (SvdGcn, cooccurrence_pairs,
                                   normalized_interactions)
 from topocf.models.ultragcn import (UltraGCN, beta_coefficient,
                                     item_cooccurrence_topk)
-from topocf.synthetic import two_block_graph
+from topocf.synthetic import heavy_tailed_graph, two_block_graph
 
 from conftest import make_graph, random_bipartite
 
@@ -480,13 +481,72 @@ def test_item_cooccurrence_topk_matches_loop(rng):
     assert skipped_seen > 0
 
 
+def _ultragcn_batch_pairs_gather(model, rng, batch, split, E):
+    """UltraGCN's batch loss with each negative's embedding gathered as
+    Ei[negs] and scored by einsum: the reference batch_pairs must match."""
+    cfg = model.cfg
+    users, pos = batch[:, 0], batch[:, 1]
+    B = len(batch)
+    Ei = E[model.num_users:]
+    eu = E[users]
+
+    s_pos = (eu * Ei[pos]).sum(axis=1)
+    w_pos = beta_coefficient(model.deg_u[users], model.deg_i[pos])
+    loss = float((w_pos * np.logaddexp(0.0, -s_pos)).sum())
+    c_pos = -w_pos * expit(-s_pos) / B
+
+    negs = rng.integers(model.num_items, size=(B, cfg.negatives))
+    w_neg = beta_coefficient(model.deg_u[users][:, None], model.deg_i[negs])
+    s_neg = np.einsum("bd,bnd->bn", eu, Ei[negs])
+    loss += float((w_neg * np.logaddexp(0.0, s_neg)).sum()) / cfg.negatives
+    c_neg = w_neg * expit(s_neg) / (B * cfg.negatives)
+
+    nb = model.neighbors[pos]
+    om = model.omega[pos] * model.nb_mask[pos]
+    s_ii = np.einsum("bd,bkd->bk", eu, Ei[nb])
+    loss += cfg.item_loss_weight * float((om * np.logaddexp(0.0, -s_ii)).sum())
+    c_ii = -cfg.item_loss_weight * om * expit(-s_ii) / B
+
+    return loss / B, [
+        (users, model.num_users + pos, c_pos),
+        (np.repeat(users, cfg.negatives), model.num_users + negs.ravel(),
+         c_neg.ravel()),
+        (np.repeat(users, nb.shape[1]), model.num_users + nb.ravel(),
+         c_ii.ravel()),
+    ]
+
+
+@pytest.mark.parametrize("num_items", [40, 700])
+def test_ultragcn_batch_pairs_matches_gather(num_items):
+    """Catalogues smaller and larger than the 300 default negatives."""
+    g = heavy_tailed_graph(num_users=300, num_items=num_items,
+                           num_interactions=3000, seed=4)
+    split = _split_of(g)
+    cfg = default_config("ultragcn")
+    model = UltraGCN(split, cfg)
+    E = model.forward(model.init_params(np.random.default_rng(1)))
+    batch = split.train_edges[:cfg.batch_size]
+    rng_got, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
+    loss, terms = model.batch_pairs(rng_got, batch, split, E)
+    loss_ref, terms_ref = _ultragcn_batch_pairs_gather(model, rng_ref, batch,
+                                                       split, E)
+    assert rng_got.bit_generator.state == rng_ref.bit_generator.state
+    assert loss == pytest.approx(loss_ref, rel=1e-12, abs=1e-12)
+    assert len(terms) == len(terms_ref)
+    for (rows, cols, coeffs), (rows_ref, cols_ref, coeffs_ref) in zip(
+            terms, terms_ref):
+        np.testing.assert_array_equal(rows, rows_ref)
+        np.testing.assert_array_equal(cols, cols_ref)
+        np.testing.assert_allclose(coeffs, coeffs_ref, rtol=1e-12, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # SVD machinery
 
 def test_randomized_svd_matches_dense_svd(rng):
     for _ in range(5):
         A = rng.normal(size=(30, 20))
-        U, s, V = randomized_subspace_svd(A, 6, tol=1e-12, rng=rng)
+        U, s, V = randomized_subspace_svd(A, 6, rng=rng)
         U_ref, s_ref, Vt_ref = np.linalg.svd(A)
         np.testing.assert_allclose(s, s_ref[:6], atol=1e-8)
         # compare reconstructions (vectors may differ by sign)
@@ -512,10 +572,52 @@ def test_randomized_svd_rank_validation(rng):
         randomized_subspace_svd(A, 5)
 
 
-def test_randomized_svd_convergence_error(rng):
-    A = rng.normal(size=(12, 10))
-    with pytest.raises(SvdConvergenceError, match="residual"):
-        randomized_subspace_svd(A, 3, tol=0.0, max_iters=8, rng=rng)
+def test_randomized_svd_full_rank_matches_dense_svd(rng):
+    """k == min(shape), which ARPACK cannot compute."""
+    for A in (rng.normal(size=(12, 9)),
+              sp.random(9, 14, density=0.5, random_state=3, format="csr")):
+        k = min(A.shape)
+        U, s, V = randomized_subspace_svd(A, k, rng=rng)
+        dense = A.toarray() if sp.issparse(A) else A
+        np.testing.assert_allclose(s, np.linalg.svd(dense, compute_uv=False),
+                                   atol=1e-12)
+        np.testing.assert_allclose((U * s) @ V.T, dense, atol=1e-12)
+        np.testing.assert_allclose(U.T @ U, np.eye(k), atol=1e-12)
+        np.testing.assert_allclose(V.T @ V, np.eye(k), atol=1e-12)
+
+
+def test_randomized_svd_near_degenerate_cut(rng):
+    """A slowly decaying spectrum whose k-th and (k+1)-th singular values
+    are only 6e-5 apart."""
+    m, n, k = 200, 150, 20
+    s_true = np.geomspace(1.0, 0.5, n)
+    s_true[k:] *= (s_true[k - 1] - 6e-5) / s_true[k]
+    Uo, _ = np.linalg.qr(rng.normal(size=(m, n)))
+    Vo, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    A = sp.csr_matrix((Uo * s_true) @ Vo.T)
+    U, s, V = randomized_subspace_svd(A, k, rng=rng)
+    U_ref, s_ref, Vt_ref = np.linalg.svd(A.toarray())
+    assert s_ref[k - 1] - s_ref[k] == pytest.approx(6e-5, rel=1e-6)
+    np.testing.assert_allclose(s, s_ref[:k], atol=1e-10)
+    np.testing.assert_allclose((U * s) @ V.T,
+                               (U_ref[:, :k] * s_ref[:k]) @ Vt_ref[:k],
+                               atol=1e-10)
+
+
+def test_randomized_svd_equal_seeds_are_identical():
+    """Twelve disjoint K_{3,2} blocks: one singular value sqrt(6) twelve
+    times over. ARPACK must restart from new vectors to find the repeats,
+    and those must come from the seed too."""
+    A = sp.csr_matrix(np.kron(np.eye(12), np.ones((3, 2))))
+    first = randomized_subspace_svd(A, 6, rng=np.random.default_rng(11))
+    second = randomized_subspace_svd(A, 6, rng=np.random.default_rng(11))
+    for a, b in zip(first, second):
+        assert a.tobytes() == b.tobytes()
+    U, s, V = first
+    np.testing.assert_allclose(s, np.sqrt(6.0), atol=1e-10)
+    np.testing.assert_allclose(A @ V, U * s, atol=1e-10)
+    np.testing.assert_allclose(U.T @ U, np.eye(6), atol=1e-10)
+    np.testing.assert_allclose(V.T @ V, np.eye(6), atol=1e-10)
 
 
 def test_normalized_interactions_k22_rank_one():

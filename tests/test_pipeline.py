@@ -275,15 +275,28 @@ def test_emit_report_without_outputs_raises(tmp_path):
 # command-line interface
 
 def test_cli_import_leaves_out_dense_linalg_and_csgraph():
-    # scipy.linalg (which scipy.sparse.csgraph also pulls in) costs about
-    # 8 MB of resident memory and 0.1 s in every process
-    code = ("import sys, topocf.cli; "
-            "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.csgraph')"
-            " if m in sys.modules))")
+    # scipy.linalg (which scipy.sparse.csgraph and scipy.sparse.linalg also
+    # pull in) costs about 8 MB of resident memory and 0.1 s in every
+    # process; only SVD-GCN's truncated SVD needs it
+    train_lightgcn = (
+        "import numpy as np; "
+        "from topocf.models.base import default_config, train_model; "
+        "from topocf.models.split import split_dataset; "
+        "from topocf.synthetic import two_block_graph; "
+        "g = two_block_graph(num_users=12, num_items=10, "
+        "interactions_per_user=4, seed=1); "
+        "train_model(split_dataset(g, np.random.default_rng(0)), "
+        "default_config('lightgcn', embedding_dim=4, max_epochs=2), "
+        "np.random.default_rng(0)); ")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    for setup in ("import topocf.cli; ", train_lightgcn):
+        code = ("import sys; " + setup +
+                "print(sorted(m for m in ('scipy.linalg', "
+                "'scipy.sparse.csgraph', 'scipy.sparse.linalg') "
+                "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip() == "[]", setup
 
 
 def test_cli_rejects_unknown_key():
