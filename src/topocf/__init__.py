@@ -8,7 +8,7 @@ characteristics to top-K accuracy.
 
 from .graph import BipartiteGraph, ProjectedGraph, ingest_and_build, largest_connected_component, project
 from .sampling import SampleSpec, SampledDataset, node_dropout, edge_dropout, generate_samples, mix_for_alpha
-from .characteristics import CharacteristicVector, compute_vector, pearson_matrix
+from .characteristics import compute_vector, pearson_matrix
 from .explain import fit_ols, build_design, significance_stars
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "edge_dropout",
     "generate_samples",
     "mix_for_alpha",
-    "CharacteristicVector",
     "compute_vector",
     "pearson_matrix",
     "fit_ols",

@@ -2,9 +2,10 @@
 
 Eleven metrics per graph: space size, shape, density, user/item Gini,
 user/item average degree, user/item average clustering coefficient, and
-user/item degree assortativity on the projected graphs. Six of them are
-reported on a log10 scale; undefined values (e.g. assortativity of a
-regular projection) are carried as NaN.
+user/item degree assortativity on the projected graphs, kept as one
+float64 row in SHORTHAND_NAMES order. Six of them are reported on a log10
+scale; undefined values (e.g. assortativity of a regular projection) are
+carried as NaN.
 """
 
 from __future__ import annotations
@@ -32,45 +33,6 @@ SHORTHAND_NAMES = (
 )
 
 CSV_HEADER = "sample_id," + ",".join(SHORTHAND_NAMES)
-
-
-@dataclass(frozen=True)
-class CharacteristicVector:
-    """The eleven metric values for one graph, raw and log10-rescaled."""
-
-    space_size_log: float
-    shape_log: float
-    density_log: float
-    gini_user: float
-    gini_item: float
-    avg_degree_user_log: float
-    avg_degree_item_log: float
-    avg_clustc_user_log: float
-    avg_clustc_item_log: float
-    assort_user: float
-    assort_item: float
-    # raw (pre-log10) companions for the six rescaled fields
-    space_size: float
-    shape: float
-    density: float
-    avg_degree_user: float
-    avg_degree_item: float
-    avg_clustc_user: float
-    avg_clustc_item: float
-
-    def as_row(self):
-        """Values in Table-shorthand order (matches SHORTHAND_NAMES)."""
-        return [
-            self.space_size_log, self.shape_log, self.density_log,
-            self.gini_user, self.gini_item,
-            self.avg_degree_user_log, self.avg_degree_item_log,
-            self.avg_clustc_user_log, self.avg_clustc_item_log,
-            self.assort_user, self.assort_item,
-        ]
-
-    def undefined_fields(self):
-        return [name for name, value in zip(SHORTHAND_NAMES, self.as_row())
-                if not math.isfinite(value)]
 
 
 def gini(values):
@@ -171,7 +133,8 @@ def degree_assortativity(proj):
 
 
 def compute_vector(g, edge_cap=DEFAULT_PROJECTION_EDGE_CAP):
-    """All eleven characteristics of one graph.
+    """All eleven characteristics of one graph as a float64 array in
+    SHORTHAND_NAMES order.
 
     The user and item projections are built once and reused for both the
     clustering coefficients and the assortativities.
@@ -179,32 +142,19 @@ def compute_vector(g, edge_cap=DEFAULT_PROJECTION_EDGE_CAP):
     classical = classical_characteristics(g)
     proj_u = project(g, "user", edge_cap=edge_cap)
     proj_i = project(g, "item", edge_cap=edge_cap)
-    avg_deg_u, avg_deg_u_log = average_degree(g, "user")
-    avg_deg_i, avg_deg_i_log = average_degree(g, "item")
-    clust_u, clust_u_log = average_clustering_coefficient(g, "user", proj=proj_u)
-    clust_i, clust_i_log = average_clustering_coefficient(g, "item", proj=proj_i)
-    assort_u = degree_assortativity(proj_u) if proj_u.num_edges else math.nan
-    assort_i = degree_assortativity(proj_i) if proj_i.num_edges else math.nan
-    return CharacteristicVector(
-        space_size_log=classical["space_size_log"],
-        shape_log=classical["shape_log"],
-        density_log=classical["density_log"],
-        gini_user=classical["gini_user"],
-        gini_item=classical["gini_item"],
-        avg_degree_user_log=avg_deg_u_log,
-        avg_degree_item_log=avg_deg_i_log,
-        avg_clustc_user_log=clust_u_log,
-        avg_clustc_item_log=clust_i_log,
-        assort_user=assort_u,
-        assort_item=assort_i,
-        space_size=classical["space_size"],
-        shape=classical["shape"],
-        density=classical["density"],
-        avg_degree_user=avg_deg_u,
-        avg_degree_item=avg_deg_i,
-        avg_clustc_user=clust_u,
-        avg_clustc_item=clust_i,
-    )
+    return np.array([
+        classical["space_size_log"],
+        classical["shape_log"],
+        classical["density_log"],
+        classical["gini_user"],
+        classical["gini_item"],
+        average_degree(g, "user")[1],
+        average_degree(g, "item")[1],
+        average_clustering_coefficient(g, "user", proj=proj_u)[1],
+        average_clustering_coefficient(g, "item", proj=proj_i)[1],
+        degree_assortativity(proj_u) if proj_u.num_edges else math.nan,
+        degree_assortativity(proj_i) if proj_i.num_edges else math.nan,
+    ])
 
 
 def pearson_matrix(rows):

@@ -1,4 +1,9 @@
-"""Top-K accuracy metrics (Recall@K, nDCG@K) over held-out interactions."""
+"""Top-K accuracy metrics (Recall@K, nDCG@K) over held-out interactions.
+
+Users are ranked in blocks: one product scores a block of users against
+every item, each user's excluded items are set to -inf, and one stable
+sort ranks the rest, so ties break by ascending item index.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +11,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+
+
+# entries of the (block users x items) score matrix ranked at a time
+BLOCK_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -13,34 +23,13 @@ class EvaluationResult:
     k: int
     recall: float
     ndcg: float
-    per_user_recall: dict
-    per_user_ndcg: dict
-
-    @property
-    def num_users(self):
-        return len(self.per_user_recall)
+    num_users: int
 
 
-def recall_at_k(ranked, test_items, k):
-    """Fraction of test items appearing in the top-k prefix."""
-    if not test_items:
-        raise ValueError("test_items must be nonempty")
-    hits = sum(1 for item in ranked[:k] if item in test_items)
-    return hits / len(test_items)
-
-
-def ndcg_at_k(ranked, test_items, k):
-    """Binary-relevance nDCG with the ideal DCG truncated at
-    min(k, |test_items|)."""
-    if not test_items:
-        raise ValueError("test_items must be nonempty")
-    dcg = 0.0
-    for pos, item in enumerate(ranked[:k], start=1):
-        if item in test_items:
-            dcg += 1.0 / math.log2(pos + 1)
-    ideal = sum(1.0 / math.log2(pos + 1)
-                for pos in range(1, min(k, len(test_items)) + 1))
-    return dcg / ideal
+def _item_matrix(edges, indptr, num_items):
+    """A Split's sorted (user, item) edges as a boolean user x item CSR."""
+    return sp.csr_matrix((np.ones(len(edges), dtype=bool), edges[:, 1], indptr),
+                         shape=(len(indptr) - 1, num_items))
 
 
 def evaluate(model, split, k=20, phase="test"):
@@ -49,28 +38,42 @@ def evaluate(model, split, k=20, phase="test"):
     phase="test" ranks against test items excluding train+validation;
     phase="valid" ranks against validation items excluding train only
     (the early-stopping setting, where validation items stay rankable).
+    nDCG uses binary relevance with the ideal DCG cut at
+    min(k, |held-out items|).
     """
-    from .models.base import rank_items  # local import to avoid a cycle
-
+    num_items = len(model.item_embeddings)
+    train = _item_matrix(split.train_edges, split.train_indptr, num_items)
+    valid = _item_matrix(split.valid_edges, split.valid_indptr, num_items)
     if phase == "test":
         users = split.test_users
-        targets = split.test_items
+        held_out = _item_matrix(split.test_edges, split.test_indptr, num_items)
+        excluded = (train, valid)
     elif phase == "valid":
         users = split.valid_users
-        targets = split.valid_items
+        held_out = valid
+        excluded = (train,)
     else:
         raise ValueError(f"unknown phase {phase!r}")
     if len(users) == 0:
         raise ValueError(f"no evaluated users for phase {phase!r}")
 
-    per_recall = {}
-    per_ndcg = {}
-    for u in users:
-        ranked = rank_items(model, split, u, k, phase=phase)
-        test_set = set(targets(u).tolist())
-        per_recall[u] = recall_at_k(ranked, test_set, k)
-        per_ndcg[u] = ndcg_at_k(ranked, test_set, k)
-    recall = float(np.mean(list(per_recall.values())))
-    ndcg = float(np.mean(list(per_ndcg.values())))
-    return EvaluationResult(k=k, recall=recall, ndcg=ndcg,
-                            per_user_recall=per_recall, per_user_ndcg=per_ndcg)
+    discount = np.array([1.0 / math.log2(pos + 1)
+                         for pos in range(1, min(k, num_items) + 1)])
+    ideal = np.cumsum(discount)
+    sizes = np.diff(held_out.indptr)[users]
+    recalls, dcgs = [], []
+    block = max(1, BLOCK_ENTRIES // num_items)
+    for start in range(0, len(users), block):
+        rows = users[start:start + block]
+        scores = model.user_embeddings[rows] @ model.item_embeddings.T
+        for items in excluded:
+            scores[items[rows].nonzero()] = -np.inf
+        top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        hits = np.take_along_axis(held_out[rows].toarray(), top, axis=1)
+        recalls.append(hits.sum(axis=1))
+        # left to right, the order of a running sum over the ranks
+        dcgs.append(np.cumsum(hits * discount, axis=1)[:, -1])
+    recall = np.concatenate(recalls) / sizes
+    ndcg = np.concatenate(dcgs) / ideal[np.minimum(k, sizes) - 1]
+    return EvaluationResult(k=k, recall=float(np.mean(recall)),
+                            ndcg=float(np.mean(ndcg)), num_users=len(users))

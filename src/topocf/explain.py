@@ -86,17 +86,14 @@ def build_design(vectors, metrics, standardize=True,
     """Assemble (DesignMatrix, y) from per-sample characteristic vectors and
     a {sample_id: metric} mapping.
 
-    ``vectors`` maps sample_id to either a CharacteristicVector or a plain
-    sequence ordered like ``column_names``. Rows with any non-finite
-    characteristic (or no metric) are dropped and logged by id; with
-    ``standardize`` each retained column is z-scored.
+    ``vectors`` maps sample_id to a sequence ordered like ``column_names``.
+    Rows with any non-finite characteristic (or no metric) are dropped and
+    logged by id; with ``standardize`` each retained column is z-scored.
     """
     names = tuple(column_names)
     ids, rows, ys, dropped = [], [], [], []
     for sample_id in sorted(vectors):
-        vec = vectors[sample_id]
-        row = np.asarray(vec.as_row() if hasattr(vec, "as_row") else vec,
-                         dtype=np.float64)
+        row = np.asarray(vectors[sample_id], dtype=np.float64)
         if len(row) != len(names):
             raise DesignError(
                 f"sample {sample_id!r} has {len(row)} characteristics, "

@@ -1,7 +1,7 @@
 """Desk-scale graph collaborative-filtering recommenders."""
 
 from .split import Split, split_dataset
-from .base import ModelConfig, TrainedModel, default_config, rank_items, train_model
+from .base import ModelConfig, TrainedModel, default_config, train_model
 
 __all__ = [
     "Split",
@@ -9,6 +9,5 @@ __all__ = [
     "ModelConfig",
     "TrainedModel",
     "default_config",
-    "rank_items",
     "train_model",
 ]

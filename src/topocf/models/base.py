@@ -1,4 +1,4 @@
-"""Shared training machinery: configs, optimizer, ranking, early stopping,
+"""Shared training machinery: configs, optimizer, early stopping,
 and the one Trainer that runs every model.
 
 Every model's loss is a sum of sigmoid terms over sampled node pairs, so a
@@ -86,19 +86,6 @@ class Adam:
         m_hat = self.m / (1 - self.beta1 ** self.t)
         v_hat = self.v / (1 - self.beta2 ** self.t)
         param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def rank_items(model, split, u, k, phase="test"):
-    """Top-k items for user u by dot product, excluding the user's train
-    (and, at test time, validation) items; ties break by item index."""
-    scores = model.item_embeddings @ model.user_embeddings[u]
-    candidates = np.ones(len(scores), dtype=bool)
-    candidates[split.train_items(u)] = False
-    if phase == "test":
-        candidates[split.valid_items(u)] = False
-    cand_idx = np.flatnonzero(candidates)
-    order = np.argsort(-scores[cand_idx], kind="stable")
-    return cand_idx[order][:k]
 
 
 def sample_negative_items(rng, users, split, num_items):

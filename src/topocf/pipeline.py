@@ -205,9 +205,9 @@ def characterize_samples(cfg, samples, sample_paths, ledger, result):
             _log(f"characterize[{sid}]: FAILED ({error})")
             continue
         path = os.path.join(out, "chars", f"{sid}.csv")
-        chars.write_characteristics_csv([(sid, vec.as_row())], path)
+        chars.write_characteristics_csv([(sid, vec)], path)
         ledger.mark_done(key, inputs[sid], [path])
-        vectors[sid] = np.array(vec.as_row())
+        vectors[sid] = vec
         _log(f"characterize[{sid}]: done")
     ledger.save()
     chars.write_characteristics_csv(
@@ -226,13 +226,6 @@ def _read_metric_row(path, k):
             fh.readline().strip().split(",")
     return (int(sid), kind, float(recall), float(ndcg), int(epochs),
             stopped == "True")
-
-
-def _write_metric_row(row, path, k):
-    sid, kind, recall, ndcg, epochs, stopped = row
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(metrics_header(k) + "\n")
-        fh.write(f"{sid},{kind},{recall!r},{ndcg!r},{epochs},{stopped}\n")
 
 
 def train_samples(cfg, samples, sample_paths, ledger, result):
@@ -268,7 +261,7 @@ def train_samples(cfg, samples, sample_paths, ledger, result):
             _log(f"train[{sid},{kind}]: FAILED ({error})")
             continue
         path = os.path.join(out, "metrics", f"{sid}_{kind}.csv")
-        _write_metric_row(row, path, cfg.metric_k)
+        write_metrics_csv([row], path, cfg.metric_k)
         ledger.mark_done(key, inputs[key], [path])
         rows.append(row)
         _log(f"train[{sid},{kind}]: done (recall@{cfg.metric_k}="
@@ -481,17 +474,13 @@ def emit_report(cfg, out=None):
     """Assemble runs' regression outputs into one markdown overview."""
     out = out or cfg.out_dir
     sections = []
-    report_dir = os.path.join(out, "reports")
-    if os.path.isdir(report_dir):
+    for sub in ("reports", "rq2"):
+        report_dir = os.path.join(out, sub)
+        if not os.path.isdir(report_dir):
+            continue
         for name in sorted(os.listdir(report_dir)):
             if name.endswith(".md"):
                 with open(os.path.join(report_dir, name), encoding="utf-8") as fh:
-                    sections.append(fh.read())
-    rq2_dir = os.path.join(out, "rq2")
-    if os.path.isdir(rq2_dir):
-        for name in sorted(os.listdir(rq2_dir)):
-            if name.endswith(".md"):
-                with open(os.path.join(rq2_dir, name), encoding="utf-8") as fh:
                     sections.append(fh.read())
     if not sections:
         raise FileNotFoundError(

@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from topocf.characteristics import classical_from_counts, compute_vector
+from topocf.characteristics import (SHORTHAND_NAMES, classical_from_counts,
+                                    compute_vector)
 from topocf.evaluation import evaluate
 from topocf.explain import build_design, fit_ols
 from topocf.graph import largest_connected_component
@@ -279,7 +280,9 @@ def planted_pool():
     samples = generate_samples(g, 60, master_seed=123)
     vectors = {s.spec.sample_id: compute_vector(s.graph) for s in samples}
     noise = np.random.default_rng(0)
-    y = {sid: 0.3 * vec.density_log + 0.5 * vec.gini_item
+    density, gini_item = (SHORTHAND_NAMES.index(name)
+                          for name in ("Density_log", "Gini-I"))
+    y = {sid: 0.3 * vec[density] + 0.5 * vec[gini_item]
          + float(noise.normal(scale=0.02))
          for sid, vec in vectors.items()}
     return samples, vectors, y
@@ -310,8 +313,7 @@ def test_acceptance_8_mixing_sweep(planted_pool, tmp_path):
     cfg = parse_config([f"out_dir={tmp_path}", "models=lightgcn"])
     metric_rows = [(sid, "lightgcn", y[sid], y[sid], 1, False)
                    for sid in sorted(y)]
-    vec_rows = {sid: np.array(v.as_row()) for sid, v in vectors.items()}
-    reports, result = rq2_sweep(cfg, samples, vec_rows, metric_rows,
+    reports, result = rq2_sweep(cfg, samples, vectors, metric_rows,
                                 RunResult(out_dir=str(tmp_path)))
 
     node_pool = [s for s in samples if s.spec.strategy == NODE_DROPOUT]

@@ -255,19 +255,23 @@ def test_assortativity_regular_projection_is_nan(k22_graph):
 def test_compute_vector_field_order():
     g = heavy_tailed_graph(num_users=60, num_items=40, num_interactions=500,
                            seed=0)
-    vec = compute_vector(g)
-    row = vec.as_row()
-    assert len(row) == len(SHORTHAND_NAMES) == 11
-    assert row[0] == vec.space_size_log
-    assert row[4] == vec.gini_item
-    assert row[10] == vec.assort_item
+    row = compute_vector(g)
+    assert row.shape == (len(SHORTHAND_NAMES),) == (11,)
+    assert row.dtype == np.float64
+    classical = classical_characteristics(g)
+    assert row[SHORTHAND_NAMES.index("SpaceSize_log")] == \
+        classical["space_size_log"]
+    assert row[SHORTHAND_NAMES.index("Gini-I")] == classical["gini_item"]
+    assert row[SHORTHAND_NAMES.index("Assort-I")] == \
+        degree_assortativity(project(g, "item"))
 
 
 def test_compute_vector_undefined_fields():
     # star graph: every co-occurring user has identical degree
     g = make_graph([(u, 0) for u in range(5)])
-    vec = compute_vector(g)
-    undefined = vec.undefined_fields()
+    row = compute_vector(g)
+    undefined = [name for name, value in zip(SHORTHAND_NAMES, row)
+                 if not np.isfinite(value)]
     assert "Assort-U" in undefined
     assert "Gini-U" not in undefined
 
@@ -279,8 +283,8 @@ def test_pearson_matrix_against_two_pass_oracle(rng):
 
     vectors = [compute_vector(s.graph)
                for s in generate_samples(g, 12, master_seed=0)]
-    matrix = pearson_matrix([v.as_row() for v in vectors])
-    rows = np.array([v.as_row() for v in vectors])
+    matrix = pearson_matrix(vectors)
+    rows = np.array(vectors)
     rows = rows[np.isfinite(rows).all(axis=1)]
     for a in range(11):
         for b in range(11):
@@ -298,7 +302,7 @@ def test_pearson_matrix_needs_enough_rows():
                            seed=2)
     vec = compute_vector(g)
     with pytest.raises(ValueError, match="at least 3"):
-        pearson_matrix([vec.as_row(), vec.as_row()])
+        pearson_matrix([vec, vec])
 
 
 def test_degree_distribution_fit_prefers_power_law_on_heavy_tail():
@@ -321,11 +325,11 @@ def test_characteristics_csv_round_trip(tmp_path):
     vec = compute_vector(g)
     star = compute_vector(make_graph([(u, 0) for u in range(5)]))
     path = tmp_path / "chars.csv"
-    write_characteristics_csv([(0, vec.as_row()), (1, star.as_row())], path)
+    write_characteristics_csv([(0, vec), (1, star)], path)
     header = path.read_text().splitlines()[0]
     assert header == "sample_id," + ",".join(SHORTHAND_NAMES)
     rows = read_characteristics_csv(path)
     assert [sid for sid, _ in rows] == [0, 1]
-    np.testing.assert_array_equal(rows[0][1], np.array(vec.as_row()))
+    np.testing.assert_array_equal(rows[0][1], vec)
     # NaN round-trips as NaN
     assert math.isnan(rows[1][1][SHORTHAND_NAMES.index("Assort-U")])

@@ -5,32 +5,54 @@ import math
 import numpy as np
 import pytest
 
-from topocf.evaluation import evaluate, ndcg_at_k, recall_at_k
+from topocf import evaluation
+from topocf.evaluation import evaluate
 from topocf.models.base import TrainedModel, default_config
 from topocf.models.split import Split, split_dataset
 from topocf.synthetic import two_block_graph
 
-from conftest import make_graph
+from conftest import make_graph, random_bipartite
+from test_acceptance import _oracle_evaluate, _random_split
+
+
+def _user_edges(items):
+    return np.array([(0, i) for i in items], dtype=np.int64).reshape(-1, 2)
+
+
+def _ranked(ranking, held_out, k):
+    """evaluate() at test time on one user whose candidates rank exactly as
+    ``ranking``, then the held-out items it leaves out; every other item,
+    and one item past them all, is a train item."""
+    order = list(ranking) + sorted(set(held_out) - set(ranking))
+    num_items = max(order) + 2
+    scores = np.zeros((num_items, 1))
+    scores[order, 0] = np.arange(len(order), 0, -1)
+    split = Split(graph=make_graph([(0, 0)], 1, num_items),
+                  train_edges=_user_edges(sorted(set(range(num_items))
+                                                 - set(order))),
+                  valid_edges=_user_edges([]),
+                  test_edges=_user_edges(sorted(held_out)))
+    return evaluate(_fixed_model([[1.0]], scores), split, k=k, phase="test")
 
 
 def test_recall_hand_cases():
-    assert recall_at_k([1, 2, 3], {2}, 2) == pytest.approx(1.0)
-    assert recall_at_k([1, 2, 3], {3}, 2) == pytest.approx(0.0)
-    assert recall_at_k([1, 2, 3, 4], {2, 4, 9}, 4) == pytest.approx(2 / 3)
+    assert _ranked([1, 2, 3], {2}, 2).recall == pytest.approx(1.0)
+    assert _ranked([1, 2, 3], {3}, 2).recall == pytest.approx(0.0)
+    assert _ranked([1, 2, 3, 4], {2, 4, 9}, 4).recall == pytest.approx(2 / 3)
 
 
 def test_ndcg_single_hit_at_rank_two():
     # one relevant item at position 2: DCG = 1/log2(3), IDCG = 1
-    assert ndcg_at_k([5, 7], {7}, 2) == pytest.approx(1.0 / math.log2(3))
+    assert _ranked([5, 7], {7}, 2).ndcg == pytest.approx(1.0 / math.log2(3))
 
 
 def test_ndcg_perfect_ranking_is_one():
-    assert ndcg_at_k([1, 2, 3], {1, 2, 3}, 3) == pytest.approx(1.0)
+    assert _ranked([1, 2, 3], {1, 2, 3}, 3).ndcg == pytest.approx(1.0)
 
 
 def test_ndcg_ideal_truncated_at_test_size():
     # 2 test items, k=5: ideal places them at ranks 1 and 2
-    got = ndcg_at_k([9, 1, 8, 2, 7], {1, 2}, 5)
+    got = _ranked([9, 1, 8, 2, 7], {1, 2}, 5).ndcg
     ideal = 1.0 + 1.0 / math.log2(3)
     expected = (1.0 / math.log2(3) + 1.0 / math.log2(5)) / ideal
     assert got == pytest.approx(expected)
@@ -38,15 +60,7 @@ def test_ndcg_ideal_truncated_at_test_size():
 
 def test_ndcg_ideal_truncated_at_k():
     # more test items than k: IDCG uses only k slots
-    got = ndcg_at_k([1, 2], {1, 2, 3, 4}, 2)
-    assert got == pytest.approx(1.0)
-
-
-def test_metrics_reject_empty_test_set():
-    with pytest.raises(ValueError):
-        recall_at_k([1], set(), 1)
-    with pytest.raises(ValueError):
-        ndcg_at_k([1], set(), 1)
+    assert _ranked([1, 2], {1, 2, 3, 4}, 2).ndcg == pytest.approx(1.0)
 
 
 def _fixed_model(user_vecs, item_vecs):
@@ -71,6 +85,53 @@ def test_evaluate_phase_exclusions():
     assert valid_result.recall == pytest.approx(1.0)
     valid_at_2 = evaluate(model, split, k=2, phase="valid")
     assert valid_at_2.ndcg == pytest.approx(1.0)
+
+
+def test_evaluate_breaks_ties_by_index():
+    # all scores equal: candidates rank by ascending item index, so the
+    # held-out item at rank 4 of k=4 gives nDCG = 1/log2(5)
+    model = _fixed_model(np.ones((1, 2)), np.ones((6, 2)))
+    g = make_graph([(0, j) for j in range(6)])
+    split = Split(graph=g,
+                  train_edges=np.array([(0, 2)]),
+                  valid_edges=np.array([(0, 4)]),
+                  test_edges=np.array([(0, 5)]))
+    # test phase: 2 (train) and 4 (valid) excluded -> [0, 1, 3, 5]
+    test_result = evaluate(model, split, k=4, phase="test")
+    assert test_result.recall == 1.0
+    assert test_result.ndcg == pytest.approx(1.0 / math.log2(5))
+    # valid phase: only train excluded -> [0, 1, 3, 4]
+    valid_result = evaluate(model, split, k=4, phase="valid")
+    assert valid_result.recall == 1.0
+    assert valid_result.ndcg == pytest.approx(1.0 / math.log2(5))
+
+
+@pytest.mark.parametrize("users_per_block", [1, 7])
+def test_evaluate_blocks_match_oracle(users_per_block, monkeypatch):
+    """Exact ties at the k-th score, k above the candidate count, and user
+    counts that leave a partial last block: every block size gives the
+    brute-force oracle's values exactly."""
+    rng = np.random.default_rng(17)
+    checked = 0
+    while checked < 40:
+        g = random_bipartite(rng, max_users=30, max_items=30, p=0.3)
+        if g.num_interactions < 10:
+            continue
+        split = _random_split(g, rng)
+        if len(split.test_users) == 0 or len(split.valid_users) == 0:
+            continue
+        model = _fixed_model(rng.integers(-1, 2, size=(g.num_users, 2)),
+                             rng.integers(-1, 2, size=(g.num_items, 2)))
+        monkeypatch.setattr(evaluation, "BLOCK_ENTRIES",
+                            users_per_block * g.num_items)
+        k = int(rng.integers(1, 41))
+        for phase in ("test", "valid"):
+            got = evaluate(model, split, k=k, phase=phase)
+            assert (got.recall, got.ndcg) == _oracle_evaluate(model, split,
+                                                              k, phase)
+            users = split.test_users if phase == "test" else split.valid_users
+            assert got.num_users == len(users)
+        checked += 1
 
 
 def test_evaluate_macro_average():

@@ -10,8 +10,8 @@ from scipy.special import expit
 from topocf.models.base import (MODEL_KINDS, Adam, ModelConfig, TrainedModel,
                                 Trainer, TrainingDivergedError,
                                 bpr_loss_and_coeff, default_config,
-                                pair_gradient, rank_items,
-                                sample_negative_items, train_loop, train_model)
+                                pair_gradient, sample_negative_items,
+                                train_loop, train_model)
 from topocf.models.dgcf import DGCFPropagator
 from topocf.models.lightgcn import LightGCNPropagator, normalized_operator
 from topocf.models.split import Split, SplitError, split_dataset
@@ -216,23 +216,6 @@ def test_bpr_loss_hand_value():
     loss, coeff = bpr_loss_and_coeff(eu, ei, ej, 1)
     assert loss == pytest.approx(math.log(1 + math.exp(-1.0)))
     assert coeff[0] == pytest.approx(-1.0 / (1.0 + math.exp(1.0)))
-
-
-def test_rank_items_breaks_ties_by_index():
-    model = TrainedModel(user_embeddings=np.ones((1, 2)),
-                         item_embeddings=np.ones((6, 2)),
-                         config=default_config("lightgcn"))
-    g = make_graph([(0, j) for j in range(6)])
-    from topocf.models.split import Split
-
-    split = Split(graph=g,
-                  train_edges=np.array([(0, 2)]),
-                  valid_edges=np.array([(0, 4)]),
-                  test_edges=np.array([(0, 0)]))
-    ranked = rank_items(model, split, 0, 4, phase="test")
-    assert list(ranked) == [0, 1, 3, 5]  # 2 (train) and 4 (valid) excluded
-    ranked_valid = rank_items(model, split, 0, 4, phase="valid")
-    assert list(ranked_valid) == [0, 1, 3, 4]  # only train excluded
 
 
 def _train_only_split(pos_sets, num_items):

@@ -280,14 +280,17 @@ def test_cli_import_leaves_out_dense_linalg_and_csgraph():
     # process; only SVD-GCN's truncated SVD needs it
     train_lightgcn = (
         "import numpy as np; "
+        "from topocf.evaluation import evaluate; "
         "from topocf.models.base import default_config, train_model; "
         "from topocf.models.split import split_dataset; "
         "from topocf.synthetic import two_block_graph; "
         "g = two_block_graph(num_users=12, num_items=10, "
         "interactions_per_user=4, seed=1); "
-        "train_model(split_dataset(g, np.random.default_rng(0)), "
+        "split = split_dataset(g, np.random.default_rng(0)); "
+        "model = train_model(split, "
         "default_config('lightgcn', embedding_dim=4, max_epochs=2), "
-        "np.random.default_rng(0)); ")
+        "np.random.default_rng(0)); "
+        "evaluate(model, split, phase='valid'); evaluate(model, split); ")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     for setup in ("import topocf.cli; ", train_lightgcn):
         code = ("import sys; " + setup +
