@@ -146,9 +146,11 @@ def load_graph(path):
 def write_interactions(g, path):
     """Write edges as token pairs, re-readable by :func:`load_graph`."""
     edges = g.edge_array()
+    users = np.array([str(t) for t in g.user_ids], dtype=object)
+    items = np.array([str(t) for t in g.item_ids], dtype=object)
+    text = "\n".join(map("\t".join, zip(users[edges[:, 0]], items[edges[:, 1]])))
     with open(path, "w", encoding="utf-8") as fh:
-        for u, i in edges:
-            fh.write(f"{g.user_ids[u]}\t{g.item_ids[i]}\n")
+        fh.write(text + "\n" if len(edges) else "")
 
 
 def induced_subgraph(g, edges):

@@ -68,7 +68,15 @@ class TrainedModel:
 
 
 class Adam:
-    """Adaptive-moment estimation with the standard defaults."""
+    """Adaptive-moment estimation with the standard defaults.
+
+    ``step`` updates param, m and v in place and allocates nothing after
+    its first call. That call allocates the two scratch arrays while the
+    step's temporaries are live, so they sit above them in the heap: the
+    allocator then keeps the temporaries' pages for the next step instead
+    of returning them to the system and faulting them in again. Snapshots
+    leave the scratch arrays out.
+    """
 
     def __init__(self, shape, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -78,14 +86,32 @@ class Adam:
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.t = 0
+        self.scratch = None
+
+    def __getstate__(self):
+        return {**self.__dict__, "scratch": None}
 
     def step(self, param, grad):
+        """param -= lr * m_hat / (sqrt(v_hat) + eps), with the operands of
+        every product and quotient in that order."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
-        m_hat = self.m / (1 - self.beta1 ** self.t)
-        v_hat = self.v / (1 - self.beta2 ** self.t)
-        param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        if self.scratch is None:
+            self.scratch = np.empty((2,) + self.m.shape)
+        a, b = self.scratch
+        np.multiply(1 - self.beta1, grad, out=a)
+        self.m *= self.beta1
+        self.m += a
+        np.multiply(1 - self.beta2, grad, out=a)
+        a *= grad
+        self.v *= self.beta2
+        self.v += a
+        np.divide(self.v, 1 - self.beta2 ** self.t, out=a)
+        np.sqrt(a, out=a)
+        a += self.eps
+        np.divide(self.m, 1 - self.beta1 ** self.t, out=b)
+        b *= self.lr
+        b /= a
+        param -= b
 
 
 def sample_negative_items(rng, users, split, num_items):
@@ -109,11 +135,16 @@ def sample_negative_items(rng, users, split, num_items):
     return negs
 
 
+def softplus(x):
+    """log(1 + exp(x)) without overflow: the loss of every sigmoid term."""
+    return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def bpr_loss_and_coeff(eu, ei, ej, batch_size):
     """Sampled pairwise ranking loss -log sigmoid(s+ - s-) and d/ds of its
     batch mean."""
     s = (eu * (ei - ej)).sum(axis=1)
-    loss = float(np.logaddexp(0.0, -s).mean())
+    loss = float(softplus(-s).mean())
     coeff = -expit(-s) / batch_size
     return loss, coeff
 

@@ -16,11 +16,15 @@ def normalized_operator(edges, weights, num_users, num_items):
     rows = np.concatenate([edges[:, 0], num_users + edges[:, 1]])
     cols = np.concatenate([num_users + edges[:, 1], edges[:, 0]])
     data = np.concatenate([weights, weights]).astype(np.float64)
-    deg = np.bincount(rows, weights=data, minlength=n)
-    with np.errstate(divide="ignore"):
-        inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+    inv_sqrt = inverse_sqrt(np.bincount(rows, weights=data, minlength=n))
     vals = data * inv_sqrt[rows] * inv_sqrt[cols]
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def inverse_sqrt(deg):
+    """1 / sqrt(deg), and 0 where deg is 0."""
+    with np.errstate(divide="ignore"):
+        return np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
 
 
 class LightGCNPropagator(PropagationModel):

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .base import bpr_pairs, sample_negative_items
+from .base import bpr_pairs, sample_negative_items, softplus
 from .svd import randomized_subspace_svd
 
 
@@ -84,8 +84,8 @@ class SvdGcn:
             ea, eb, en = E[sel[:, 0]], E[sel[:, 1]], E[others]
             s_pos = (ea * eb).sum(axis=1)
             s_neg = (ea * en).sum(axis=1)
-            loss += (float(np.logaddexp(0.0, -s_pos).sum()) / n
-                     + float(np.logaddexp(0.0, s_neg).sum()) / n)
+            loss += (float(softplus(-s_pos).sum()) / n
+                     + float(softplus(s_neg).sum()) / n)
             terms += [(sel[:, 0], sel[:, 1], -expit(-s_pos) / n),
                       (sel[:, 0], others, expit(s_neg) / n)]
         return loss, terms

@@ -11,6 +11,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
+from .base import softplus
+
 
 def beta_coefficient(deg_u, deg_i):
     """Constraint-loss weight (1/sigma_u) * sqrt((sigma_u+1)/(sigma_i+1))."""
@@ -89,7 +91,7 @@ class UltraGCN:
 
         s_pos = (eu * Ei[pos]).sum(axis=1)
         w_pos = beta_coefficient(self.deg_u[users], self.deg_i[pos])
-        loss = float((w_pos * np.logaddexp(0.0, -s_pos)).sum())
+        loss = float((w_pos * softplus(-s_pos)).sum())
         c_pos = -w_pos * expit(-s_pos) / B
 
         negs = rng.integers(self.num_items, size=(B, cfg.negatives))
@@ -99,13 +101,13 @@ class UltraGCN:
         # 64), while eu @ Ei.T is B x I doubles and one BLAS product whose
         # time grows with I; the two take about as long at ~20k items.
         s_neg = np.take_along_axis(eu @ Ei.T, negs, axis=1)
-        loss += float((w_neg * np.logaddexp(0.0, s_neg)).sum()) / cfg.negatives
+        loss += float((w_neg * softplus(s_neg)).sum()) / cfg.negatives
         c_neg = w_neg * expit(s_neg) / (B * cfg.negatives)
 
         nb = self.neighbors[pos]
         om = self.omega[pos] * self.nb_mask[pos]
         s_ii = np.einsum("bd,bkd->bk", eu, Ei[nb])
-        loss += cfg.item_loss_weight * float((om * np.logaddexp(0.0, -s_ii)).sum())
+        loss += cfg.item_loss_weight * float((om * softplus(-s_ii)).sum())
         c_ii = -cfg.item_loss_weight * om * expit(-s_ii) / B
 
         return loss / B, [

@@ -5,7 +5,7 @@ import pytest
 
 from topocf.graph import (BipartiteGraph, GraphError, ProjectionCapError,
                           ingest_and_build, largest_connected_component,
-                          project)
+                          project, write_interactions)
 
 from conftest import adjacency, make_graph, random_bipartite
 
@@ -41,6 +41,28 @@ def test_ingest_empty_is_error():
 def test_ingest_malformed_line_reports_number():
     with pytest.raises(GraphError, match="line 3"):
         ingest_and_build(["a x", "b y", "lonely"])
+
+
+def _write_interactions_loop(g, path):
+    """One formatted line per edge: the bytes write_interactions must
+    match."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for u, i in g.edge_array():
+            fh.write(f"{g.user_ids[u]}\t{g.item_ids[i]}\n")
+
+
+def test_write_interactions_matches_line_loop(rng, tmp_path):
+    graphs = [random_bipartite(rng) for _ in range(10)]
+    graphs.append(BipartiteGraph.from_edge_array(
+        np.array([(0, 1), (1, 0), (1, 1)]), [7, "b"], ["é", 2.5]))
+    graphs.append(BipartiteGraph.from_edge_array(
+        np.empty((0, 2), dtype=np.int64), ["a"], ["x"]))
+    for n, g in enumerate(graphs):
+        got, expected = tmp_path / f"got{n}.tsv", tmp_path / f"loop{n}.tsv"
+        write_interactions(g, got)
+        _write_interactions_loop(g, expected)
+        assert got.read_bytes() == expected.read_bytes()
+    assert got.read_bytes() == b""
 
 
 def test_degree_sums_match_edge_count(rng):

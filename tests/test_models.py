@@ -1,17 +1,18 @@
 """Recommender machinery: splits, propagation, the trainer and its four models, SVD."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.special import expit
+from scipy.special import expit, softmax
 
 from topocf.models.base import (MODEL_KINDS, Adam, ModelConfig, TrainedModel,
                                 Trainer, TrainingDivergedError,
                                 bpr_loss_and_coeff, default_config,
                                 pair_gradient, sample_negative_items,
-                                train_loop, train_model)
+                                softplus, train_loop, train_model)
 from topocf.models.dgcf import DGCFPropagator
 from topocf.models.lightgcn import LightGCNPropagator, normalized_operator
 from topocf.models.split import Split, SplitError, split_dataset
@@ -162,6 +163,85 @@ def test_dgcf_adjoint_identity(rng):
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+def _dgcf_per_intent(split, cfg, E0, G):
+    """DGCF with K separate per-intent operators, rebuilt at every routing
+    iteration: the reference the block-diagonal propagator must match bit
+    for bit. Returns (forward output, intent weights, backward of G)."""
+    edges = split.train_edges
+    num_users, num_items = split.graph.num_users, split.graph.num_items
+    chunk = E0.shape[1] // cfg.intents
+
+    def build(weights):
+        return [normalized_operator(edges, weights[:, k], num_users, num_items)
+                for k in range(cfg.intents)]
+
+    def apply(ops, X):
+        Y = np.empty_like(X)
+        for k, op in enumerate(ops):
+            Y[:, k * chunk:(k + 1) * chunk] = op @ X[:, k * chunk:(k + 1) * chunk]
+        return Y
+
+    eu = edges[:, 0]
+    ei = num_users + edges[:, 1]
+    X = E0
+    acc = E0.copy()
+    layer_ops = []
+    weights = None
+    for _ in range(cfg.layers):
+        scores = np.zeros((len(edges), cfg.intents))
+        for _ in range(cfg.routing_iterations):
+            weights = softmax(scores, axis=1)
+            for k, op in enumerate(build(weights)):
+                Yk = op @ X[:, k * chunk:(k + 1) * chunk]
+                scores[:, k] += (Yk[eu] * Yk[ei]).sum(axis=1)
+        weights = softmax(scores, axis=1)
+        ops = build(weights)
+        layer_ops.append(ops)
+        X = apply(ops, X)
+        acc += X
+    B = G
+    for ops in reversed(layer_ops):
+        B = G + apply(ops, B)
+    return acc / (cfg.layers + 1), weights, B / (cfg.layers + 1)
+
+
+def _split_with_untrained_nodes(seed):
+    """A split whose graph has users and items with no train edge."""
+    g = heavy_tailed_graph(num_users=30, num_items=20, num_interactions=150,
+                           seed=seed)
+    split = _split_of(g, seed=seed)
+    edges = split.train_edges
+    keep = ~np.isin(edges[:, 0], [0, 1]) & ~np.isin(edges[:, 1], [0, 2])
+    return Split(graph=g, train_edges=edges[keep],
+                 valid_edges=split.valid_edges, test_edges=split.test_edges)
+
+
+@pytest.mark.parametrize("intents", [1, 2, 4])
+@pytest.mark.parametrize("routing_iterations", [0, 1, 2])
+@pytest.mark.parametrize("layers", [1, 3])
+def test_dgcf_matches_per_intent_operators(intents, routing_iterations,
+                                           layers):
+    seed = 100 * intents + 10 * routing_iterations + layers
+    rng = np.random.default_rng(seed)
+    untrained = _split_with_untrained_nodes(seed)
+    assert (untrained.train_user_degrees == 0).any()
+    assert (untrained.train_item_degrees == 0).any()
+    cfg = default_config("dgcf", embedding_dim=8, intents=intents,
+                         routing_iterations=routing_iterations, layers=layers)
+    for split in (_split_of(two_block_graph(12, 10, 4, seed=seed)), untrained):
+        g = split.graph
+        prop = DGCFPropagator(split, cfg)
+        n = g.num_users + g.num_items
+        E0 = rng.normal(0.0, 0.1, size=(n, 8))
+        G = rng.normal(size=(n, 8))
+        out = prop.forward(E0)
+        back = prop.backward(G)
+        out_ref, weights_ref, back_ref = _dgcf_per_intent(split, cfg, E0, G)
+        assert np.array_equal(out, out_ref)
+        assert np.array_equal(prop.extras(E0)["intent_weights"], weights_ref)
+        assert np.array_equal(back, back_ref)
+
+
 def test_dgcf_zero_routing_iterations_gives_uniform_weights(rng):
     g = _dense_graph(rng)
     split = _split_of(g)
@@ -207,6 +287,85 @@ def test_adam_single_step_reference():
     # bias-corrected first step: m_hat = grad, v_hat = grad^2
     expected = np.array([1.0, -1.0]) - 0.1 * grad / (np.abs(grad) + 1e-8)
     np.testing.assert_allclose(param, expected, atol=1e-9)
+
+
+def _adam_step_allocating(opt, param, grad):
+    """The Adam step as one allocating expression per moment: the
+    reference the in-place step must match bit for bit."""
+    opt.t += 1
+    opt.m = opt.beta1 * opt.m + (1 - opt.beta1) * grad
+    opt.v = opt.beta2 * opt.v + (1 - opt.beta2) * grad * grad
+    m_hat = opt.m / (1 - opt.beta1 ** opt.t)
+    v_hat = opt.v / (1 - opt.beta2 ** opt.t)
+    param -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+
+def test_adam_in_place_matches_allocating_steps(rng):
+    shape = (37, 8)
+    opt, ref = Adam(shape, lr=1e-2), Adam(shape, lr=1e-2)
+    param = rng.normal(size=shape)
+    param_ref = param.copy()
+    for _ in range(30):
+        grad = rng.normal(size=shape) * rng.choice([1e-12, 1.0, 1e6], size=shape)
+        opt.step(param, grad.copy())
+        _adam_step_allocating(ref, param_ref, grad)
+        assert param.tobytes() == param_ref.tobytes()
+        assert opt.m.tobytes() == ref.m.tobytes()
+        assert opt.v.tobytes() == ref.v.tobytes()
+
+
+def test_adam_snapshots_survive_later_steps(rng):
+    g = two_block_graph(num_users=12, num_items=10, interactions_per_user=4,
+                        seed=1)
+    split = _split_of(g)
+    cfg = default_config("lightgcn", embedding_dim=4)
+    trainer = Trainer(LightGCNPropagator(split, cfg), split, cfg,
+                      np.random.default_rng(0))
+    trainer.run_epoch(1)
+    snapshot = trainer.params_copy()
+    assert trainer.adam.scratch is not None and snapshot[1].scratch is None
+    frozen = [a.copy() for a in (snapshot[0], snapshot[1].m, snapshot[1].v)]
+    trainer.run_epoch(2)
+    for a, b in zip((snapshot[0], snapshot[1].m, snapshot[1].v), frozen):
+        assert np.array_equal(a, b)
+    # a step after set_params equals one from a fresh copy of the snapshot
+    trainer.set_params(snapshot)
+    P, adam = snapshot[0].copy(), copy.deepcopy(snapshot[1])
+    grad = rng.normal(size=P.shape)
+    trainer.adam.step(trainer.P, grad)
+    adam.step(P, grad)
+    assert np.array_equal(trainer.P, P)
+    assert np.array_equal(trainer.adam.m, adam.m)
+    assert np.array_equal(trainer.adam.v, adam.v)
+    for a, b in zip((snapshot[0], snapshot[1].m, snapshot[1].v), frozen):
+        assert np.array_equal(a, b)
+
+
+def test_softplus_matches_logaddexp(rng):
+    x = np.concatenate([[0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0],
+                        rng.normal(size=2000), 30 * rng.normal(size=2000)])
+    got, expected = softplus(x), np.logaddexp(0.0, x)
+    # within 2 ULP of the reference, and equal where it underflows to 0
+    np.testing.assert_array_max_ulp(got, expected, maxulp=2)
+    special = np.array([np.inf, -np.inf, np.nan])
+    with np.errstate(invalid="ignore"):
+        np.testing.assert_array_equal(softplus(special),
+                                      np.logaddexp(0.0, special))
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_training_diverged_error_on_overflowing_loss(kind):
+    g = two_block_graph(num_users=12, num_items=10, interactions_per_user=4,
+                        seed=1)
+    split = _split_of(g)
+    cfg = default_config(kind, embedding_dim=4, svd_rank=3, negatives=3,
+                         item_topk=3)
+    trainer = Trainer(_MODEL_CLASSES[kind](split, cfg), split, cfg,
+                      np.random.default_rng(0))
+    trainer.P *= 1e200
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(TrainingDivergedError, match="epoch 1"):
+        train_loop(trainer, split, cfg)
 
 
 def test_bpr_loss_hand_value():
