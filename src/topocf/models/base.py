@@ -3,8 +3,10 @@ and the one Trainer that runs every model.
 
 Every model's loss is a sum of sigmoid terms over sampled node pairs, so a
 model supplies only the map from its parameters P to node embeddings E,
-the adjoint of that map, and the pairs a batch samples with each pair's
-loss slope; ``pair_gradient`` turns the pairs into the gradient in E.
+the adjoint of that map, and a batch's loss and gradient in E. LightGCN,
+DGCF and SVD-GCN list the batch's pairs with each pair's loss slope and
+``pair_gradient`` turns them into that gradient; UltraGCN scores and
+scatters its pairs on one dense user x item block.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ class TrainedModel:
 
 
 class Adam:
-    """Adaptive-moment estimation with the standard defaults.
+    """Adaptive-moment estimation with the standard defaults, on the
+    gradient plus the L2 term ``l2 * param``.
 
     ``step`` updates param, m and v in place and allocates nothing after
     its first call. That call allocates the two scratch arrays while the
@@ -78,8 +81,9 @@ class Adam:
     leave the scratch arrays out.
     """
 
-    def __init__(self, shape, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, shape, lr, l2=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
+        self.l2 = l2
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
@@ -98,13 +102,15 @@ class Adam:
         if self.scratch is None:
             self.scratch = np.empty((2,) + self.m.shape)
         a, b = self.scratch
-        np.multiply(1 - self.beta1, grad, out=a)
+        np.multiply(self.l2, param, out=a)
+        a += grad
+        np.multiply(1 - self.beta1, a, out=b)
         self.m *= self.beta1
-        self.m += a
-        np.multiply(1 - self.beta2, grad, out=a)
-        a *= grad
+        self.m += b
+        np.multiply(1 - self.beta2, a, out=b)
+        b *= a
         self.v *= self.beta2
-        self.v += a
+        self.v += b
         np.divide(self.v, 1 - self.beta2 ** self.t, out=a)
         np.sqrt(a, out=a)
         a += self.eps
@@ -112,6 +118,12 @@ class Adam:
         b *= self.lr
         b /= a
         param -= b
+
+
+def normal_init(rng, rows, dim):
+    """A (rows x dim) parameter matrix drawn from N(0, 0.1^2), as every
+    model starts."""
+    return rng.normal(0.0, 0.1, size=(rows, dim))
 
 
 def sample_negative_items(rng, users, split, num_items):
@@ -159,10 +171,12 @@ def bpr_pairs(users, pos, negs, E, num_users):
     return loss, [(users, items, coeff), (users, others, -coeff)]
 
 
-def pair_gradient(rows, cols, coeffs, E):
+def pair_gradient(terms, E):
     """(C + C^T) @ E for the sparse n x n matrix C with C[rows, cols] =
-    coeffs, duplicate pairs adding up: the gradient in E of a loss whose
-    slope in E[rows[t]] . E[cols[t]] is coeffs[t]."""
+    coeffs over every ``(rows, cols, coeffs)`` in ``terms``, duplicate pairs
+    adding up: the gradient in E of a loss whose slope in
+    E[rows[t]] . E[cols[t]] is coeffs[t]."""
+    rows, cols, coeffs = (np.concatenate(t) for t in zip(*terms))
     C = sp.coo_matrix((coeffs, (rows, cols)), shape=(len(E), len(E)))
     return C @ E + C.T @ E
 
@@ -212,12 +226,14 @@ class Trainer:
     - ``forward(P)`` returns E;
     - ``backward(G)`` returns the gradient in P for a gradient G in E from
       the latest ``forward``;
-    - ``batch_pairs(rng, batch, split, E)`` draws the batch's negatives and
-      returns ``(loss, [(rows, cols, coeffs), ...])``: the batch loss and,
-      per sampled node pair, its slope in E[row] . E[col];
+    - ``batch_gradient(rng, batch, split, E)`` draws the batch's negatives
+      and returns ``(loss, G)``: the batch loss and its gradient in E;
+    - ``release()`` drops any buffers the model keeps between batches;
+      ``materialize`` calls it, so that the evaluation and parameter
+      snapshots after it can reuse that memory;
     - ``extras(P)`` returns the diagnostics kept on the TrainedModel.
 
-    L2 applies to P.
+    L2 applies to P, inside the Adam step.
     """
 
     def __init__(self, model, split, cfg, rng):
@@ -226,7 +242,7 @@ class Trainer:
         self.cfg = cfg
         self.rng = rng
         self.P = model.init_params(rng)
-        self.adam = Adam(self.P.shape, cfg.learning_rate)
+        self.adam = Adam(self.P.shape, cfg.learning_rate, cfg.l2_weight)
 
     def run_epoch(self, epoch):
         edges = self.split.train_edges
@@ -241,14 +257,12 @@ class Trainer:
         """One Adam step on a batch of train edges; returns the batch loss.
         Its temporaries are freed before the next batch draws its own."""
         E = self.model.forward(self.P)
-        loss, terms = self.model.batch_pairs(self.rng, batch, self.split, E)
-        rows, cols, coeffs = (np.concatenate(t) for t in zip(*terms))
-        grad = self.model.backward(pair_gradient(rows, cols, coeffs, E))
-        grad += self.cfg.l2_weight * self.P
-        self.adam.step(self.P, grad)
+        loss, G = self.model.batch_gradient(self.rng, batch, self.split, E)
+        self.adam.step(self.P, self.model.backward(G))
         return loss
 
     def materialize(self):
+        self.model.release()
         E = self.model.forward(self.P)
         num_users = self.split.graph.num_users
         return TrainedModel(user_embeddings=E[:num_users].copy(),
@@ -263,9 +277,10 @@ class Trainer:
         self.P, self.adam = params[0].copy(), copy.deepcopy(params[1])
 
 
-class PropagationModel:
-    """BPR on embeddings propagated linearly from the layer-0 matrix
-    P = E0 (LightGCN, DGCF); subclasses supply forward/backward."""
+class EmbeddingModel:
+    """What the four models share: the split's node counts, P drawn as one
+    N(0, 0.1^2) row of embedding_dim per node, no buffers kept between
+    batches and no diagnostics."""
 
     def __init__(self, split, cfg):
         self.cfg = cfg
@@ -273,16 +288,25 @@ class PropagationModel:
         self.num_items = split.graph.num_items
 
     def init_params(self, rng):
-        return rng.normal(0.0, 0.1, size=(self.num_users + self.num_items,
-                                          self.cfg.embedding_dim))
+        return normal_init(rng, self.num_users + self.num_items,
+                           self.cfg.embedding_dim)
 
-    def batch_pairs(self, rng, batch, split, E):
-        users, pos = batch[:, 0], batch[:, 1]
-        negs = sample_negative_items(rng, users, split, self.num_items)
-        return bpr_pairs(users, pos, negs, E, self.num_users)
+    def release(self):
+        pass
 
     def extras(self, P):
         return {}
+
+
+class PropagationModel(EmbeddingModel):
+    """BPR on embeddings propagated linearly from the layer-0 matrix
+    P = E0 (LightGCN, DGCF); subclasses supply forward/backward."""
+
+    def batch_gradient(self, rng, batch, split, E):
+        users, pos = batch[:, 0], batch[:, 1]
+        negs = sample_negative_items(rng, users, split, self.num_items)
+        loss, terms = bpr_pairs(users, pos, negs, E, self.num_users)
+        return loss, pair_gradient(terms, E)
 
 
 def train_model(split, cfg, rng):

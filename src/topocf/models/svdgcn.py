@@ -12,7 +12,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .base import bpr_pairs, sample_negative_items, softplus
+from .base import (EmbeddingModel, bpr_pairs, normal_init, pair_gradient,
+                   sample_negative_items, softplus)
 from .svd import randomized_subspace_svd
 
 
@@ -37,15 +38,13 @@ def cooccurrence_pairs(edges, num_users, num_items):
     return pairs[0], pairs[1]
 
 
-class SvdGcn:
+class SvdGcn(EmbeddingModel):
     """Node embeddings F @ W for the fixed spectral features F = [Fu; Fi]
     (users, then items) and the trainable transform P = W."""
 
     def __init__(self, split, cfg):
+        super().__init__(split, cfg)
         g = split.graph
-        self.cfg = cfg
-        self.num_users = g.num_users
-        self.num_items = g.num_items
         self.rank = min(cfg.svd_rank, g.num_users, g.num_items)
         self.user_pairs, self.item_pairs = cooccurrence_pairs(
             split.train_edges, g.num_users, g.num_items)
@@ -58,7 +57,7 @@ class SvdGcn:
         P, s, Q = randomized_subspace_svd(self.Rn, self.rank, rng=rng)
         self.F = np.vstack([P, Q]) * np.exp(self.cfg.a1 * s)
         self.singular_values = s
-        return rng.normal(0.0, 0.1, size=(self.rank, self.cfg.embedding_dim))
+        return normal_init(rng, self.rank, self.cfg.embedding_dim)
 
     def forward(self, W):
         return self.F @ W
@@ -66,7 +65,7 @@ class SvdGcn:
     def backward(self, G):
         return self.F.T @ G
 
-    def batch_pairs(self, rng, batch, split, E):
+    def batch_gradient(self, rng, batch, split, E):
         """BPR, plus per partition sigmoid losses pulling co-occurring node
         pairs together and pushing each pair's first node away from a
         uniform random node of its partition."""
@@ -88,7 +87,7 @@ class SvdGcn:
                      + float(softplus(s_neg).sum()) / n)
             terms += [(sel[:, 0], sel[:, 1], -expit(-s_pos) / n),
                       (sel[:, 0], others, expit(s_neg) / n)]
-        return loss, terms
+        return loss, pair_gradient(terms, E)
 
     def extras(self, P):
         return {"singular_values": self.singular_values.copy(),

@@ -5,7 +5,7 @@ import pytest
 
 from topocf.graph import (BipartiteGraph, GraphError, ProjectionCapError,
                           ingest_and_build, largest_connected_component,
-                          project, write_interactions)
+                          load_graph, project, write_interactions)
 
 from conftest import adjacency, make_graph, random_bipartite
 
@@ -41,6 +41,96 @@ def test_ingest_empty_is_error():
 def test_ingest_malformed_line_reports_number():
     with pytest.raises(GraphError, match="line 3"):
         ingest_and_build(["a x", "b y", "lonely"])
+
+
+def _ingest_and_build_loop(source):
+    """One split and one dict lookup per line: the parse ingest_and_build
+    must match, graph and error message alike."""
+    user_index = {}
+    item_index = {}
+    pairs = set()
+    seen_any = False
+    for lineno, line in enumerate(source, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = stripped.split()
+        if len(fields) < 2:
+            raise GraphError(f"malformed interaction at line {lineno}: {stripped!r}")
+        user_tok, item_tok = fields[0], fields[1]
+        seen_any = True
+        u = user_index.setdefault(user_tok, len(user_index))
+        i = item_index.setdefault(item_tok, len(item_index))
+        pairs.add((u, i))
+    if not seen_any:
+        raise GraphError("no interactions")
+    edges = np.array(sorted(pairs), dtype=np.int64)
+    user_ids = sorted(user_index, key=user_index.get)
+    item_ids = sorted(item_index, key=item_index.get)
+    return BipartiteGraph.from_edge_array(edges, user_ids, item_ids)
+
+
+def _parse_outcome(parse, source):
+    try:
+        g = parse(source)
+    except GraphError as err:
+        return str(err)
+    return (g.user_ids, g.item_ids, g.indptr.tolist(), g.indices.tolist())
+
+
+def test_ingest_matches_line_loop(rng, tmp_path):
+    """Random files: comments, blank lines, extra columns, mixed
+    whitespace (tabs, spaces, Unicode spaces), duplicate pairs, non-ASCII
+    tokens, and now and then a malformed line."""
+    chars = list("abcxyz019#é中\x00😀\ud7ff")
+    spaces = [" ", "\t", "  \t ", "\x0b", "\x0c", "\x1c", "\x85", "\xa0",
+              "\u2028", "\u3000"]
+
+    def token():
+        return "".join(rng.choice(chars, size=int(rng.integers(1, 4))))
+
+    def gap():
+        return "".join(rng.choice(spaces, size=int(rng.integers(1, 3))))
+
+    outcomes = set()
+    for trial in range(60):
+        pool = [(token(), token()) for _ in range(int(rng.integers(1, 30)))]
+        lines = []
+        for _ in range(int(rng.integers(0, 80))):
+            kind = rng.random()
+            if kind < 0.1:
+                lines.append(gap() * int(rng.integers(0, 2)) + "# " + token())
+            elif kind < 0.2:
+                lines.append(gap() * int(rng.integers(0, 2)))
+            else:
+                u, i = pool[int(rng.integers(len(pool)))]
+                extra = [token() for _ in range(int(rng.integers(0, 3)))]
+                lead = gap() if rng.random() < 0.3 else ""
+                lines.append(lead + gap().join([u, i] + extra)
+                             + (gap() if rng.random() < 0.3 else ""))
+        if lines and rng.random() < 0.25:
+            lines.insert(int(rng.integers(len(lines) + 1)),
+                         gap() * int(rng.integers(0, 2)) + token())
+        path = tmp_path / f"{trial}.tsv"
+        path.write_text("\n".join(lines) + "\n" * int(rng.integers(0, 2)),
+                        encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            expected = _parse_outcome(_ingest_and_build_loop, fh)
+        assert _parse_outcome(load_graph, path) == expected
+        assert _parse_outcome(ingest_and_build, lines) == \
+            _parse_outcome(_ingest_and_build_loop, lines)
+        outcomes.add(type(expected))
+    assert outcomes == {str, tuple}
+
+
+def test_ingest_keeps_a_list_item_as_one_line():
+    """A list item is one line even when it holds a newline, as it was
+    for the per-line loop."""
+    lines = ["a x\nb y", "c", "d z"]
+    with pytest.raises(GraphError, match="line 2: 'c'"):
+        ingest_and_build(lines)
+    g = ingest_and_build(["a x\nb y", "d z"])
+    assert g.user_ids == ("a", "d") and g.item_ids == ("x", "z")
 
 
 def _write_interactions_loop(g, path):

@@ -19,7 +19,7 @@ from topocf.models.split import Split, SplitError, split_dataset
 from topocf.models.svd import randomized_subspace_svd
 from topocf.models.svdgcn import (SvdGcn, cooccurrence_pairs,
                                   normalized_interactions)
-from topocf.models.ultragcn import (UltraGCN, beta_coefficient,
+from topocf.models.ultragcn import (UltraGCN, beta_factors,
                                     item_cooccurrence_topk)
 from topocf.synthetic import heavy_tailed_graph, two_block_graph
 
@@ -301,17 +301,20 @@ def _adam_step_allocating(opt, param, grad):
 
 
 def test_adam_in_place_matches_allocating_steps(rng):
+    """The L2 term enters as ``grad + l2 * param``, added before the step."""
     shape = (37, 8)
-    opt, ref = Adam(shape, lr=1e-2), Adam(shape, lr=1e-2)
-    param = rng.normal(size=shape)
-    param_ref = param.copy()
-    for _ in range(30):
-        grad = rng.normal(size=shape) * rng.choice([1e-12, 1.0, 1e6], size=shape)
-        opt.step(param, grad.copy())
-        _adam_step_allocating(ref, param_ref, grad)
-        assert param.tobytes() == param_ref.tobytes()
-        assert opt.m.tobytes() == ref.m.tobytes()
-        assert opt.v.tobytes() == ref.v.tobytes()
+    for l2 in (0.0, 1e-4, 0.7):
+        opt, ref = Adam(shape, lr=1e-2, l2=l2), Adam(shape, lr=1e-2)
+        param = rng.normal(size=shape)
+        param_ref = param.copy()
+        for _ in range(30):
+            grad = (rng.normal(size=shape)
+                    * rng.choice([1e-12, 1.0, 1e6], size=shape))
+            opt.step(param, grad.copy())
+            _adam_step_allocating(ref, param_ref, grad + l2 * param_ref)
+            assert param.tobytes() == param_ref.tobytes()
+            assert opt.m.tobytes() == ref.m.tobytes()
+            assert opt.v.tobytes() == ref.v.tobytes()
 
 
 def test_adam_snapshots_survive_later_steps(rng):
@@ -448,7 +451,10 @@ def test_pair_gradient_matches_add_at(rng):
         cols[m // 2:] = cols[:m - m // 2]
         coeffs = rng.normal(size=m)
         E = rng.normal(size=(n, 5))
-        np.testing.assert_allclose(pair_gradient(rows, cols, coeffs, E),
+        cut = int(rng.integers(0, m + 1))
+        terms = [(rows[:cut], cols[:cut], coeffs[:cut]),
+                 (rows[cut:], cols[cut:], coeffs[cut:])]
+        np.testing.assert_allclose(pair_gradient(terms, E),
                                    _pair_gradient_add_at(rows, cols, coeffs, E),
                                    rtol=1e-12, atol=1e-12)
 
@@ -459,9 +465,9 @@ _MODEL_CLASSES = {"lightgcn": LightGCNPropagator, "dgcf": DGCFPropagator,
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_batch_gradient_matches_finite_differences(kind):
-    """backward(pair_gradient(...)) is the gradient in P of the batch loss.
-    DGCF routes with zero iterations because its backward pass treats the
-    routing weights as constants."""
+    """backward(G) for the G of batch_gradient is the gradient in P of the
+    batch loss. DGCF routes with zero iterations because its backward pass
+    treats the routing weights as constants."""
     g = two_block_graph(num_users=12, num_items=10, interactions_per_user=4,
                         seed=1)
     split = _split_of(g)
@@ -474,19 +480,18 @@ def test_batch_gradient_matches_finite_differences(kind):
 
     def batch_loss(P):
         E = model.forward(P)
-        return model.batch_pairs(np.random.default_rng(5), batch, split, E)
+        return model.batch_gradient(np.random.default_rng(5), batch, split,
+                                    E)[0]
 
     E = model.forward(P)
-    _, terms = model.batch_pairs(np.random.default_rng(5), batch, split, E)
-    rows, cols, coeffs = (np.concatenate(t) for t in zip(*terms))
-    grad = model.backward(pair_gradient(rows, cols, coeffs, E))
+    _, G = model.batch_gradient(np.random.default_rng(5), batch, split, E)
+    grad = model.backward(G).copy()
     h = 1e-6
     numeric = np.zeros_like(P)
     for idx in np.ndindex(P.shape):
         step = np.zeros_like(P)
         step[idx] = h
-        numeric[idx] = (batch_loss(P + step)[0]
-                        - batch_loss(P - step)[0]) / (2 * h)
+        numeric[idx] = (batch_loss(P + step) - batch_loss(P - step)) / (2 * h)
     assert np.abs(grad).max() > 1e-3
     np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)
 
@@ -541,10 +546,11 @@ def test_early_stopping_restores_best(rng):
 # UltraGCN specifics
 
 def test_beta_coefficient_values():
-    assert beta_coefficient(1, 3) == pytest.approx(0.70711, abs=1e-5)
-    assert beta_coefficient(2, 2) == pytest.approx(0.5 * math.sqrt(1.0))
-    arr = beta_coefficient(np.array([1.0, 4.0]), np.array([1.0, 4.0]))
-    np.testing.assert_allclose(arr, [1.0, 0.25])
+    """beta(u, i) = (1/sigma_u) sqrt((sigma_u+1)/(sigma_i+1)) = a[u] r[i]."""
+    a, r = beta_factors([1.0, 2.0, 1.0, 4.0], [3.0, 2.0, 1.0, 4.0])
+    expected = [math.sqrt(0.5), 0.5, 1.0, 0.25]
+    for got, want in zip(a * r, expected):
+        assert got == pytest.approx(want, rel=1e-15)
 
 
 def test_item_cooccurrence_topk_matches_bruteforce(rng):
@@ -623,63 +629,109 @@ def test_item_cooccurrence_topk_matches_loop(rng):
     assert skipped_seen > 0
 
 
-def _ultragcn_batch_pairs_gather(model, rng, batch, split, E):
-    """UltraGCN's batch loss with each negative's embedding gathered as
-    Ei[negs] and scored by einsum: the reference batch_pairs must match."""
+def _ultragcn_batch_gradient_gather(model, rng, batch, split, E):
+    """UltraGCN's batch loss with each pair's embeddings gathered and scored
+    by einsum, its beta weights computed per pair, and its gradient made by
+    pair_gradient: the reference batch_gradient must match."""
     cfg = model.cfg
+    deg_u = np.maximum(split.train_user_degrees, 1).astype(np.float64)
+    deg_i = split.train_item_degrees.astype(np.float64)
+
+    def beta(du, di):
+        return (1.0 / du) * np.sqrt((du + 1.0) / (di + 1.0))
+
     users, pos = batch[:, 0], batch[:, 1]
     B = len(batch)
     Ei = E[model.num_users:]
     eu = E[users]
 
     s_pos = (eu * Ei[pos]).sum(axis=1)
-    w_pos = beta_coefficient(model.deg_u[users], model.deg_i[pos])
+    w_pos = beta(deg_u[users], deg_i[pos])
     loss = float((w_pos * np.logaddexp(0.0, -s_pos)).sum())
     c_pos = -w_pos * expit(-s_pos) / B
 
     negs = rng.integers(model.num_items, size=(B, cfg.negatives))
-    w_neg = beta_coefficient(model.deg_u[users][:, None], model.deg_i[negs])
+    w_neg = beta(deg_u[users][:, None], deg_i[negs])
     s_neg = np.einsum("bd,bnd->bn", eu, Ei[negs])
     loss += float((w_neg * np.logaddexp(0.0, s_neg)).sum()) / cfg.negatives
     c_neg = w_neg * expit(s_neg) / (B * cfg.negatives)
 
-    nb = model.neighbors[pos]
-    om = model.omega[pos] * model.nb_mask[pos]
+    neighbors, omega, mask, _ = item_cooccurrence_topk(split, cfg.item_topk)
+    nb = neighbors[pos]
+    om = omega[pos] * mask[pos]
     s_ii = np.einsum("bd,bkd->bk", eu, Ei[nb])
     loss += cfg.item_loss_weight * float((om * np.logaddexp(0.0, -s_ii)).sum())
     c_ii = -cfg.item_loss_weight * om * expit(-s_ii) / B
 
-    return loss / B, [
+    return loss / B, pair_gradient([
         (users, model.num_users + pos, c_pos),
         (np.repeat(users, cfg.negatives), model.num_users + negs.ravel(),
          c_neg.ravel()),
         (np.repeat(users, nb.shape[1]), model.num_users + nb.ravel(),
          c_ii.ravel()),
-    ]
+    ], E)
+
+
+def _assert_ultragcn_matches_gather(model, split, E, batches):
+    """Consecutive batches on one model, so its reused buffers carry
+    nothing from one batch into the next."""
+    rng_got, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
+    for batch in batches:
+        loss, G = model.batch_gradient(rng_got, batch, split, E)
+        loss_ref, G_ref = _ultragcn_batch_gradient_gather(model, rng_ref,
+                                                          batch, split, E)
+        assert rng_got.bit_generator.state == rng_ref.bit_generator.state
+        assert loss == pytest.approx(loss_ref, rel=1e-12)
+        np.testing.assert_allclose(G, G_ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(G_ref).max())
 
 
 @pytest.mark.parametrize("num_items", [40, 700])
-def test_ultragcn_batch_pairs_matches_gather(num_items):
-    """Catalogues smaller and larger than the 300 default negatives."""
+def test_ultragcn_batch_gradient_matches_gather(num_items):
+    """Catalogues smaller and larger than the 300 default negatives; a full
+    batch with repeated users, a short last batch, then a full one again."""
     g = heavy_tailed_graph(num_users=300, num_items=num_items,
                            num_interactions=3000, seed=4)
     split = _split_of(g)
     cfg = default_config("ultragcn")
     model = UltraGCN(split, cfg)
     E = model.forward(model.init_params(np.random.default_rng(1)))
-    batch = split.train_edges[:cfg.batch_size]
-    rng_got, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
-    loss, terms = model.batch_pairs(rng_got, batch, split, E)
-    loss_ref, terms_ref = _ultragcn_batch_pairs_gather(model, rng_ref, batch,
-                                                       split, E)
-    assert rng_got.bit_generator.state == rng_ref.bit_generator.state
-    assert loss == pytest.approx(loss_ref, rel=1e-12, abs=1e-12)
-    assert len(terms) == len(terms_ref)
-    for (rows, cols, coeffs), (rows_ref, cols_ref, coeffs_ref) in zip(
-            terms, terms_ref):
-        np.testing.assert_array_equal(rows, rows_ref)
-        np.testing.assert_array_equal(cols, cols_ref)
-        np.testing.assert_allclose(coeffs, coeffs_ref, rtol=1e-12, atol=1e-12)
+    edges = split.train_edges
+    first = edges[:cfg.batch_size]
+    assert len(np.unique(first[:, 0])) < len(first)
+    _assert_ultragcn_matches_gather(model, split, E, [
+        first, edges[cfg.batch_size:cfg.batch_size + 37],
+        edges[-cfg.batch_size:]])
+
+
+def test_ultragcn_item_zero_neighbor_among_padding():
+    """Item 5 co-occurs with item 0 only, so its first neighbor slot is a
+    real item 0 and its other slots are padding that also holds item 0:
+    the real slope must survive the padding's zero slopes."""
+    split = _train_only_split([{0, 5}, {1, 2, 3}, {2, 3, 4}, {5}, {1, 4}], 6)
+    cfg = default_config("ultragcn", embedding_dim=8, negatives=4)
+    model = UltraGCN(split, cfg)
+    assert list(model.neighbors[5]) == [0] * cfg.item_topk
+    assert model.omega[5, 0] > 0 and not model.omega[5, 1:].any()
+    E = model.forward(model.init_params(np.random.default_rng(2)))
+    edges = split.train_edges
+    _assert_ultragcn_matches_gather(model, split, E, [edges, edges[::2]])
+
+
+def test_ultragcn_release_drops_buffers():
+    g = heavy_tailed_graph(num_users=60, num_items=30, num_interactions=400,
+                           seed=2)
+    split = _split_of(g)
+    cfg = default_config("ultragcn", batch_size=64, max_epochs=2,
+                         eval_interval=1)
+    trainer = Trainer(UltraGCN(split, cfg), split, cfg,
+                      np.random.default_rng(0))
+    trainer.run_epoch(1)
+    assert trainer.model.buffers is not None
+    trainer.materialize()
+    assert trainer.model.buffers is None
+    trainer.run_epoch(2)
+    assert trainer.model.buffers is not None
 
 
 # ---------------------------------------------------------------------------
