@@ -11,11 +11,10 @@ carried as NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DEFAULT_PROJECTION_EDGE_CAP, project
+from .graph import project
 
 
 SHORTHAND_NAMES = (
@@ -48,7 +47,7 @@ def gini(values):
 
 
 def classical_from_counts(num_users, num_items, num_interactions):
-    """Space size, shape, and density (raw and log10) from counts alone.
+    """Space size, shape and density (log10) from counts alone.
 
     Space size counts users and items in thousands before the square root,
     so that log10 values land in the low single digits.
@@ -56,43 +55,26 @@ def classical_from_counts(num_users, num_items, num_interactions):
     U, I, E = num_users, num_items, num_interactions
     if U < 1 or I < 1 or E < 1:
         raise ValueError("graph must have at least one user, item and edge")
-    space_size = math.sqrt((U / 1000.0) * (I / 1000.0))
-    shape = U / I
-    density = E / (U * I)
-    return {
-        "space_size": space_size,
-        "space_size_log": math.log10(space_size),
-        "shape": shape,
-        "shape_log": math.log10(shape),
-        "density": density,
-        "density_log": math.log10(density),
-    }
-
-
-def classical_characteristics(g):
-    """Space size, shape, density (log10) and both Gini coefficients."""
-    out = classical_from_counts(g.num_users, g.num_items, g.num_interactions)
-    out["gini_user"] = gini(g.user_degrees)
-    out["gini_item"] = gini(g.item_degrees)
-    return out
+    return (math.log10(math.sqrt((U / 1000.0) * (I / 1000.0))),
+            math.log10(U / I),
+            math.log10(E / (U * I)))
 
 
 def average_degree(g, partition):
-    """Mean first-order neighborhood size over one partition (raw, log10)."""
+    """log10 of the mean first-order neighborhood size over one partition."""
     degrees = g.user_degrees if partition == "user" else g.item_degrees
     if len(degrees) == 0:
         raise ValueError(f"empty {partition} partition")
-    raw = float(degrees.mean())
-    return raw, math.log10(raw)
+    return math.log10(float(degrees.mean()))
 
 
 def average_clustering_coefficient(g, partition, proj=None):
-    """Mean pairwise-Jaccard clustering coefficient over one partition.
+    """log10 of the mean pairwise-Jaccard clustering coefficient over one
+    partition, NaN when the mean is zero.
 
     Per node v, its second-order neighbors are the same-partition nodes
     sharing at least one direct neighbor; the node value is the mean
     Jaccard overlap with them, 0 if it has no second-order neighbors.
-    Returns (raw mean, log10 or NaN when the mean is zero).
     """
     if proj is None:
         proj = project(g, partition)
@@ -100,7 +82,7 @@ def average_clustering_coefficient(g, partition, proj=None):
     if proj.n == 0:
         raise ValueError(f"empty {partition} partition")
     if proj.num_edges == 0:
-        return 0.0, math.nan
+        return math.nan
     union = bipartite_deg[proj.v] + bipartite_deg[proj.w] - proj.weight
     jaccard = proj.weight / union
     sums = np.zeros(proj.n)
@@ -108,8 +90,8 @@ def average_clustering_coefficient(g, partition, proj=None):
     np.add.at(sums, proj.w, jaccard)
     per_node = np.where(proj.degrees > 0,
                         sums / np.maximum(proj.degrees, 1), 0.0)
-    raw = float(per_node.mean())
-    return raw, (math.log10(raw) if raw > 0 else math.nan)
+    mean = float(per_node.mean())
+    return math.log10(mean) if mean > 0 else math.nan
 
 
 def degree_assortativity(proj):
@@ -132,26 +114,23 @@ def degree_assortativity(proj):
     return float((xc * yc).sum() / var)
 
 
-def compute_vector(g, edge_cap=DEFAULT_PROJECTION_EDGE_CAP):
+def compute_vector(g):
     """All eleven characteristics of one graph as a float64 array in
     SHORTHAND_NAMES order.
 
     The user and item projections are built once and reused for both the
     clustering coefficients and the assortativities.
     """
-    classical = classical_characteristics(g)
-    proj_u = project(g, "user", edge_cap=edge_cap)
-    proj_i = project(g, "item", edge_cap=edge_cap)
+    proj_u = project(g, "user")
+    proj_i = project(g, "item")
     return np.array([
-        classical["space_size_log"],
-        classical["shape_log"],
-        classical["density_log"],
-        classical["gini_user"],
-        classical["gini_item"],
-        average_degree(g, "user")[1],
-        average_degree(g, "item")[1],
-        average_clustering_coefficient(g, "user", proj=proj_u)[1],
-        average_clustering_coefficient(g, "item", proj=proj_i)[1],
+        *classical_from_counts(g.num_users, g.num_items, g.num_interactions),
+        gini(g.user_degrees),
+        gini(g.item_degrees),
+        average_degree(g, "user"),
+        average_degree(g, "item"),
+        average_clustering_coefficient(g, "user", proj=proj_u),
+        average_clustering_coefficient(g, "item", proj=proj_i),
         degree_assortativity(proj_u) if proj_u.num_edges else math.nan,
         degree_assortativity(proj_i) if proj_i.num_edges else math.nan,
     ])
@@ -175,54 +154,11 @@ def pearson_matrix(rows):
     return np.corrcoef(rows, rowvar=False)
 
 
-@dataclass(frozen=True)
-class DegreeDistributionFit:
-    """Empirical degree histogram with power-law and exponential OLS fits
-    of log-probability (natural log) against log-degree and degree."""
-
-    degrees: np.ndarray
-    probabilities: np.ndarray
-    power_law_slope: float
-    power_law_intercept: float
-    power_law_residual: float
-    exponential_slope: float
-    exponential_intercept: float
-    exponential_residual: float
-
-
-def degree_distribution_fit(g, partition="all"):
-    """Fit the empirical degree distribution of one side (or all nodes)."""
-    if partition == "user":
-        deg = g.user_degrees
-    elif partition == "item":
-        deg = g.item_degrees
-    elif partition == "all":
-        deg = np.concatenate([g.user_degrees, g.item_degrees])
-    else:
-        raise ValueError(f"unknown partition {partition!r}")
-    values, counts = np.unique(deg[deg > 0], return_counts=True)
-    if len(values) < 3:
-        raise ValueError("degree distribution needs >= 3 distinct degrees")
-    probs = counts / counts.sum()
-    logp = np.log(probs)
-    pl_slope, pl_icpt = np.polyfit(np.log(values.astype(float)), logp, 1)
-    pl_res = float(((np.polyval([pl_slope, pl_icpt],
-                                np.log(values.astype(float))) - logp) ** 2).sum())
-    ex_slope, ex_icpt = np.polyfit(values.astype(float), logp, 1)
-    ex_res = float(((np.polyval([ex_slope, ex_icpt],
-                                values.astype(float)) - logp) ** 2).sum())
-    return DegreeDistributionFit(
-        degrees=values, probabilities=probs,
-        power_law_slope=float(pl_slope), power_law_intercept=float(pl_icpt),
-        power_law_residual=pl_res,
-        exponential_slope=float(ex_slope), exponential_intercept=float(ex_icpt),
-        exponential_residual=ex_res,
-    )
-
-
-def write_degree_distribution(fit, path):
+def write_degree_histogram(degrees, path):
+    """One ``degree<TAB>share of nodes`` line per distinct degree."""
+    values, counts = np.unique(degrees, return_counts=True)
     with open(path, "w", encoding="utf-8") as fh:
-        for d, p in zip(fit.degrees, fit.probabilities):
+        for d, p in zip(values, counts / counts.sum()):
             fh.write(f"{int(d)}\t{float(p)!r}\n")
 
 

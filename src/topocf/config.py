@@ -6,7 +6,6 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from .models.base import MODEL_KINDS, ModelConfig, default_config
-from .graph import DEFAULT_PROJECTION_EDGE_CAP
 from .sampling import EDGE_DROPOUT, NODE_DROPOUT
 
 
@@ -33,7 +32,6 @@ class ExperimentConfig:
     rq2_total: int = 0          # 0 -> use the smaller strategy pool size
     out_dir: str = "runs"
     jobs: int = 1
-    projection_edge_cap: int = DEFAULT_PROJECTION_EDGE_CAP
 
     def config_for(self, kind):
         """ModelConfig for a model kind with any file/CLI overrides applied."""
@@ -52,7 +50,6 @@ _SCALAR_PARSERS = {
     "rq2_total": int,
     "out_dir": str,
     "jobs": int,
-    "projection_edge_cap": int,
 }
 
 _MODEL_FIELDS = {f.name: f.type for f in dataclasses.fields(ModelConfig)

@@ -41,10 +41,6 @@ class DesignMatrix:
     def num_rows(self):
         return self.values.shape[0]
 
-    @property
-    def num_columns(self):
-        return self.values.shape[1]
-
 
 @dataclass
 class RegressionReport:
@@ -135,7 +131,8 @@ def significance_stars(p):
 
 
 def fit_ols(design, y, rank_policy="error"):
-    """Least-squares fit with intercept, solved by pivoted QR.
+    """Least-squares fit of y on a DesignMatrix's columns plus an
+    intercept, solved by pivoted QR.
 
     Rank deficiency raises naming the collinear columns (those whose pivots
     carry a negligible diagonal in R). Standard errors come from
@@ -149,9 +146,8 @@ def fit_ols(design, y, rank_policy="error"):
     standard statistics packages silently handle designs whose columns are
     deterministic functions of one another.
     """
-    X = design.values if isinstance(design, DesignMatrix) else np.asarray(design)
-    names = (design.column_names if isinstance(design, DesignMatrix)
-             else tuple(f"x{j + 1}" for j in range(X.shape[1])))
+    X = design.values
+    names = design.column_names
     y = np.asarray(y, dtype=np.float64)
     m, c = X.shape
     dof = m - c - 1
@@ -197,8 +193,7 @@ def fit_ols(design, y, rank_policy="error"):
         theta0=float(beta[0]), coefficients=beta[1:], std_errors=se,
         t_stats=t, p_values=p, stars=stars, r2=r2, adj_r2=adj_r2,
         residuals=residuals, y=y, column_names=names,
-        dropped_rows=len(design.dropped_ids)
-        if isinstance(design, DesignMatrix) else 0)
+        dropped_rows=len(design.dropped_ids))
     if collinear:
         report.metadata["collinear_columns"] = tuple(collinear)
     return report

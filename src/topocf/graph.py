@@ -8,7 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 
 
-DEFAULT_PROJECTION_EDGE_CAP = 50_000_000
+PROJECTION_EDGE_CAP = 50_000_000
 
 
 class GraphError(Exception):
@@ -16,7 +16,7 @@ class GraphError(Exception):
 
 
 class ProjectionCapError(GraphError):
-    """Raised when a projection would exceed the configured edge cap."""
+    """Raised when a projection would exceed PROJECTION_EDGE_CAP edges."""
 
 
 @dataclass(frozen=True)
@@ -186,8 +186,12 @@ def induced_subgraph(g, edges):
     Nodes not incident to any retained edge are dropped, so every node in
     the result has degree >= 1; kept nodes keep their relative order.
     """
-    kept_users = np.unique(edges[:, 0])
-    kept_items = np.unique(edges[:, 1])
+    # the sorted distinct ids of each column; np.unique's hash path is
+    # ~10x slower on such columns
+    kept_users = np.flatnonzero(np.bincount(edges[:, 0],
+                                            minlength=g.num_users))
+    kept_items = np.flatnonzero(np.bincount(edges[:, 1],
+                                            minlength=g.num_items))
     new_edges = np.column_stack([np.searchsorted(kept_users, edges[:, 0]),
                                  np.searchsorted(kept_items, edges[:, 1])])
     return BipartiteGraph.from_edge_array(
@@ -242,13 +246,13 @@ def largest_connected_component(g):
     return induced_subgraph(g, edges[root[edges[:, 0]] == best])
 
 
-def project(g, partition, edge_cap=DEFAULT_PROJECTION_EDGE_CAP):
+def project(g, partition):
     """Project the bipartite graph onto one partition.
 
     Weights are exact co-occurrence counts (off-diagonal entries of
     R.R^T or R^T.R); degrees count distinct co-neighbors. A wedge-count
     guard aborts before materializing a projection whose edge count could
-    exceed ``edge_cap``.
+    exceed ``PROJECTION_EDGE_CAP``.
     """
     if partition not in ("user", "item"):
         raise ValueError(f"unknown partition {partition!r}")
@@ -263,12 +267,12 @@ def project(g, partition, edge_cap=DEFAULT_PROJECTION_EDGE_CAP):
 
     if len(opp_deg):
         wedges = int((opp_deg * (opp_deg - 1) // 2).sum())
-        if wedges > edge_cap:
+        if wedges > PROJECTION_EDGE_CAP:
             hub = int(np.argmax(opp_deg))
             raise ProjectionCapError(
                 f"projection on {partition!r} side needs up to {wedges} edges, "
-                f"over the cap {edge_cap}; hub node {opp_ids[hub]!r} has "
-                f"degree {int(opp_deg[hub])}")
+                f"over the cap {PROJECTION_EDGE_CAP}; hub node "
+                f"{opp_ids[hub]!r} has degree {int(opp_deg[hub])}")
 
     P = (R @ R.T).tocoo()
     mask = P.row < P.col

@@ -21,7 +21,7 @@ class Split:
     ``train_edges``, ``valid_edges`` and ``test_edges`` are (E, 2)
     ``(user, item)`` arrays, sorted by user then item on construction;
     ``train_indptr`` (likewise ``valid_``/``test_``) holds their row
-    pointers, so ``train_items(u)`` is the slice
+    pointers, so user ``u``'s train items are the slice
     ``train_edges[train_indptr[u]:train_indptr[u + 1], 1]``.
     """
 
@@ -52,15 +52,6 @@ class Split:
         self.excluded_users = int((~has_train & (has_test | has_valid)).sum())
         self.excluded_items = int((self.train_item_degrees == 0).sum())
 
-    def train_items(self, u):
-        return _row(self.train_edges, self.train_indptr, u)
-
-    def valid_items(self, u):
-        return _row(self.valid_edges, self.valid_indptr, u)
-
-    def test_items(self, u):
-        return _row(self.test_edges, self.test_indptr, u)
-
     @property
     def train_user_degrees(self):
         return np.diff(self.train_indptr)
@@ -69,10 +60,6 @@ class Split:
     def train_item_degrees(self):
         return np.bincount(self.train_edges[:, 1],
                            minlength=self.graph.num_items)
-
-
-def _row(edges, indptr, u):
-    return edges[indptr[u]:indptr[u + 1], 1]
 
 
 def split_dataset(g, rng):

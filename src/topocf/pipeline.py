@@ -9,8 +9,12 @@ A run lays out its output directory as::
     metrics/<id>_<model>.csv      per-(sample, model) evaluation rows
     characteristics.csv           aggregate of chars/
     metrics.csv                   aggregate of metrics/
+    correlations.csv              Pearson correlations of the characteristics
+    degree_distribution_{user,item}.tsv
+                                  LCC degree histogram: degree, share of nodes
     reports/                      per-model regression CSV + markdown
     rq2/                          per-(alpha, model) regression reports
+    report.md                     all regression tables concatenated
     ledger.json                   content-hash resume state
 
 Every cell derives its randomness from (master_seed, sample_id[, model]),
@@ -124,9 +128,9 @@ class RunLedger:
 # cell workers (module-level so ProcessPoolExecutor can pickle them)
 
 def _characterize_cell(args):
-    sample_id, graph, edge_cap = args
+    sample_id, graph = args
     try:
-        return sample_id, chars.compute_vector(graph, edge_cap=edge_cap), None
+        return sample_id, chars.compute_vector(graph), None
     except Exception as exc:
         return sample_id, None, f"{type(exc).__name__}: {exc}"
 
@@ -196,7 +200,7 @@ def characterize_samples(cfg, samples, sample_paths, ledger, result):
             vectors[sid] = chars.read_characteristics_csv(path)[0][1]
             _log(f"characterize[{sid}]: reused")
         else:
-            todo.append((sid, s.graph, cfg.projection_edge_cap))
+            todo.append((sid, s.graph))
     for sid, vec, error in _run_cells(cfg.jobs, _characterize_cell, todo):
         key = f"chars:{sid}"
         if error is not None:
@@ -328,8 +332,8 @@ def fit_reports(cfg, vectors, metric_rows, result, report_dir,
 
 
 def emit_graph_diagnostics(lcc, vectors, out):
-    """Correlation matrix of the characteristics plus degree-distribution
-    fits of the ingested graph."""
+    """Correlation matrix of the characteristics plus the user and item
+    degree histograms of the ingested graph."""
     vecs = [v for _, v in sorted(vectors.items())]
     try:
         matrix = chars.pearson_matrix(vecs)
@@ -337,14 +341,10 @@ def emit_graph_diagnostics(lcc, vectors, out):
                                     os.path.join(out, "correlations.csv"))
     except ValueError as exc:
         _log(f"correlations: skipped ({exc})")
-    for partition in ("user", "item"):
-        try:
-            fit = chars.degree_distribution_fit(lcc, partition)
-        except ValueError as exc:
-            _log(f"degree distribution[{partition}]: skipped ({exc})")
-            continue
-        chars.write_degree_distribution(
-            fit, os.path.join(out, f"degree_distribution_{partition}.tsv"))
+    for partition, degrees in (("user", lcc.user_degrees),
+                               ("item", lcc.item_degrees)):
+        chars.write_degree_histogram(
+            degrees, os.path.join(out, f"degree_distribution_{partition}.tsv"))
 
 
 def start_run(cfg, resume=False):

@@ -27,7 +27,7 @@ from topocf.sampling import (EDGE_DROPOUT, NODE_DROPOUT, edge_dropout,
                              generate_samples, node_dropout, round_half_up)
 from topocf.synthetic import heavy_tailed_graph, two_block_graph
 
-from conftest import make_graph, random_bipartite
+from conftest import make_graph, random_bipartite, row_items
 from test_explain import _design, _p_two_sided_oracle
 
 
@@ -52,16 +52,21 @@ def _random_split(g, rng):
 
 def _oracle_evaluate(model, split, k, phase):
     users = split.test_users if phase == "test" else split.valid_users
-    targets = split.test_items if phase == "test" else split.valid_items
     recalls, ndcgs = [], []
     for u in users:
         scores = model.item_embeddings @ model.user_embeddings[u]
-        excluded = set(split.train_items(u).tolist())
+        excluded = set(row_items(split.train_edges, split.train_indptr,
+                                 u).tolist())
+        valid = set(row_items(split.valid_edges, split.valid_indptr,
+                              u).tolist())
         if phase == "test":
-            excluded |= set(split.valid_items(u).tolist())
+            excluded |= valid
+            held_out = set(row_items(split.test_edges, split.test_indptr,
+                                     u).tolist())
+        else:
+            held_out = valid
         ranked = sorted((i for i in range(len(scores)) if i not in excluded),
                         key=lambda i: (-scores[i], i))[:k]
-        held_out = set(targets(u).tolist())
         hits = [pos for pos, i in enumerate(ranked, 1) if i in held_out]
         recalls.append(len(hits) / len(held_out))
         dcg = sum(1.0 / math.log2(pos + 1) for pos in hits)
@@ -103,13 +108,14 @@ def test_acceptance_1_metric_oracle():
 # 2. classical characteristics at real-world dataset scale
 
 def test_acceptance_2_classical_characteristics_at_scale():
-    out = classical_from_counts(29858, 40981, 1027370)
-    shape_ok = (-0.149 <= out["shape_log"] <= -0.097
-                and abs(out["shape_log"] - (-0.1375)) <= 5e-3)
-    space_ok = abs(out["space_size_log"] - 1.541) <= 0.01
+    space_size_log, shape_log, _ = classical_from_counts(29858, 40981,
+                                                         1027370)
+    shape_ok = (-0.149 <= shape_log <= -0.097
+                and abs(shape_log - (-0.1375)) <= 5e-3)
+    space_ok = abs(space_size_log - 1.541) <= 0.01
     _verdict(2, "classical characteristics", shape_ok and space_ok,
-             f"shape_log={out['shape_log']:.4f}, "
-             f"space_size_log={out['space_size_log']:.4f}")
+             f"shape_log={shape_log:.4f}, "
+             f"space_size_log={space_size_log:.4f}")
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +238,9 @@ def test_acceptance_6_model_capability():
     split = split_dataset(g, np.random.default_rng(1))
     k = 20
     baseline = float(np.mean(
-        [k / (g.num_items - len(split.train_items(u))
-              - len(split.valid_items(u)))
+        [k / (g.num_items
+              - len(row_items(split.train_edges, split.train_indptr, u))
+              - len(row_items(split.valid_edges, split.valid_indptr, u)))
          for u in split.test_users]))
     lifts = {}
     for kind in MODEL_KINDS:

@@ -1,6 +1,7 @@
 """The eleven graph characteristics against independent oracles."""
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,12 +9,12 @@ import pytest
 
 from topocf.characteristics import (SHORTHAND_NAMES,
                                     average_clustering_coefficient,
-                                    average_degree, classical_characteristics,
-                                    classical_from_counts, compute_vector,
-                                    degree_assortativity,
-                                    degree_distribution_fit, gini,
-                                    pearson_matrix, read_characteristics_csv,
-                                    write_characteristics_csv)
+                                    average_degree, classical_from_counts,
+                                    compute_vector, degree_assortativity,
+                                    gini, pearson_matrix,
+                                    read_characteristics_csv,
+                                    write_characteristics_csv,
+                                    write_degree_histogram)
 from topocf.graph import project
 from topocf.synthetic import heavy_tailed_graph
 
@@ -62,32 +63,34 @@ def test_gini_rejects_degenerate_input():
 # classical characteristics
 
 def test_classical_from_counts_values():
-    out = classical_from_counts(100, 50, 1000)
-    assert out["shape"] == pytest.approx(2.0)
-    assert out["density"] == pytest.approx(0.2)
-    assert out["space_size"] == pytest.approx(math.sqrt(0.1 * 0.05))
-    assert out["density_log"] == pytest.approx(math.log10(0.2))
+    space_size_log, shape_log, density_log = classical_from_counts(100, 50,
+                                                                   1000)
+    assert 10 ** shape_log == pytest.approx(2.0)
+    assert 10 ** density_log == pytest.approx(0.2)
+    assert 10 ** space_size_log == pytest.approx(math.sqrt(0.1 * 0.05))
+    assert density_log == pytest.approx(math.log10(0.2))
 
 
 def test_classical_counts_vs_adjacency(rng):
     for _ in range(10):
         g = random_bipartite(rng)
-        out = classical_characteristics(g)
+        out = classical_from_counts(g.num_users, g.num_items,
+                                    g.num_interactions)
         # recompute the counts from the adjacency lists themselves
         user_adj, item_adj = adjacency(g)
         U = len(user_adj)
         I = len(item_adj)
         E = sum(len(a) for a in user_adj)
         again = classical_from_counts(U, I, E)
-        for key in ("space_size_log", "shape_log", "density_log"):
-            assert out[key] == pytest.approx(again[key], abs=1e-12)
+        for got, expected in zip(out, again):
+            assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_average_degree(small_graph):
-    raw_u, log_u = average_degree(small_graph, "user")
-    raw_i, log_i = average_degree(small_graph, "item")
-    assert raw_u == pytest.approx(8 / 4)
-    assert raw_i == pytest.approx(8 / 5)
+    log_u = average_degree(small_graph, "user")
+    log_i = average_degree(small_graph, "item")
+    assert 10 ** log_u == pytest.approx(8 / 4)
+    assert 10 ** log_i == pytest.approx(8 / 5)
     assert log_u == pytest.approx(math.log10(2.0))
     assert log_i == pytest.approx(math.log10(1.6))
 
@@ -116,33 +119,37 @@ def _clustering_bruteforce(g, partition):
 
 @pytest.mark.parametrize("partition", ["user", "item"])
 def test_clustering_matches_jaccard_oracle(rng, partition):
+    zeros = 0
     for _ in range(40):
         g = random_bipartite(rng)
-        raw, _ = average_clustering_coefficient(g, partition)
-        assert raw == pytest.approx(_clustering_bruteforce(g, partition),
-                                    abs=1e-9)
+        log10_value = average_clustering_coefficient(g, partition)
+        expected = _clustering_bruteforce(g, partition)
+        if expected == 0:
+            assert math.isnan(log10_value)
+            zeros += 1
+        else:
+            assert 10 ** log10_value == pytest.approx(expected, abs=1e-9)
+    assert zeros < 40
 
 
 def test_clustering_k22_is_one(k22_graph):
-    raw, log10_value = average_clustering_coefficient(k22_graph, "user")
-    assert raw == pytest.approx(1.0)
+    log10_value = average_clustering_coefficient(k22_graph, "user")
+    assert 10 ** log10_value == pytest.approx(1.0)
     assert log10_value == pytest.approx(0.0)
 
 
 def test_clustering_three_user_path():
     # u0-i0, u1-i0, u1-i1, u2-i1: every Jaccard overlap is 1/2
     g = make_graph([(0, 0), (1, 0), (1, 1), (2, 1)])
-    raw, log10_value = average_clustering_coefficient(g, "user")
-    assert raw == pytest.approx(0.5)
+    log10_value = average_clustering_coefficient(g, "user")
+    assert 10 ** log10_value == pytest.approx(0.5)
     assert log10_value == pytest.approx(math.log10(0.5))
 
 
 def test_clustering_disconnected_projection_is_nan_log():
     # two users with disjoint items: no co-occurrence at all
     g = make_graph([(0, 0), (1, 1)])
-    raw, log10_value = average_clustering_coefficient(g, "user")
-    assert raw == 0.0
-    assert math.isnan(log10_value)
+    assert math.isnan(average_clustering_coefficient(g, "user"))
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +265,10 @@ def test_compute_vector_field_order():
     row = compute_vector(g)
     assert row.shape == (len(SHORTHAND_NAMES),) == (11,)
     assert row.dtype == np.float64
-    classical = classical_characteristics(g)
-    assert row[SHORTHAND_NAMES.index("SpaceSize_log")] == \
-        classical["space_size_log"]
-    assert row[SHORTHAND_NAMES.index("Gini-I")] == classical["gini_item"]
+    space_size_log, *_ = classical_from_counts(g.num_users, g.num_items,
+                                               g.num_interactions)
+    assert row[SHORTHAND_NAMES.index("SpaceSize_log")] == space_size_log
+    assert row[SHORTHAND_NAMES.index("Gini-I")] == gini(g.item_degrees)
     assert row[SHORTHAND_NAMES.index("Assort-I")] == \
         degree_assortativity(project(g, "item"))
 
@@ -305,18 +312,21 @@ def test_pearson_matrix_needs_enough_rows():
         pearson_matrix([vec, vec])
 
 
-def test_degree_distribution_fit_prefers_power_law_on_heavy_tail():
+def _histogram_oracle(degrees):
+    counts = Counter(int(d) for d in degrees)
+    n = len(degrees)
+    return [f"{d}\t{counts[d] / n!r}" for d in sorted(counts)]
+
+
+def test_degree_histogram_matches_counter_oracle(k22_graph, tmp_path):
     g = heavy_tailed_graph(num_users=400, num_items=300,
                            num_interactions=4000, seed=3)
-    fit = degree_distribution_fit(g, "item")
-    assert fit.power_law_slope < 0
-    assert fit.power_law_residual < fit.exponential_residual
-    assert fit.probabilities.sum() == pytest.approx(1.0)
-
-
-def test_degree_distribution_fit_needs_three_degrees(k22_graph):
-    with pytest.raises(ValueError, match="3 distinct"):
-        degree_distribution_fit(k22_graph)
+    path = tmp_path / "hist.tsv"
+    for degrees in (g.user_degrees, g.item_degrees, k22_graph.user_degrees):
+        write_degree_histogram(degrees, path)
+        assert path.read_text().splitlines() == _histogram_oracle(degrees)
+    # one distinct degree is written too
+    assert path.read_text() == "2\t1.0\n"
 
 
 def test_characteristics_csv_round_trip(tmp_path):

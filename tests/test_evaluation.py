@@ -11,7 +11,7 @@ from topocf.models.base import TrainedModel, default_config
 from topocf.models.split import Split, split_dataset
 from topocf.synthetic import two_block_graph
 
-from conftest import make_graph, random_bipartite
+from conftest import make_graph, random_bipartite, row_items
 from test_acceptance import _oracle_evaluate, _random_split
 
 
@@ -155,8 +155,9 @@ def test_random_model_matches_analytic_baseline():
     split = split_dataset(g, np.random.default_rng(0))
     k = 10
     expected = float(np.mean(
-        [k / (g.num_items - len(split.train_items(u))
-              - len(split.valid_items(u)))
+        [k / (g.num_items
+              - len(row_items(split.train_edges, split.train_indptr, u))
+              - len(row_items(split.valid_edges, split.valid_indptr, u)))
          for u in split.test_users]))
     rng = np.random.default_rng(8)
     recalls = []

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from topocf import graph
 from topocf.graph import (BipartiteGraph, GraphError, ProjectionCapError,
-                          ingest_and_build, largest_connected_component,
-                          load_graph, project, write_interactions)
+                          induced_subgraph, ingest_and_build,
+                          largest_connected_component, load_graph, project,
+                          write_interactions)
+from topocf.synthetic import heavy_tailed_graph
 
 from conftest import adjacency, make_graph, random_bipartite
 
@@ -227,6 +230,47 @@ def test_to_sparse_round_trip(small_graph):
 # ---------------------------------------------------------------------------
 # largest connected component
 
+def _induced_by_sets(g, edges):
+    """Oracle: kept tokens in index order and the token pairs of the kept
+    edges, from Python sets."""
+    users = sorted({int(u) for u, _ in edges})
+    items = sorted({int(i) for _, i in edges})
+    return ([g.user_ids[u] for u in users], [g.item_ids[i] for i in items],
+            {(g.user_ids[u], g.item_ids[i]) for u, i in edges})
+
+
+def _check_induced(g, edges):
+    sub = induced_subgraph(g, edges)
+    user_ids, item_ids, pairs = _induced_by_sets(g, edges)
+    assert list(sub.user_ids) == user_ids
+    assert list(sub.item_ids) == item_ids
+    got = [(sub.user_ids[u], sub.item_ids[i]) for u, i in sub.edge_array()]
+    assert len(got) == len(edges) and set(got) == pairs
+    assert sub.user_degrees.min() >= 1 and sub.item_degrees.min() >= 1
+
+
+def test_induced_subgraph_matches_set_oracle(rng):
+    g = heavy_tailed_graph(num_users=300, num_items=200,
+                           num_interactions=2000, seed=6)
+    edges = g.edge_array()
+    for keep in (0.05, 0.5, 0.95):
+        _check_induced(g, edges[rng.random(len(edges)) < keep])
+    # drop whole users and items, including the first and last of each
+    user_kept = rng.random(g.num_users) < 0.6
+    item_kept = rng.random(g.num_items) < 0.6
+    user_kept[[0, -1]] = item_kept[[0, -1]] = False
+    subset = edges[user_kept[edges[:, 0]] & item_kept[edges[:, 1]]]
+    assert len(np.unique(subset[:, 0])) < g.num_users
+    assert len(np.unique(subset[:, 1])) < g.num_items
+    _check_induced(g, subset)
+    for _ in range(30):
+        small = random_bipartite(rng)
+        small_edges = small.edge_array()
+        mask = rng.random(len(small_edges)) < 0.5
+        mask[rng.integers(len(mask))] = True
+        _check_induced(small, small_edges[mask])
+
+
 def _components_by_union_find(g):
     """Independent oracle: union-find over the same node numbering."""
     total = g.num_users + g.num_items
@@ -349,12 +393,14 @@ def test_projection_k22(k22_graph):
     assert list(proj.degrees) == [1, 1]
 
 
-def test_projection_cap_names_hub():
+def test_projection_cap_names_hub(monkeypatch):
     # star: one item shared by 6 users -> 15 wedges
     g = make_graph([(u, 0) for u in range(6)])
+    monkeypatch.setattr(graph, "PROJECTION_EDGE_CAP", 10)
     with pytest.raises(ProjectionCapError, match="'i0'"):
-        project(g, "user", edge_cap=10)
-    proj = project(g, "user", edge_cap=15)
+        project(g, "user")
+    monkeypatch.setattr(graph, "PROJECTION_EDGE_CAP", 15)
+    proj = project(g, "user")
     assert proj.num_edges == 15
 
 

@@ -101,6 +101,7 @@ def test_model_field_overrides_reach_config_for():
     "model.foo.layers=1",
     "model.lightgcn.not_a_field=1",
     "jobs=0",
+    "projection_edge_cap=10",
     "just a line without equals",
 ])
 def test_parse_config_rejects_invalid_input(bad):
@@ -154,6 +155,8 @@ def test_run_output_files(full_run):
     out = cfg.out_dir
     for name in ("lcc_edges.tsv", "manifest.csv", "characteristics.csv",
                  "metrics.csv", "ledger.json", "correlations.csv",
+                 "degree_distribution_user.tsv",
+                 "degree_distribution_item.tsv",
                  "reports/report_lightgcn.csv", "reports/report_lightgcn.md",
                  "reports/report_svdgcn.csv", "reports/report_svdgcn.md"):
         assert os.path.exists(os.path.join(out, name)), name
