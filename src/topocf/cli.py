@@ -70,7 +70,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, pipeline.sampling.SamplePoolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -88,32 +88,24 @@ def _dispatch(command, cfg, resume):
         return 0
 
     if command == "characterize":
-        _, samples, paths, ledger, result = pipeline.start_run(cfg, resume)
-        pipeline.characterize_samples(cfg, samples, paths, ledger, result)
+        _, samples, digests, ledger, result = pipeline.start_run(cfg, resume)
+        pipeline.characterize_samples(cfg, samples, digests, ledger, result)
         return _finish(result)
 
     if command in ("train", "evaluate"):
-        _, samples, paths, ledger, result = pipeline.start_run(cfg, resume)
-        rows = pipeline.train_samples(cfg, samples, paths, ledger, result)
+        _, samples, digests, ledger, result = pipeline.start_run(cfg, resume)
+        rows = pipeline.train_samples(cfg, samples, digests, ledger, result)
         if command == "evaluate":
             _print_metric_summary(rows, cfg)
         return _finish(result)
 
-    if command == "explain":
-        result, *_ = pipeline.run_experiment(cfg, resume=resume)
-        return _finish(result)
-
-    if command == "rq2":
+    if command in ("explain", "rq2", "run-all"):
         result, samples, vectors, rows = pipeline.run_experiment(
             cfg, resume=resume)
-        pipeline.rq2_sweep(cfg, samples, vectors, rows, result)
-        return _finish(result)
-
-    if command == "run-all":
-        result, samples, vectors, rows = pipeline.run_experiment(
-            cfg, resume=resume)
-        pipeline.rq2_sweep(cfg, samples, vectors, rows, result)
-        pipeline.emit_report(cfg)
+        if command != "explain":
+            pipeline.rq2_sweep(cfg, samples, vectors, rows, result)
+        if command == "run-all":
+            pipeline.emit_report(cfg)
         return _finish(result)
 
     raise ConfigError(f"unknown command {command!r}")

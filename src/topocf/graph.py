@@ -164,14 +164,8 @@ def first_seen_index(tokens):
                             len(tokens))
 
 
-def load_graph(path):
-    """Read an interaction file from disk and build the graph."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return ingest_and_build(fh)
-
-
 def write_interactions(g, path):
-    """Write edges as token pairs, re-readable by :func:`load_graph`."""
+    """Write edges as token pairs, re-readable by :func:`ingest_and_build`."""
     edges = g.edge_array()
     users = np.array([str(t) for t in g.user_ids], dtype=object)
     items = np.array([str(t) for t in g.item_ids], dtype=object)

@@ -17,8 +17,13 @@ A run lays out its output directory as::
     report.md                     all regression tables concatenated
     ledger.json                   content-hash resume state
 
-Every cell derives its randomness from (master_seed, sample_id[, model]),
-so results are byte-identical regardless of parallelism or resume.
+``explain`` runs ingest -> sample -> characterize -> train -> explain;
+``rq2`` adds the alpha sweep and ``run-all`` adds report.md on top, so the
+three share one path. Characterize and train cells are ledgered: a
+``chars:<id>`` cell's input is its sample file's digest, a
+``train:<id>:<model>`` cell's inputs are that digest, the model config and
+k. Every cell derives its randomness from (master_seed, sample_id[,
+model]), so results are byte-identical regardless of parallelism or resume.
 """
 
 from __future__ import annotations
@@ -51,10 +56,6 @@ def metrics_header(k):
 @dataclass
 class RunResult:
     out_dir: str
-    num_samples: int = 0
-    characteristic_rows: int = 0
-    metric_rows: int = 0
-    reports: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
     @property
@@ -125,14 +126,15 @@ class RunLedger:
 
 
 # ---------------------------------------------------------------------------
-# cell workers (module-level so ProcessPoolExecutor can pickle them)
+# cells: workers are module-level so ProcessPoolExecutor can pickle them;
+# each returns (value, error)
 
 def _characterize_cell(args):
     sample_id, graph = args
     try:
-        return sample_id, chars.compute_vector(graph), None
+        return (sample_id, chars.compute_vector(graph)), None
     except Exception as exc:
-        return sample_id, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def _train_cell(args):
@@ -144,20 +146,47 @@ def _train_cell(args):
         model = train_model(split, model_cfg,
                             np.random.default_rng(model_seed))
         result = evaluate(model, split, k=k, phase="test")
-        row = (sample_id, kind, result.recall, result.ndcg,
-               model.epochs_trained, model.stopped_early)
-        return sample_id, kind, row, None
+        return (sample_id, kind, result.recall, result.ndcg,
+                model.epochs_trained, model.stopped_early), None
     except Exception as exc:
-        return sample_id, kind, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
 
 
-def _run_cells(jobs, fn, work):
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(fn, work)
+def _run_ledgered(cfg, ledger, result, cells, fn, read, write,
+                  note=lambda row: ""):
+    """Run ``(key, label, inputs, path, work)`` cells; return their rows.
+
+    A cell the ledger holds as current is read back with ``read(path)``;
+    the rest run ``fn(work)`` in ``cfg.jobs`` processes, and each row is
+    written with ``write([row], path)`` and marked in the ledger. Reused
+    rows come first, then new ones in cell order.
+    """
+    rows, todo = [], []
+    for cell in cells:
+        key, label, inputs, path, _ = cell
+        if ledger.is_current(key, inputs):
+            rows.append(read(path))
+            _log(f"{label}: reused")
+        else:
+            todo.append(cell)
+    work = [cell[4] for cell in todo]
+    if cfg.jobs > 1 and len(work) > 1:
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            outcomes = list(pool.map(fn, work))
     else:
-        for item in work:
-            yield fn(item)
+        outcomes = map(fn, work)
+    for (key, label, inputs, path, _), (row, error) in zip(todo, outcomes):
+        if error is not None:
+            ledger.mark_failed(key, inputs, error)
+            result.failures.append((key, error))
+            _log(f"{label}: FAILED ({error})")
+            continue
+        write([row], path)
+        ledger.mark_done(key, inputs, [path])
+        rows.append(row)
+        _log(f"{label}: done{note(row)}")
+    ledger.save()
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -171,53 +200,39 @@ def load_dataset(cfg):
 
 
 def prepare_samples(cfg, lcc):
-    """Deterministically (re)generate the sample pool and persist it."""
-    out = cfg.out_dir
-    os.makedirs(os.path.join(out, "samples"), exist_ok=True)
+    """Deterministically (re)generate the sample pool and persist it.
+
+    Returns the samples and each sample file's digest, taken as it is
+    written."""
+    sample_dir = os.path.join(cfg.out_dir, "samples")
+    os.makedirs(sample_dir, exist_ok=True)
     samples = sampling.generate_samples(
         lcc, cfg.num_samples, mu_range=(cfg.mu_min, cfg.mu_max),
         strategies=cfg.strategies, master_seed=cfg.master_seed)
-    paths = {s.spec.sample_id:
-             sampling.write_sample_edges(s, os.path.join(out, "samples"))
-             for s in samples}
-    sampling.write_manifest(samples, os.path.join(out, "manifest.csv"))
-    return samples, paths
+    digests = {s.spec.sample_id:
+               file_hash(sampling.write_sample_edges(s, sample_dir))
+               for s in samples}
+    sampling.write_manifest(samples, os.path.join(cfg.out_dir, "manifest.csv"))
+    return samples, digests
 
 
-def characterize_samples(cfg, samples, sample_paths, ledger, result):
+def characterize_samples(cfg, samples, digests, ledger, result):
     """Per-sample characteristic vectors, reusing current ledger cells,
     aggregated into ``characteristics.csv``."""
     out = cfg.out_dir
     os.makedirs(os.path.join(out, "chars"), exist_ok=True)
-    vectors = {}
-    inputs = {s.spec.sample_id: {"sample": file_hash(sample_paths[s.spec.sample_id])}
-              for s in samples}
-    todo = []
+    cells = []
     for s in samples:
         sid = s.spec.sample_id
-        path = os.path.join(out, "chars", f"{sid}.csv")
-        if ledger.is_current(f"chars:{sid}", inputs[sid]):
-            vectors[sid] = chars.read_characteristics_csv(path)[0][1]
-            _log(f"characterize[{sid}]: reused")
-        else:
-            todo.append((sid, s.graph))
-    for sid, vec, error in _run_cells(cfg.jobs, _characterize_cell, todo):
-        key = f"chars:{sid}"
-        if error is not None:
-            ledger.mark_failed(key, inputs[sid], error)
-            result.failures.append((key, error))
-            _log(f"characterize[{sid}]: FAILED ({error})")
-            continue
-        path = os.path.join(out, "chars", f"{sid}.csv")
-        chars.write_characteristics_csv([(sid, vec)], path)
-        ledger.mark_done(key, inputs[sid], [path])
-        vectors[sid] = vec
-        _log(f"characterize[{sid}]: done")
-    ledger.save()
+        cells.append((f"chars:{sid}", f"characterize[{sid}]",
+                      {"sample": digests[sid]},
+                      os.path.join(out, "chars", f"{sid}.csv"), (sid, s.graph)))
+    vectors = dict(_run_ledgered(
+        cfg, ledger, result, cells, _characterize_cell,
+        lambda path: chars.read_characteristics_csv(path)[0],
+        chars.write_characteristics_csv))
     chars.write_characteristics_csv(
-        [(sid, vectors[sid]) for sid in sorted(vectors)],
-        os.path.join(out, "characteristics.csv"))
-    result.characteristic_rows = len(vectors)
+        sorted(vectors.items()), os.path.join(out, "characteristics.csv"))
     return vectors
 
 
@@ -232,47 +247,27 @@ def _read_metric_row(path, k):
             stopped == "True")
 
 
-def train_samples(cfg, samples, sample_paths, ledger, result):
+def train_samples(cfg, samples, digests, ledger, result):
     """Per-(sample, model) training and evaluation cells, aggregated into
     ``metrics.csv``."""
-    out = cfg.out_dir
+    out, k = cfg.out_dir, cfg.metric_k
     os.makedirs(os.path.join(out, "metrics"), exist_ok=True)
-    rows = []
-    inputs = {}
-    todo = []
-    by_id = {s.spec.sample_id: s for s in samples}
-    for sid in sorted(by_id):
-        s = by_id[sid]
-        sample_digest = file_hash(sample_paths[sid])
+    cells = []
+    for s in samples:
+        sid = s.spec.sample_id
         for kind in cfg.models:
             model_cfg = cfg.config_for(kind)
-            key = f"train:{sid}:{kind}"
-            inputs[key] = {"sample": sample_digest,
-                           "config": repr(model_cfg),
-                           "k": str(cfg.metric_k)}
-            path = os.path.join(out, "metrics", f"{sid}_{kind}.csv")
-            if ledger.is_current(key, inputs[key]):
-                rows.append(_read_metric_row(path, cfg.metric_k))
-                _log(f"train[{sid},{kind}]: reused")
-            else:
-                todo.append((sid, s.graph, kind, model_cfg, s.spec.seed,
-                             cfg.metric_k))
-    for sid, kind, row, error in _run_cells(cfg.jobs, _train_cell, todo):
-        key = f"train:{sid}:{kind}"
-        if error is not None:
-            ledger.mark_failed(key, inputs[key], error)
-            result.failures.append((key, error))
-            _log(f"train[{sid},{kind}]: FAILED ({error})")
-            continue
-        path = os.path.join(out, "metrics", f"{sid}_{kind}.csv")
-        write_metrics_csv([row], path, cfg.metric_k)
-        ledger.mark_done(key, inputs[key], [path])
-        rows.append(row)
-        _log(f"train[{sid},{kind}]: done (recall@{cfg.metric_k}="
-             f"{row[2]:.4f}, {row[4]} epochs)")
-    ledger.save()
-    write_metrics_csv(rows, os.path.join(out, "metrics.csv"), cfg.metric_k)
-    result.metric_rows = len(rows)
+            cells.append((f"train:{sid}:{kind}", f"train[{sid},{kind}]",
+                          {"sample": digests[sid], "config": repr(model_cfg),
+                           "k": str(k)},
+                          os.path.join(out, "metrics", f"{sid}_{kind}.csv"),
+                          (sid, s.graph, kind, model_cfg, s.spec.seed, k)))
+    rows = _run_ledgered(
+        cfg, ledger, result, cells, _train_cell,
+        lambda path: _read_metric_row(path, k),
+        lambda rows, path: write_metrics_csv(rows, path, k),
+        lambda row: f" (recall@{k}={row[2]:.4f}, {row[4]} epochs)")
+    write_metrics_csv(rows, os.path.join(out, "metrics.csv"), k)
     return rows
 
 
@@ -284,10 +279,9 @@ def write_metrics_csv(rows, path, k):
             fh.write(f"{sid},{kind},{recall!r},{ndcg!r},{epochs},{stopped}\n")
 
 
-def fit_model_report(cfg, vectors, metric_rows, kind, metric_index=2):
+def fit_model_report(cfg, vectors, metric_rows, kind):
     """Regression of one model's metric on the characteristics."""
-    metrics = {row[0]: row[metric_index] for row in metric_rows
-               if row[1] == kind}
+    metrics = {row[0]: row[2] for row in metric_rows if row[1] == kind}
     design, y = build_design(vectors, metrics, standardize=cfg.standardize)
     # The five size/shape/density/degree characteristics are exact linear
     # functions of (log U, log I, log E), so the full design is collinear
@@ -306,29 +300,36 @@ def fit_model_report(cfg, vectors, metric_rows, kind, metric_index=2):
     return report
 
 
-def fit_reports(cfg, vectors, metric_rows, result, report_dir,
-                prefix="report", title_extra=""):
+def _regression_table(cfg, result, key, label, vectors, metric_rows, kind,
+                      stem, title, statistics=(), preamble=""):
+    """Fit ``kind``'s regression and write ``<stem>.csv`` (``statistics``
+    rows first) and ``<stem>.md`` (``preamble`` first), or record the
+    failure under ``key`` and return None."""
+    try:
+        report = fit_model_report(cfg, vectors, metric_rows, kind)
+    except (DesignError, RankDeficiencyError) as exc:
+        result.failures.append((key, str(exc)))
+        _log(f"{label}: FAILED ({exc})")
+        return None
+    write_report_csv(report, stem + ".csv", statistics)
+    with open(stem + ".md", "w", encoding="utf-8") as fh:
+        fh.write(preamble + render_markdown(
+            report, title=f"{title} (Recall@{cfg.metric_k})") + "\n")
+    return report
+
+
+def fit_reports(cfg, vectors, metric_rows, result):
+    """Per-model regressions over every sample, written to ``reports/``."""
+    report_dir = os.path.join(cfg.out_dir, "reports")
     os.makedirs(report_dir, exist_ok=True)
-    reports = {}
     for kind in cfg.models:
-        try:
-            report = fit_model_report(cfg, vectors, metric_rows, kind)
-        except (DesignError, RankDeficiencyError) as exc:
-            key = f"explain:{prefix}:{kind}"
-            result.failures.append((key, str(exc)))
-            _log(f"explain[{kind}]: FAILED ({exc})")
-            continue
-        csv_path = os.path.join(report_dir, f"{prefix}_{kind}.csv")
-        write_report_csv(report, csv_path)
-        title = f"{kind}{title_extra} (Recall@{cfg.metric_k})"
-        with open(os.path.join(report_dir, f"{prefix}_{kind}.md"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(render_markdown(report, title=title) + "\n")
-        reports[kind] = report
-        result.reports.append(csv_path)
-        _log(f"explain[{kind}]: R2={report.r2:.3f} "
-             f"(adj {report.adj_r2:.3f}, M={report.num_rows})")
-    return reports
+        report = _regression_table(
+            cfg, result, f"explain:report:{kind}", f"explain[{kind}]",
+            vectors, metric_rows, kind,
+            os.path.join(report_dir, f"report_{kind}"), kind)
+        if report is not None:
+            _log(f"explain[{kind}]: R2={report.r2:.3f} "
+                 f"(adj {report.adj_r2:.3f}, M={report.num_rows})")
 
 
 def emit_graph_diagnostics(lcc, vectors, out):
@@ -352,7 +353,8 @@ def start_run(cfg, resume=False):
     (cleared unless resuming), keep the dataset's LCC in ``lcc_edges.tsv``
     and write the sample pool.
 
-    Returns (lcc, samples, sample_paths, ledger, result).
+    Returns (lcc, samples, digests, ledger, result), ``digests`` mapping
+    each sample id to its sample file's digest.
     """
     out = cfg.out_dir
     lcc = load_dataset(cfg)
@@ -360,42 +362,38 @@ def start_run(cfg, resume=False):
     ledger = RunLedger(os.path.join(out, "ledger.json"))
     if not resume:
         ledger.cells = {}
-    result = RunResult(out_dir=out)
     write_interactions(lcc, os.path.join(out, "lcc_edges.tsv"))
     _log(f"ingest: LCC with {lcc.num_users} users, {lcc.num_items} items, "
          f"{lcc.num_interactions} interactions")
 
-    samples, sample_paths = prepare_samples(cfg, lcc)
-    result.num_samples = len(samples)
+    samples, digests = prepare_samples(cfg, lcc)
     _log(f"sample: wrote {len(samples)} sub-datasets")
-    return lcc, samples, sample_paths, ledger, result
+    return lcc, samples, digests, ledger, RunResult(out_dir=out)
 
 
 def run_experiment(cfg, resume=False):
-    """Execute ingest -> sample -> characterize -> train -> explain -> report.
+    """Execute ingest -> sample -> characterize -> train -> explain.
 
     Cell failures are recorded and skipped; regressions use the completed
     rows and note the attrition.
     """
-    lcc, samples, sample_paths, ledger, result = start_run(cfg, resume)
-    vectors = characterize_samples(cfg, samples, sample_paths, ledger, result)
-    metric_rows = train_samples(cfg, samples, sample_paths, ledger, result)
-    fit_reports(cfg, vectors, metric_rows, result,
-                os.path.join(cfg.out_dir, "reports"))
+    lcc, samples, digests, ledger, result = start_run(cfg, resume)
+    vectors = characterize_samples(cfg, samples, digests, ledger, result)
+    metric_rows = train_samples(cfg, samples, digests, ledger, result)
+    fit_reports(cfg, vectors, metric_rows, result)
     emit_graph_diagnostics(lcc, vectors, cfg.out_dir)
     return result, samples, vectors, metric_rows
 
 
-def rq2_sweep(cfg, samples, vectors, metric_rows, result=None):
+def rq2_sweep(cfg, samples, vectors, metric_rows, result):
     """Per-alpha regressions over mixed node-/edge-dropout sample pools.
 
     For each alpha, round((1-alpha)*total) node-dropout samples plus the
     complementary count of edge-dropout samples form the design set; each
-    model's regression is refitted on that set. Report metadata carries the
-    mean users/items/interactions of the selected samples.
+    model's regression is refitted on that set. Each report leads with the
+    mean users/items/interactions of the selected samples. Returns the
+    reports by (alpha, model).
     """
-    if result is None:
-        result = RunResult(out_dir=cfg.out_dir)
     rq2_dir = os.path.join(cfg.out_dir, "rq2")
     os.makedirs(rq2_dir, exist_ok=True)
     node_pool = [s for s in samples if s.spec.strategy == sampling.NODE_DROPOUT]
@@ -409,70 +407,43 @@ def rq2_sweep(cfg, samples, vectors, metric_rows, result=None):
     reports = {}
     for alpha in cfg.alphas:
         selected = sampling.mix_for_alpha(node_pool, edge_pool, alpha, total)
-        ids = [s.spec.sample_id for s in selected]
-        stats = {
-            "mean_users": float(np.mean([s.graph.num_users for s in selected])),
-            "mean_items": float(np.mean([s.graph.num_items for s in selected])),
-            "mean_interactions": float(np.mean(
-                [s.graph.num_interactions for s in selected])),
-        }
+        ids = {s.spec.sample_id for s in selected}
+        users, items, interactions = (
+            float(np.mean([getattr(s.graph, name) for s in selected]))
+            for name in ("num_users", "num_items", "num_interactions"))
         sub_vectors = {sid: vectors[sid] for sid in ids if sid in vectors}
-        sub_metrics = [row for row in metric_rows if row[0] in set(ids)]
+        sub_metrics = [row for row in metric_rows if row[0] in ids]
         for kind in cfg.models:
-            key = f"rq2:alpha={alpha:g}:{kind}"
-            try:
-                report = fit_model_report(cfg, sub_vectors, sub_metrics, kind)
-            except (DesignError, RankDeficiencyError) as exc:
-                result.failures.append((key, str(exc)))
-                _log(f"rq2[alpha={alpha:g},{kind}]: FAILED ({exc})")
+            report = _regression_table(
+                cfg, result, f"rq2:alpha={alpha:g}:{kind}",
+                f"rq2[alpha={alpha:g},{kind}]", sub_vectors, sub_metrics,
+                kind, os.path.join(rq2_dir, f"alpha_{alpha:g}_{kind}"),
+                f"{kind} at alpha={alpha:g}",
+                statistics=[("alpha", f"{alpha:g}"),
+                            ("mean_users", repr(users)),
+                            ("mean_items", repr(items)),
+                            ("mean_interactions", repr(interactions))],
+                preamble=f"Average sampling statistics: {users:.1f} users, "
+                         f"{items:.1f} items, {interactions:.1f} "
+                         f"interactions (alpha={alpha:g})\n\n")
+            if report is None:
                 continue
-            report.metadata.update({"alpha": alpha, **stats})
-            tag = f"alpha_{alpha:g}_{kind}"
-            csv_path = os.path.join(rq2_dir, f"{tag}.csv")
-            _write_rq2_csv(report, csv_path)
-            with open(os.path.join(rq2_dir, f"{tag}.md"), "w",
-                      encoding="utf-8") as fh:
-                fh.write(_rq2_header_markdown(report) + "\n")
-                fh.write(render_markdown(
-                    report, title=f"{kind} at alpha={alpha:g} "
-                    f"(Recall@{cfg.metric_k})") + "\n")
             reports[(alpha, kind)] = report
-            result.reports.append(csv_path)
-            summary_rows.append((alpha, kind, report.r2, report.adj_r2,
-                                 report.num_rows, stats))
+            summary_rows.append(f"{alpha:g},{kind},{report.r2!r},"
+                                f"{report.adj_r2!r},{report.num_rows},"
+                                f"{users!r},{items!r},{interactions!r}\n")
             _log(f"rq2[alpha={alpha:g},{kind}]: R2={report.r2:.3f} "
                  f"(M={report.num_rows})")
     with open(os.path.join(rq2_dir, "summary.csv"), "w", encoding="utf-8") as fh:
         fh.write("alpha,model,R2,adj_R2,M,"
                  "mean_users,mean_items,mean_interactions\n")
-        for alpha, kind, r2, adj, m, stats in summary_rows:
-            fh.write(f"{alpha:g},{kind},{r2!r},{adj!r},{m},"
-                     f"{stats['mean_users']!r},{stats['mean_items']!r},"
-                     f"{stats['mean_interactions']!r}\n")
-    return reports, result
+        fh.writelines(summary_rows)
+    return reports
 
 
-def _rq2_header_markdown(report):
-    md = report.metadata
-    return (f"Average sampling statistics: "
-            f"{md['mean_users']:.1f} users, {md['mean_items']:.1f} items, "
-            f"{md['mean_interactions']:.1f} interactions "
-            f"(alpha={md['alpha']:g})\n")
-
-
-def _write_rq2_csv(report, path):
-    """Standard report CSV prefixed by the sampling-statistics rows."""
-    md = report.metadata
-    write_report_csv(report, path, statistics=[
-        ("alpha", f"{md['alpha']:g}"),
-        ("mean_users", repr(md["mean_users"])),
-        ("mean_items", repr(md["mean_items"])),
-        ("mean_interactions", repr(md["mean_interactions"]))])
-
-
-def emit_report(cfg, out=None):
-    """Assemble runs' regression outputs into one markdown overview."""
-    out = out or cfg.out_dir
+def emit_report(cfg):
+    """Assemble a run's regression outputs into one markdown overview."""
+    out = cfg.out_dir
     sections = []
     for sub in ("reports", "rq2"):
         report_dir = os.path.join(out, sub)

@@ -165,20 +165,6 @@ def write_manifest(samples, path):
                      f"{g.num_interactions}\n")
 
 
-def read_manifest(path):
-    """Parse a manifest back into a list of SampleSpec plus size columns."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != MANIFEST_HEADER:
-            raise ValueError(f"unexpected manifest header: {header!r}")
-        for line in fh:
-            sid, strategy, mu, seed, nu, ni, ne = line.strip().split(",")
-            rows.append((SampleSpec(int(sid), strategy, float(mu), int(seed)),
-                         int(nu), int(ni), int(ne)))
-    return rows
-
-
 def write_sample_edges(sample, directory):
     """Dump one sample's edge list as ``samples/<id>.tsv`` token pairs."""
     os.makedirs(directory, exist_ok=True)

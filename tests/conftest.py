@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from topocf.graph import BipartiteGraph
+from topocf.graph import BipartiteGraph, ingest_and_build
+from topocf.sampling import MANIFEST_HEADER, SampleSpec
 
 
 def make_graph(edges, num_users=None, num_items=None):
@@ -13,6 +14,26 @@ def make_graph(edges, num_users=None, num_items=None):
     ni = num_items if num_items is not None else int(edges[:, 1].max()) + 1
     return BipartiteGraph.from_edge_array(
         edges, [f"u{j}" for j in range(nu)], [f"i{j}" for j in range(ni)])
+
+
+def load_graph(path):
+    """Read an interaction file from disk and build the graph."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return ingest_and_build(fh)
+
+
+def read_manifest(path):
+    """Parse a manifest back into a list of SampleSpec plus size columns."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != MANIFEST_HEADER:
+            raise ValueError(f"unexpected manifest header: {header!r}")
+        for line in fh:
+            sid, strategy, mu, seed, nu, ni, ne = line.strip().split(",")
+            rows.append((SampleSpec(int(sid), strategy, float(mu), int(seed)),
+                         int(nu), int(ni), int(ne)))
+    return rows
 
 
 def adjacency(g):

@@ -320,8 +320,8 @@ def test_acceptance_8_mixing_sweep(planted_pool, tmp_path):
     cfg = parse_config([f"out_dir={tmp_path}", "models=lightgcn"])
     metric_rows = [(sid, "lightgcn", y[sid], y[sid], 1, False)
                    for sid in sorted(y)]
-    reports, result = rq2_sweep(cfg, samples, vectors, metric_rows,
-                                RunResult(out_dir=str(tmp_path)))
+    result = RunResult(out_dir=str(tmp_path))
+    reports = rq2_sweep(cfg, samples, vectors, metric_rows, result)
 
     node_pool = [s for s in samples if s.spec.strategy == NODE_DROPOUT]
     edge_pool = [s for s in samples if s.spec.strategy == EDGE_DROPOUT]

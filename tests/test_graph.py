@@ -6,11 +6,11 @@ import pytest
 from topocf import graph
 from topocf.graph import (BipartiteGraph, GraphError, ProjectionCapError,
                           induced_subgraph, ingest_and_build,
-                          largest_connected_component, load_graph, project,
+                          largest_connected_component, project,
                           write_interactions)
 from topocf.synthetic import heavy_tailed_graph
 
-from conftest import adjacency, make_graph, random_bipartite
+from conftest import adjacency, load_graph, make_graph, random_bipartite
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Configuration parsing, orchestration, resume, parallelism, and the CLI."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from topocf import pipeline
+from topocf import graph, pipeline
 from topocf.characteristics import read_characteristics_csv
 from topocf.cli import main
 from topocf.config import ConfigError, parse_config
@@ -142,11 +144,9 @@ def test_ledger_failed_cells_rerun(tmp_path):
 def test_run_cardinalities(full_run):
     cfg, result, samples, vectors, metric_rows = full_run
     assert result.ok, result.failures
-    assert result.num_samples == 28
-    assert result.characteristic_rows == 28
-    assert result.metric_rows == 28 * 2
-    assert len(result.reports) == 2
+    assert len(samples) == 28
     assert len(vectors) == 28
+    assert len(metric_rows) == 28 * 2
     assert {row[1] for row in metric_rows} == {"lightgcn", "svdgcn"}
 
 
@@ -186,42 +186,109 @@ def test_aggregates_hold_plain_floats(full_run):
 
 def test_resume_reruns_only_invalidated_cells(full_run, monkeypatch):
     cfg, *_ = full_run
-    victim = os.path.join(cfg.out_dir, "metrics", "3_lightgcn.csv")
-    original = open(victim).read()
-    os.remove(victim)
+    victims = [os.path.join(cfg.out_dir, "chars", "5.csv"),
+               os.path.join(cfg.out_dir, "metrics", "3_lightgcn.csv")]
+    originals = [open(victim, "rb").read() for victim in victims]
+    for victim in victims:
+        os.remove(victim)
 
     calls = {"chars": 0, "train": 0}
-    real_train = pipeline._train_cell
 
-    def counting_chars(args):
-        calls["chars"] += 1
-        return pipeline._characterize_cell(args)
+    def counting(name, cell):
+        def counted(args):
+            calls[name] += 1
+            return cell(args)
+        return counted
 
-    def counting_train(args):
-        calls["train"] += 1
-        return real_train(args)
-
-    monkeypatch.setattr(pipeline, "_characterize_cell", counting_chars)
-    monkeypatch.setattr(pipeline, "_train_cell", counting_train)
+    monkeypatch.setattr(pipeline, "_characterize_cell",
+                        counting("chars", pipeline._characterize_cell))
+    monkeypatch.setattr(pipeline, "_train_cell",
+                        counting("train", pipeline._train_cell))
     result, *_ = run_experiment(cfg, resume=True)
     assert result.ok
-    assert calls == {"chars": 0, "train": 1}
-    # deterministic seeding regenerates the deleted cell byte-identically
-    assert open(victim).read() == original
+    assert calls == {"chars": 1, "train": 1}
+    # deterministic seeding regenerates the deleted cells byte-identically
+    assert [open(victim, "rb").read() for victim in victims] == originals
+
+
+def _tree(out):
+    """Every file under ``out``: relative path -> bytes."""
+    tree = {}
+    for base, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(base, name)
+            with open(path, "rb") as fh:
+                tree[os.path.relpath(path, out)] = fh.read()
+    return tree
 
 
 def test_serial_and_parallel_runs_are_byte_identical(dataset_path, tmp_path):
-    outputs = {}
-    for jobs in (1, 2):
-        out = tmp_path / f"jobs{jobs}"
-        cfg = _config(dataset_path, out, "num_samples=4",
-                      "models=lightgcn", f"jobs={jobs}")
-        run_experiment(cfg)
-        outputs[jobs] = {
-            name: open(os.path.join(out, name), "rb").read()
-            for name in ("characteristics.csv", "metrics.csv", "manifest.csv")
-        }
-    assert outputs[1] == outputs[2]
+    # the whole run-all tree (ledger, chars/, metrics/, reports/, rq2/ and
+    # report.md) of a serial run, a two-process run, and a resumed run
+    # after one chars and one metrics cell were deleted
+    args = [f"dataset={dataset_path}", "num_samples=28", "master_seed=3",
+            *FAST_MODEL_LINES, "models=lightgcn"]
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    assert main(["--out", str(serial), "run-all", *args]) == 0
+    expected = _tree(serial)
+    assert {"ledger.json", "chars/5.csv", "metrics/3_lightgcn.csv",
+            "reports/report_lightgcn.md", "rq2/summary.csv",
+            "report.md"} <= set(expected)
+    assert main(["--out", str(parallel), "--jobs", "2", "run-all",
+                 *args]) == 0
+    assert _tree(parallel) == expected
+    os.remove(parallel / "chars" / "5.csv")
+    os.remove(parallel / "metrics" / "3_lightgcn.csv")
+    assert main(["--out", str(parallel), "--jobs", "2", "--resume",
+                 "run-all", *args]) == 0
+    assert _tree(parallel) == expected
+
+
+def test_bench_trace_spans_name_every_patched_stage(dataset_path, tmp_path,
+                                                    monkeypatch):
+    # bench/trace_cli.py wraps pipeline attributes by name; a stage that is
+    # renamed, or no longer called through its module attribute, would
+    # drop out of the benchmark's per-layer metrics
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                          "trace_cli.py")
+    spec = importlib.util.spec_from_file_location("trace_cli", script)
+    trace_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_cli)
+
+    class PatchedNames:
+        def __init__(self):
+            self.names = set()
+
+        def patch(self, module, attr, name, on_return=None):
+            self.names.add(name)
+
+        def wrap(self, fn, name, on_return=None):
+            return fn
+
+        def count_calls(self, module, attr, counter):
+            pass
+
+    # install() rebinds from_edge_array on the class; restore it afterwards
+    monkeypatch.setattr(graph.BipartiteGraph, "from_edge_array",
+                        graph.BipartiteGraph.__dict__["from_edge_array"])
+    recorder = PatchedNames()
+    trace_cli.install(recorder)
+    stages = {name for name in recorder.names
+              if isinstance(name, str) and name.startswith("pipeline.")}
+    assert "pipeline.rq2_sweep" in stages
+
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, script, str(spans_path), "--out",
+         str(tmp_path / "out"), "run-all", f"dataset={dataset_path}",
+         "num_samples=28", "master_seed=3", *FAST_MODEL_LINES,
+         "models=lightgcn"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with open(spans_path, encoding="utf-8") as fh:
+        spans = json.load(fh)["spans"]
+    assert stages <= {span[0] for span in spans}
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +296,7 @@ def test_serial_and_parallel_runs_are_byte_identical(dataset_path, tmp_path):
 
 def test_rq2_sweep_outputs(full_run):
     cfg, result, samples, vectors, metric_rows = full_run
-    reports, result = pipeline.rq2_sweep(cfg, samples, vectors, metric_rows,
-                                         result)
+    reports = pipeline.rq2_sweep(cfg, samples, vectors, metric_rows, result)
     assert result.ok, result.failures
     # 4 alphas x 2 models, both pools hold 14 samples
     assert set(reports) == {(a, kind) for a in cfg.alphas
@@ -341,3 +407,15 @@ def test_cli_evaluate_prints_summary(dataset_path, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "lightgcn: mean recall@20=" in out
     assert "over 3 samples" in out
+
+
+@pytest.mark.parametrize("command, trigger", [
+    ("rq2", "strategies=node_dropout"),   # no edge-dropout pool
+    ("run-all", "rq2_total=50"),          # more than either pool holds
+])
+def test_cli_rq2_pool_error_exits_two(dataset_path, tmp_path, capsys,
+                                      command, trigger):
+    args = [command, f"dataset={dataset_path}", f"out_dir={tmp_path}/out",
+            "num_samples=4", *FAST_MODEL_LINES, "models=lightgcn", trigger]
+    assert main(args) == 2
+    assert "error: " in capsys.readouterr().err

@@ -5,12 +5,12 @@ import pytest
 
 from topocf.sampling import (DegenerateSampleError, SamplePoolError,
                              edge_dropout, generate_samples, mix_for_alpha,
-                             node_dropout, read_manifest, round_half_up,
-                             write_manifest, write_sample_edges)
+                             node_dropout, round_half_up, write_manifest,
+                             write_sample_edges)
 from topocf.seeds import stable_seed
 from topocf.synthetic import heavy_tailed_graph
 
-from conftest import make_graph, random_bipartite
+from conftest import load_graph, make_graph, random_bipartite, read_manifest
 
 
 def test_stable_seed_is_deterministic_and_order_sensitive():
@@ -181,8 +181,6 @@ def test_manifest_round_trip(tmp_path):
 
 
 def test_write_sample_edges_round_trip(tmp_path):
-    from topocf.graph import load_graph
-
     g = heavy_tailed_graph(num_users=60, num_items=40, num_interactions=400,
                            seed=8)
     sample = generate_samples(g, 1, master_seed=3)[0]
