@@ -70,7 +70,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, pipeline.sampling.SamplePoolError) as exc:
+    except (FileNotFoundError, pipeline.sampling.SamplePoolError,
+            pipeline.sampling.DegenerateSampleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,13 +3,14 @@
 Links per-sample characteristic vectors to a recommendation metric via a
 linear model with intercept, reporting coefficients, standard errors,
 two-sided t-test p-values with significance stars, R-squared and its
-degrees-of-freedom-adjusted version.
+degrees-of-freedom-adjusted version, and which coefficients the design
+identifies.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import stdtr
@@ -21,25 +22,13 @@ class DesignError(Exception):
     pass
 
 
-class RankDeficiencyError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Filtered, optionally z-scored predictor matrix with row provenance."""
+    """Filtered, optionally z-scored predictor matrix."""
 
     values: np.ndarray          # M x C, finite
     column_names: tuple
-    sample_ids: tuple           # row -> sample id
     dropped_ids: tuple          # sample ids excluded for undefined entries
-    column_means: np.ndarray
-    column_stds: np.ndarray
-    standardized: bool
-
-    @property
-    def num_rows(self):
-        return self.values.shape[0]
 
 
 @dataclass
@@ -55,8 +44,8 @@ class RegressionReport:
     residuals: np.ndarray
     y: np.ndarray
     column_names: tuple
+    identified: np.ndarray      # bool, intercept first, then per column
     dropped_rows: int = 0
-    metadata: dict = field(default_factory=dict)
 
     @property
     def num_rows(self):
@@ -67,14 +56,13 @@ class RegressionReport:
         return len(self.coefficients)
 
     def rows(self):
-        """(name, coefficient, std_err, t, p, stars) tuples, Constant first."""
-        out = [("Constant", self.theta0, self.std_errors[0], self.t_stats[0],
-                self.p_values[0], self.stars[0])]
-        for j, name in enumerate(self.column_names):
-            out.append((name, float(self.coefficients[j]),
-                        float(self.std_errors[j + 1]), float(self.t_stats[j + 1]),
-                        float(self.p_values[j + 1]), self.stars[j + 1]))
-        return out
+        """(name, coefficient, std_err, t, p, stars, identified) tuples,
+        Constant first."""
+        coefs = (self.theta0, *self.coefficients)
+        return [(name, float(coefs[j]), float(self.std_errors[j]),
+                 float(self.t_stats[j]), float(self.p_values[j]),
+                 self.stars[j], bool(self.identified[j]))
+                for j, name in enumerate(("Constant", *self.column_names))]
 
 
 def build_design(vectors, metrics, standardize=True,
@@ -87,7 +75,7 @@ def build_design(vectors, metrics, standardize=True,
     logged by id; with ``standardize`` each retained column is z-scored.
     """
     names = tuple(column_names)
-    ids, rows, ys, dropped = [], [], [], []
+    rows, ys, dropped = [], [], []
     for sample_id in sorted(vectors):
         row = np.asarray(vectors[sample_id], dtype=np.float64)
         if len(row) != len(names):
@@ -97,25 +85,21 @@ def build_design(vectors, metrics, standardize=True,
         if sample_id not in metrics or not np.all(np.isfinite(row)):
             dropped.append(sample_id)
             continue
-        ids.append(sample_id)
         rows.append(row)
         ys.append(float(metrics[sample_id]))
     if len(rows) < len(names) + 2:
         raise DesignError(
             f"need at least {len(names) + 2} usable rows, have {len(rows)}")
     X = np.array(rows)
-    means = X.mean(axis=0)
     stds = X.std(axis=0, ddof=0)
     flat = np.flatnonzero(stds == 0)
     if len(flat):
         raise DesignError("zero-variance column(s): "
                           + ", ".join(names[j] for j in flat))
     if standardize:
-        X = (X - means) / stds
+        X = (X - X.mean(axis=0)) / stds
     design = DesignMatrix(values=X, column_names=names,
-                          sample_ids=tuple(ids), dropped_ids=tuple(dropped),
-                          column_means=means, column_stds=stds,
-                          standardized=standardize)
+                          dropped_ids=tuple(dropped))
     return design, np.array(ys)
 
 
@@ -130,98 +114,73 @@ def significance_stars(p):
     return "*" if p <= 0.05 else ""
 
 
-def fit_ols(design, y, rank_policy="error"):
-    """Least-squares fit of y on a DesignMatrix's columns plus an
-    intercept, solved by pivoted QR.
+def fit_ols(design, y):
+    """Minimum-norm least-squares fit of y on a DesignMatrix's columns plus
+    an intercept, from one thin SVD ``A = U S V'`` of ``A = [1 | X]``.
 
-    Rank deficiency raises naming the collinear columns (those whose pivots
-    carry a negligible diagonal in R). Standard errors come from
-    sigma^2 * diag((X'X)^-1) with sigma^2 = SS_res / (M - C - 1); p-values
-    are two-sided Student-t with the same degrees of freedom.
+    Singular values at or below ``max(M, C + 1) * eps * s_1`` are treated
+    as zero; the other ``rank`` give beta = V S^+ U'y and unit variances
+    diag(V S^+2 V'). Standard errors are the square roots of sigma^2
+    times those, with sigma^2 = SS_res / (M - rank); p-values are
+    two-sided Student-t and adjusted R-squared uses the same M - rank
+    degrees of freedom. A full-rank design (rank C + 1) gives the
+    ordinary OLS estimates.
 
-    With rank_policy="pinv" an exactly collinear design is instead solved
-    by minimum-norm least squares: coefficients from the pseudo-inverse,
-    covariance sigma^2 * pinv(X'X), and the detected collinear columns
-    recorded in report.metadata["collinear_columns"]. This matches how
-    standard statistics packages silently handle designs whose columns are
-    deterministic functions of one another.
+    Coefficient j is identified when no exact collinearity moves it: row
+    j of the null-space basis (the columns of V past the rank) has a norm
+    of at most sqrt(tol / s_rank). tol / s_rank bounds the rounding error
+    of that basis; its square root sits midway, on a log scale, between
+    that error and the unit norm of a null vector. A rank-deficient
+    design, such as the characteristics, five of which are linear in
+    (log U, log I, log E), still fits: its identified coefficients are the
+    estimates any least-squares solution shares, while the non-identified
+    ones (``report.identified`` False, ``n.i.`` in the markdown) carry the
+    minimum-norm convention.
     """
     X = design.values
-    names = design.column_names
     y = np.asarray(y, dtype=np.float64)
     m, c = X.shape
-    dof = m - c - 1
-    if dof < 1:
+    if m < c + 2:
         raise DesignError(f"{m} rows leave no degrees of freedom for "
                           f"{c} predictors plus intercept")
     A = np.column_stack([np.ones(m), X])
-    Q, R, piv = _pivoted_qr(A)
-    diag = np.abs(np.diag(R))
-    tol = max(m, c + 1) * np.finfo(np.float64).eps * (diag.max() or 1.0)
-    deficient = np.flatnonzero(diag <= tol)
-    collinear = ["Constant" if piv[j] == 0 else names[piv[j] - 1]
-                 for j in deficient]
-    if collinear and rank_policy != "pinv":
-        raise RankDeficiencyError("collinear column(s): "
-                                  + ", ".join(collinear))
-    if collinear:
-        gram_pinv = np.linalg.pinv(A.T @ A,
-                                   rcond=max(m, c + 1) * np.finfo(float).eps)
-        beta = gram_pinv @ (A.T @ y)
-        var_unit = np.diag(gram_pinv)
-    else:
-        beta_piv = np.linalg.solve(R, Q.T @ y)
-        beta = np.empty_like(beta_piv)
-        beta[piv] = beta_piv
-        Rinv = np.linalg.solve(R, np.eye(c + 1))
-        var_unit = np.empty(c + 1)
-        var_unit[piv] = np.diag(Rinv @ Rinv.T)
-    fitted = A @ beta
-    residuals = y - fitted
+    # with M > C + 1 the thin SVD's V is square, so V[:, rank:] spans the
+    # whole null space
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    tol = max(m, c + 1) * np.finfo(np.float64).eps * s[0]
+    rank = int(np.count_nonzero(s > tol))
+    dof = m - rank
+    scaled = Vt[:rank].T / s[:rank]                 # V S^+
+    beta = scaled @ (U[:, :rank].T @ y)
+    var_unit = (scaled * scaled).sum(axis=1)
+    identified = (np.linalg.norm(Vt[rank:], axis=0)
+                  <= np.sqrt(tol / s[rank - 1]))
+    residuals = y - A @ beta
     ss_res = float(residuals @ residuals)
     centered = y - y.mean()
     ss_tot = float(centered @ centered)
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     adj_r2 = 1.0 - (1.0 - r2) * (m - 1) / dof
-    sigma2 = ss_res / dof
-    se = np.sqrt(sigma2 * var_unit)
+    se = np.sqrt(ss_res / dof * var_unit)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, beta / se, np.inf * np.sign(beta))
     p = 2.0 * stdtr(dof, -np.abs(t))
-    stars = tuple(significance_stars(pj) for pj in p)
-    report = RegressionReport(
+    return RegressionReport(
         theta0=float(beta[0]), coefficients=beta[1:], std_errors=se,
-        t_stats=t, p_values=p, stars=stars, r2=r2, adj_r2=adj_r2,
-        residuals=residuals, y=y, column_names=names,
+        t_stats=t, p_values=p, stars=tuple(map(significance_stars, p)),
+        r2=r2, adj_r2=adj_r2, residuals=residuals, y=y,
+        column_names=design.column_names, identified=identified,
         dropped_rows=len(design.dropped_ids))
-    if collinear:
-        report.metadata["collinear_columns"] = tuple(collinear)
-    return report
 
 
-def _pivoted_qr(A):
-    """QR with greedy column pivoting on remaining column norms."""
-    m, n = A.shape
-    piv = list(range(n))
-    work = A.copy()
-    norms = (work * work).sum(axis=0)
-    for j in range(n):
-        k = j + int(np.argmax(norms[j:]))
-        if k != j:
-            work[:, [j, k]] = work[:, [k, j]]
-            piv[j], piv[k] = piv[k], piv[j]
-            norms[[j, k]] = norms[[k, j]]
-        norms[j + 1:] = (work[:, j + 1:] * work[:, j + 1:]).sum(axis=0)
-    Q, R = np.linalg.qr(work)
-    return Q, R, np.array(piv)
-
-
-REPORT_HEADER = ["characteristic", "coefficient", "std_err", "t", "p", "stars"]
+REPORT_HEADER = ["characteristic", "coefficient", "std_err", "t", "p", "stars",
+                 "identified"]
 
 
 def write_report_csv(report, path, statistics=()):
     """Summary rows (the given ``(name, value)`` statistics, then R2, adj
-    R2, M, C) then the coefficient table."""
+    R2, M, C) then the coefficient table, whose ``identified`` column is 1
+    or 0."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["statistic", "value"])
@@ -232,22 +191,26 @@ def write_report_csv(report, path, statistics=()):
         writer.writerow(["C", report.num_predictors])
         writer.writerow(["dropped_rows", report.dropped_rows])
         writer.writerow(REPORT_HEADER)
-        for name, coef, se, t, p, stars in report.rows():
-            writer.writerow([name, repr(float(coef)), repr(float(se)),
-                             repr(float(t)), repr(float(p)), stars])
+        for name, coef, se, t, p, stars, identified in report.rows():
+            writer.writerow([name, repr(coef), repr(se), repr(t), repr(p),
+                             stars, int(identified)])
 
 
 def render_markdown(report, title="Explanatory model"):
     """Results table: R2 row first, then Constant, then one row per
-    characteristic with its stars."""
+    characteristic with its stars, or ``n.i.`` when not identified."""
     lines = [f"### {title}", "",
              "| Term | Coefficient | Std. err. | t | p | |",
              "| --- | ---: | ---: | ---: | ---: | --- |",
              f"| R² (adj.) | {report.r2:.3f} ({report.adj_r2:.3f}) | | | | |"]
-    for name, coef, se, t, p, stars in report.rows():
+    for name, coef, se, t, p, stars, identified in report.rows():
         lines.append(f"| {name} | {coef:.4f} | {se:.4f} | {t:.2f} "
-                     f"| {p:.3g} | {stars} |")
+                     f"| {p:.3g} | {stars if identified else 'n.i.'} |")
     lines.append("")
     lines.append("*** p ≤ 0.001, ** p ≤ 0.01, * p ≤ 0.05 "
                  f"(M = {report.num_rows}, dropped = {report.dropped_rows})")
+    if not report.identified.all():
+        lines += ["", "n.i.: not identified, the design's columns are "
+                      "collinear in this term; its values are the "
+                      "minimum-norm convention, not estimates."]
     return "\n".join(lines)

@@ -40,8 +40,8 @@ import numpy as np
 from . import characteristics as chars
 from . import sampling
 from .evaluation import evaluate
-from .explain import (DesignError, RankDeficiencyError, build_design, fit_ols,
-                      render_markdown, write_report_csv)
+from .explain import (DesignError, build_design, fit_ols, render_markdown,
+                      write_report_csv)
 from .graph import (ingest_and_build, largest_connected_component,
                     write_interactions)
 from .models.base import train_model
@@ -279,35 +279,16 @@ def write_metrics_csv(rows, path, k):
             fh.write(f"{sid},{kind},{recall!r},{ndcg!r},{epochs},{stopped}\n")
 
 
-def fit_model_report(cfg, vectors, metric_rows, kind):
-    """Regression of one model's metric on the characteristics."""
-    metrics = {row[0]: row[2] for row in metric_rows if row[1] == kind}
-    design, y = build_design(vectors, metrics, standardize=cfg.standardize)
-    # The five size/shape/density/degree characteristics are exact linear
-    # functions of (log U, log I, log E), so the full design is collinear
-    # by construction; fall back to the minimum-norm solution when the
-    # strict fit rejects it.
-    try:
-        report = fit_ols(design, y)
-    except RankDeficiencyError as exc:
-        _log(f"explain[{kind}]: {exc}; using minimum-norm least squares")
-        report = fit_ols(design, y, rank_policy="pinv")
-    report.metadata.update({
-        "model": kind,
-        "usable_rows": design.num_rows,
-        "attrition": len(vectors) - design.num_rows,
-    })
-    return report
-
-
 def _regression_table(cfg, result, key, label, vectors, metric_rows, kind,
                       stem, title, statistics=(), preamble=""):
     """Fit ``kind``'s regression and write ``<stem>.csv`` (``statistics``
     rows first) and ``<stem>.md`` (``preamble`` first), or record the
     failure under ``key`` and return None."""
+    metrics = {row[0]: row[2] for row in metric_rows if row[1] == kind}
     try:
-        report = fit_model_report(cfg, vectors, metric_rows, kind)
-    except (DesignError, RankDeficiencyError) as exc:
+        design, y = build_design(vectors, metrics, standardize=cfg.standardize)
+        report = fit_ols(design, y)
+    except DesignError as exc:
         result.failures.append((key, str(exc)))
         _log(f"{label}: FAILED ({exc})")
         return None

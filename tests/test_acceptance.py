@@ -28,7 +28,7 @@ from topocf.sampling import (EDGE_DROPOUT, NODE_DROPOUT, edge_dropout,
 from topocf.synthetic import heavy_tailed_graph, two_block_graph
 
 from conftest import make_graph, random_bipartite, row_items
-from test_explain import _design, _p_two_sided_oracle
+from test_explain import COUNT_DERIVED, _design, _p_two_sided_oracle
 
 
 def _verdict(number, label, ok, detail=""):
@@ -299,7 +299,7 @@ def test_acceptance_7_planted_signal_recovered(planted_pool):
     start = time.perf_counter()
     samples, vectors, y = planted_pool
     design, target = build_design(vectors, y)
-    report = fit_ols(design, target, rank_policy="pinv")
+    report = fit_ols(design, target)
     names = list(report.column_names)
     i_density = names.index("Density_log")
     i_gini = names.index("Gini-I")
@@ -307,12 +307,19 @@ def test_acceptance_7_planted_signal_recovered(planted_pool):
                and report.coefficients[i_gini] > 0)
     p_ok = (report.p_values[i_density + 1] <= 0.05
             and report.p_values[i_gini + 1] <= 0.05)
+    # exactly the five count-derived columns are not identified; Gini-I
+    # and the other five characteristics are
+    not_identified = {name for name, flag
+                      in zip(names, report.identified[1:]) if not flag}
+    identified_ok = not_identified == set(COUNT_DERIVED)
     elapsed = time.perf_counter() - start
-    ok = coef_ok and p_ok and report.r2 >= 0.8 and elapsed < 10 * 60
+    ok = (coef_ok and p_ok and identified_ok and report.r2 >= 0.8
+          and elapsed < 10 * 60)
     _verdict(7, "planted signal", ok,
              f"p(Density_log)={report.p_values[i_density + 1]:.1e}, "
              f"p(Gini-I)={report.p_values[i_gini + 1]:.1e}, "
-             f"R2={report.r2:.3f}")
+             f"R2={report.r2:.3f}, not identified: "
+             f"{', '.join(sorted(not_identified))}")
 
 
 def test_acceptance_8_mixing_sweep(planted_pool, tmp_path):

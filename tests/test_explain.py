@@ -6,19 +6,26 @@ import math
 import numpy as np
 import pytest
 
+from topocf.characteristics import SHORTHAND_NAMES, compute_vector
 from topocf.explain import (REPORT_HEADER, DesignError, DesignMatrix,
-                            RankDeficiencyError, RegressionReport,
-                            build_design, fit_ols, render_markdown,
-                            significance_stars, write_report_csv)
+                            RegressionReport, build_design, fit_ols,
+                            render_markdown, significance_stars,
+                            write_report_csv)
+from topocf.graph import largest_connected_component
+from topocf.sampling import DegenerateSampleError, generate_samples
+from topocf.synthetic import heavy_tailed_graph
+
+
+# exact linear functions of (log U, log I, log E): a design holding all five
+# identifies none of them
+COUNT_DERIVED = ("SpaceSize_log", "Shape_log", "Density_log",
+                 "AvgDegree-U_log", "AvgDegree-I_log")
 
 
 def _design(X, names=None):
     X = np.asarray(X, dtype=float)
     names = names or tuple(f"x{j + 1}" for j in range(X.shape[1]))
-    return DesignMatrix(values=X, column_names=tuple(names),
-                        sample_ids=tuple(range(len(X))), dropped_ids=(),
-                        column_means=X.mean(axis=0),
-                        column_stds=X.std(axis=0), standardized=False)
+    return DesignMatrix(values=X, column_names=tuple(names), dropped_ids=())
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +176,25 @@ def test_rank_deficiency_names_columns():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(30, 3))
     X = np.column_stack([X, X[:, 0] + X[:, 1]])
-    with pytest.raises(RankDeficiencyError, match="collinear"):
-        fit_ols(_design(X, names=("a", "b", "c", "a_plus_b")),
-                rng.normal(size=30))
+    y = rng.normal(size=30)
+    report = fit_ols(_design(X, names=("a", "b", "c", "a_plus_b")), y)
+    assert report.identified.tolist() == [True, False, False, True, False]
+    # the identified coefficient is the one a fit without the collinear
+    # column gives
+    alone = fit_ols(_design(X[:, :3], names=("a", "b", "c")), y)
+    assert report.coefficients[2] == pytest.approx(alone.coefficients[2],
+                                                   abs=1e-10)
+    assert report.std_errors[3] == pytest.approx(alone.std_errors[3],
+                                                 abs=1e-10)
 
 
-def test_pinv_policy_handles_collinear_design():
+def test_collinear_design_fitted_values_match_lstsq():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(40, 2))
     X = np.column_stack([X, X[:, 0] + X[:, 1]])
     y = 1.0 + 2.0 * X[:, 0] + rng.normal(scale=0.1, size=40)
-    report = fit_ols(_design(X, names=("a", "b", "ab")), y, rank_policy="pinv")
-    assert "collinear_columns" in report.metadata
+    report = fit_ols(_design(X, names=("a", "b", "ab")), y)
+    assert not report.identified[1:].any()
     fitted = y - report.residuals
     # predictions still match an lstsq solve even though coefficients are
     # only identified up to the null space
@@ -228,9 +242,9 @@ def test_build_design_standardizes_columns():
     vectors = {i: rng.normal(loc=5.0, scale=3.0, size=3) for i in range(20)}
     metrics = {i: rng.normal() for i in range(20)}
     design, y = build_design(vectors, metrics, column_names=("a", "b", "c"))
-    assert design.standardized
     np.testing.assert_allclose(design.values.mean(axis=0), 0.0, atol=1e-12)
-    np.testing.assert_allclose(design.values.std(axis=0), 1.0, atol=1e-12)
+    np.testing.assert_allclose(design.values.std(axis=0, ddof=0), 1.0,
+                               atol=1e-12)
     assert len(y) == 20
 
 
@@ -243,7 +257,8 @@ def test_build_design_drops_undefined_rows():
     del metrics[9]  # missing metric also drops the row
     design, y = build_design(vectors, metrics, column_names=("a", "b"))
     assert design.dropped_ids == (3, 7, 9)
-    assert design.num_rows == 9
+    assert design.values.shape == (9, 2)
+    assert len(y) == 9
 
 
 def test_build_design_errors():
@@ -278,6 +293,47 @@ def test_intercept_equals_mean_with_standardized_predictors():
     assert report.theta0 == pytest.approx(float(np.mean(y)), abs=1e-10)
 
 
+def test_characteristic_designs_fit_or_lack_rows():
+    """Default-config samples of heavy-tailed graphs, tiny to desk-sized:
+    each fit succeeds with finite identified estimates and at most the
+    count-derived columns unidentified, or has too few usable rows."""
+    outcomes = {"fit": 0, "rows": 0}
+    for size in ((12, 8, 30), (60, 40, 300), (300, 150, 2000)):
+        for exponents in ((0.0, 0.0), (0.5, 1.0), (1.4, 0.3)):
+            for seed in (1, 2, 3):
+                g = largest_connected_component(
+                    heavy_tailed_graph(*size, *exponents, seed=seed))
+                try:
+                    samples = generate_samples(g, 20, master_seed=seed)
+                except DegenerateSampleError:
+                    # dropping 70-90% of a 20-node graph can leave no edge
+                    # in every retry; the sampler refuses, so nothing fits
+                    assert size == (12, 8, 30)
+                    continue
+                vectors = {s.spec.sample_id: compute_vector(s.graph)
+                           for s in samples}
+                noise = np.random.default_rng(seed)
+                y = {sid: float(noise.normal()) for sid in vectors}
+                try:
+                    report = fit_ols(*build_design(vectors, y))
+                except DesignError as exc:
+                    assert "usable rows" in str(exc)
+                    outcomes["rows"] += 1
+                    continue
+                outcomes["fit"] += 1
+                identified = report.identified
+                assert np.isfinite(report.theta0) and identified[0]
+                for values in (report.std_errors, report.t_stats,
+                               report.p_values):
+                    assert np.all(np.isfinite(values[identified]))
+                assert np.all(np.isfinite(
+                    report.coefficients[identified[1:]]))
+                assert {name for name, flag
+                        in zip(SHORTHAND_NAMES, identified[1:])
+                        if not flag} <= set(COUNT_DERIVED)
+    assert outcomes["fit"] and outcomes["rows"]
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -303,12 +359,13 @@ def read_report_csv(path):
     t = np.array([float(r[3]) for r in table])
     p = np.array([float(r[4]) for r in table])
     stars = tuple(r[5] for r in table)
+    identified = np.array([{"1": True, "0": False}[r[6]] for r in table])
     m = int(stats["M"])
     return RegressionReport(
         theta0=float(table[0][1]), coefficients=coefs, std_errors=se,
         t_stats=t, p_values=p, stars=stars, r2=float(stats["R2"]),
         adj_r2=float(stats["adj_R2"]), residuals=np.zeros(m),
-        y=np.zeros(m), column_names=names,
+        y=np.zeros(m), column_names=names, identified=identified,
         dropped_rows=int(stats.get("dropped_rows", 0)))
 
 
@@ -316,18 +373,25 @@ def test_report_csv_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     X = rng.normal(size=(40, 3))
     y = X @ np.array([1.0, 0.0, -0.5]) + rng.normal(size=40)
-    report = fit_ols(_design(X, names=("a", "b", "c")), y)
-    path = tmp_path / "report.csv"
-    write_report_csv(report, path)
-    back = read_report_csv(path)
-    assert back.theta0 == report.theta0
-    np.testing.assert_array_equal(back.coefficients, report.coefficients)
-    np.testing.assert_array_equal(back.std_errors, report.std_errors)
-    np.testing.assert_array_equal(back.p_values, report.p_values)
-    assert back.stars == report.stars
-    assert back.r2 == report.r2
-    assert back.adj_r2 == report.adj_r2
-    assert back.column_names == report.column_names
+    collinear = np.column_stack([X, X[:, 0] - X[:, 2]])
+    for X, names, identified in [
+            (X, ("a", "b", "c"), [True] * 4),
+            (collinear, ("a", "b", "c", "a_minus_c"),
+             [True, False, True, False, False])]:
+        report = fit_ols(_design(X, names=names), y)
+        path = tmp_path / f"report_{len(names)}.csv"
+        write_report_csv(report, path)
+        back = read_report_csv(path)
+        assert back.theta0 == report.theta0
+        np.testing.assert_array_equal(back.coefficients, report.coefficients)
+        np.testing.assert_array_equal(back.std_errors, report.std_errors)
+        np.testing.assert_array_equal(back.p_values, report.p_values)
+        assert back.stars == report.stars
+        assert back.identified.tolist() == identified
+        np.testing.assert_array_equal(back.identified, report.identified)
+        assert back.r2 == report.r2
+        assert back.adj_r2 == report.adj_r2
+        assert back.column_names == report.column_names
 
 
 def test_render_markdown_layout():
@@ -345,3 +409,20 @@ def test_render_markdown_layout():
                      if l.startswith("| alpha"))
     assert constant_idx < alpha_idx
     assert "***" in lines[alpha_idx]
+    assert "n.i." not in text
+
+
+def test_render_markdown_marks_non_identified_terms():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(40, 3))
+    X = np.column_stack([X, X[:, 0] + X[:, 1]])
+    y = 3.0 * X[:, 0] + 2.0 * X[:, 2] + rng.normal(size=40)
+    report = fit_ols(_design(X, names=("a", "b", "c", "ab")), y)
+    lines = render_markdown(report, title="demo").splitlines()
+    marks = {l.split(" | ")[0][2:]: l.rsplit("|", 2)[1].strip()
+             for l in lines if l.startswith("| ") and " | " in l}
+    assert marks["a"] == marks["b"] == marks["ab"] == "n.i."
+    assert marks["c"] == "***"
+    assert marks["Constant"] != "n.i."
+    assert lines[-1].startswith("n.i.: not identified")
+    assert "minimum-norm" in lines[-1]

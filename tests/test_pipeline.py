@@ -419,3 +419,13 @@ def test_cli_rq2_pool_error_exits_two(dataset_path, tmp_path, capsys,
             "num_samples=4", *FAST_MODEL_LINES, "models=lightgcn", trigger]
     assert main(args) == 2
     assert "error: " in capsys.readouterr().err
+
+
+def test_cli_degenerate_sample_exits_two(tmp_path, capsys):
+    # dropping 70-90% of one edge's two nodes or its edge leaves nothing
+    dataset = tmp_path / "one_edge.tsv"
+    dataset.write_text("0\t0\n")
+    args = ["sample", f"dataset={dataset}", f"out_dir={tmp_path}/out",
+            "num_samples=2"]
+    assert main(args) == 2
+    assert "error: sample 0: still degenerate" in capsys.readouterr().err
