@@ -1,8 +1,11 @@
 """Top-K accuracy metrics (Recall@K, nDCG@K) over held-out interactions.
 
-Users are ranked in blocks: one product scores a block of users against
-every item, each user's excluded items are set to -inf, and one stable
-sort ranks the rest, so ties break by ascending item index.
+Users are ranked in blocks of about ``BLOCK_BYTES`` of scores: one product
+scores a block of users against every item, and each user's excluded
+items, read from the split's user-side CSR slices, are set to -inf. Each
+row's k-th largest score is found by partition; the items scoring at
+least that much are sorted by (-score, item), so ties break by ascending
+item index, and each row keeps its first k.
 """
 
 from __future__ import annotations
@@ -11,11 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 
-# entries of the (block users x items) score matrix ranked at a time
-BLOCK_ENTRIES = 2 ** 16
+# bytes of float64 (block users x items) scores ranked at a time
+BLOCK_BYTES = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -26,10 +28,14 @@ class EvaluationResult:
     num_users: int
 
 
-def _item_matrix(edges, indptr, num_items):
-    """A Split's sorted (user, item) edges as a boolean user x item CSR."""
-    return sp.csr_matrix((np.ones(len(edges), dtype=bool), edges[:, 1], indptr),
-                         shape=(len(indptr) - 1, num_items))
+def _block_entries(edges, indptr, rows):
+    """(block row, item) of every edge of users ``rows`` in a Split's
+    sorted (user, item) edges with row pointers ``indptr``."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    block_rows = np.repeat(np.arange(len(rows)), counts)
+    first = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return block_rows, edges[first + np.arange(len(block_rows)), 1]
 
 
 def evaluate(model, split, k=20, phase="test"):
@@ -41,12 +47,11 @@ def evaluate(model, split, k=20, phase="test"):
     nDCG uses binary relevance with the ideal DCG cut at
     min(k, |held-out items|).
     """
-    num_items = len(model.item_embeddings)
-    train = _item_matrix(split.train_edges, split.train_indptr, num_items)
-    valid = _item_matrix(split.valid_edges, split.valid_indptr, num_items)
+    train = (split.train_edges, split.train_indptr)
+    valid = (split.valid_edges, split.valid_indptr)
     if phase == "test":
         users = split.test_users
-        held_out = _item_matrix(split.test_edges, split.test_indptr, num_items)
+        held_out = (split.test_edges, split.test_indptr)
         excluded = (train, valid)
     elif phase == "valid":
         users = split.valid_users
@@ -57,19 +62,28 @@ def evaluate(model, split, k=20, phase="test"):
     if len(users) == 0:
         raise ValueError(f"no evaluated users for phase {phase!r}")
 
-    discount = np.array([1.0 / math.log2(pos + 1)
-                         for pos in range(1, min(k, num_items) + 1)])
+    num_items = len(model.item_embeddings)
+    kk = min(k, num_items)
+    discount = np.array([1.0 / math.log2(pos + 1) for pos in range(1, kk + 1)])
     ideal = np.cumsum(discount)
-    sizes = np.diff(held_out.indptr)[users]
+    sizes = np.diff(held_out[1])[users]
     recalls, dcgs = [], []
-    block = max(1, BLOCK_ENTRIES // num_items)
+    block = max(1, BLOCK_BYTES // (8 * num_items))
     for start in range(0, len(users), block):
         rows = users[start:start + block]
         scores = model.user_embeddings[rows] @ model.item_embeddings.T
-        for items in excluded:
-            scores[items[rows].nonzero()] = -np.inf
-        top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-        hits = np.take_along_axis(held_out[rows].toarray(), top, axis=1)
+        for edges, indptr in excluded:
+            scores[_block_entries(edges, indptr, rows)] = -np.inf
+        kth = np.partition(scores, num_items - kk, axis=1)[:, num_items - kk]
+        # every row has at least kk candidates; nonzero lists them row by
+        # row, and sorting keeps the rows in place
+        r, c = np.nonzero(scores >= kth[:, None])
+        order = np.lexsort((c, -scores[r, c], r))
+        first = np.searchsorted(r, np.arange(len(rows)))
+        top = c[order][first[:, None] + np.arange(kk)]
+        relevant = np.zeros(scores.shape, dtype=bool)
+        relevant[_block_entries(*held_out, rows)] = True
+        hits = np.take_along_axis(relevant, top, axis=1)
         recalls.append(hits.sum(axis=1))
         # left to right, the order of a running sum over the ranks
         dcgs.append(np.cumsum(hits * discount, axis=1)[:, -1])

@@ -126,13 +126,11 @@ def normal_init(rng, rows, dim):
     return rng.normal(0.0, 0.1, size=(rows, dim))
 
 
-def sample_negative_items(rng, users, split, num_items):
-    """One uniform negative per row, resampled on collision with the
+def sample_negative_items(rng, users, split):
+    """One uniform negative item per row, resampled on collision with the
     user's train positives (skipped for users with a full positive set)."""
-    # sorted u*I+i keys of the train edges, closed by a sentinel above any
-    # key so that every search lands on a valid position
-    keys = np.append(split.train_edges[:, 0] * num_items
-                     + split.train_edges[:, 1], np.iinfo(np.int64).max)
+    num_items = split.graph.num_items
+    keys = split.train_keys
     negs = rng.integers(num_items, size=len(users))
 
     def collides(rows):
@@ -304,7 +302,7 @@ class PropagationModel(EmbeddingModel):
 
     def batch_gradient(self, rng, batch, split, E):
         users, pos = batch[:, 0], batch[:, 1]
-        negs = sample_negative_items(rng, users, split, self.num_items)
+        negs = sample_negative_items(rng, users, split)
         loss, terms = bpr_pairs(users, pos, negs, E, self.num_users)
         return loss, pair_gradient(terms, E)
 

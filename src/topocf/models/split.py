@@ -23,6 +23,9 @@ class Split:
     ``train_indptr`` (likewise ``valid_``/``test_``) holds their row
     pointers, so user ``u``'s train items are the slice
     ``train_edges[train_indptr[u]:train_indptr[u + 1], 1]``.
+    ``train_keys`` holds the sorted ``user * num_items + item`` keys of the
+    train edges, closed by a sentinel above any key so that every search
+    lands on a valid position.
     """
 
     graph: object
@@ -32,6 +35,8 @@ class Split:
     train_indptr: np.ndarray = field(init=False)
     valid_indptr: np.ndarray = field(init=False)
     test_indptr: np.ndarray = field(init=False)
+    train_user_degrees: np.ndarray = field(init=False)
+    train_keys: np.ndarray = field(init=False)
     test_users: np.ndarray = field(init=False)
     valid_users: np.ndarray = field(init=False)
     excluded_users: int = field(init=False)
@@ -42,6 +47,10 @@ class Split:
         self.train_edges, self.train_indptr = sort_rows(self.train_edges, U)
         self.valid_edges, self.valid_indptr = sort_rows(self.valid_edges, U)
         self.test_edges, self.test_indptr = sort_rows(self.test_edges, U)
+        self.train_user_degrees = np.diff(self.train_indptr)
+        self.train_keys = np.append(
+            self.train_edges[:, 0] * self.graph.num_items
+            + self.train_edges[:, 1], np.iinfo(np.int64).max)
         has_train = self.train_user_degrees > 0
         has_valid = np.diff(self.valid_indptr) > 0
         has_test = np.diff(self.test_indptr) > 0
@@ -51,10 +60,6 @@ class Split:
         # such users are excluded from evaluation
         self.excluded_users = int((~has_train & (has_test | has_valid)).sum())
         self.excluded_items = int((self.train_item_degrees == 0).sum())
-
-    @property
-    def train_user_degrees(self):
-        return np.diff(self.train_indptr)
 
     @property
     def train_item_degrees(self):

@@ -70,7 +70,7 @@ class SvdGcn(EmbeddingModel):
         pairs together and pushing each pair's first node away from a
         uniform random node of its partition."""
         users, pos = batch[:, 0], batch[:, 1]
-        negs = sample_negative_items(rng, users, split, self.num_items)
+        negs = sample_negative_items(rng, users, split)
         loss, terms = bpr_pairs(users, pos, negs, E, self.num_users)
         n = len(batch)
         for pairs, offset, size in ((self.user_pairs, 0, self.num_users),

@@ -122,8 +122,8 @@ def test_evaluate_blocks_match_oracle(users_per_block, monkeypatch):
             continue
         model = _fixed_model(rng.integers(-1, 2, size=(g.num_users, 2)),
                              rng.integers(-1, 2, size=(g.num_items, 2)))
-        monkeypatch.setattr(evaluation, "BLOCK_ENTRIES",
-                            users_per_block * g.num_items)
+        monkeypatch.setattr(evaluation, "BLOCK_BYTES",
+                            users_per_block * g.num_items * 8)
         k = int(rng.integers(1, 41))
         for phase in ("test", "valid"):
             got = evaluate(model, split, k=k, phase=phase)
@@ -132,6 +132,55 @@ def test_evaluate_blocks_match_oracle(users_per_block, monkeypatch):
             users = split.test_users if phase == "test" else split.valid_users
             assert got.num_users == len(users)
         checked += 1
+
+
+def _oracle_cases(model, split, ks):
+    for k in ks:
+        for phase in ("test", "valid"):
+            got = evaluate(model, split, k=k, phase=phase)
+            assert (got.recall, got.ndcg) == _oracle_evaluate(model, split,
+                                                              k, phase)
+
+
+def test_evaluate_ties_straddling_kth_score():
+    """Items 1-4 tie, so for several k the tie straddles the k-th place:
+    the lowest-index tied items fill the places left, for every k and
+    phase."""
+    g = make_graph([(u, i) for u in range(2) for i in range(7)])
+    split = Split(graph=g,
+                  train_edges=np.array([(0, 6), (1, 0)]),
+                  valid_edges=np.array([(0, 1), (1, 4)]),
+                  test_edges=np.array([(0, 2), (0, 4), (1, 3), (1, 5)]))
+    # user 0 scores [3, 2, 2, 2, 2, 1, 0]; user 1 the same, doubled
+    model = _fixed_model([[1.0], [2.0]],
+                         [[3.0], [2.0], [2.0], [2.0], [2.0], [1.0], [0.0]])
+    # test phase, k=2: user 0 ranks [0, 2], user 1 ranks [1, 2]
+    got = evaluate(model, split, k=2, phase="test")
+    ideal = 1.0 + 1.0 / math.log2(3)
+    assert got.recall == pytest.approx(0.25)
+    assert got.ndcg == pytest.approx(0.5 / math.log2(3) / ideal)
+    _oracle_cases(model, split, range(1, 9))
+
+
+def test_evaluate_fewer_rankable_items_than_k():
+    """A user with fewer rankable items than k has a k-th score of -inf:
+    its rankable items come first, then the excluded ones by index, in
+    the same block as a user with enough items."""
+    g = make_graph([(u, i) for u in range(2) for i in range(6)])
+    split = Split(graph=g,
+                  train_edges=np.array([(0, 0), (0, 1), (0, 2), (0, 3),
+                                        (1, 0)]),
+                  valid_edges=np.array([(0, 4), (1, 1)]),
+                  test_edges=np.array([(0, 5), (1, 2)]))
+    # item scores fall with the index for user 0 and rise for user 1
+    model = _fixed_model([[1.0], [-1.0]],
+                         [[6.0], [5.0], [4.0], [3.0], [2.0], [1.0]])
+    # test phase, k=4: user 0 ranks [5, 0, 1, 2] (one rankable item);
+    # user 1 ranks [5, 4, 3, 2], its test item 2 last
+    got = evaluate(model, split, k=4, phase="test")
+    assert got.recall == pytest.approx(1.0)
+    assert got.ndcg == pytest.approx((1.0 + 1.0 / math.log2(5)) / 2)
+    _oracle_cases(model, split, range(1, 9))
 
 
 def test_evaluate_macro_average():

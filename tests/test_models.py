@@ -393,7 +393,7 @@ def test_sample_negative_items_avoids_train_positives(rng):
     pos_sets = [{0, 1, 2}, {3}, set(range(9))]
     users = np.array([0, 1, 2] * 20)
     split = _train_only_split(pos_sets, 10)
-    negs = sample_negative_items(rng, users, split, 10)
+    negs = sample_negative_items(rng, users, split)
     for u, j in zip(users, negs):
         assert int(j) not in pos_sets[u]
 
@@ -425,7 +425,7 @@ def test_sample_negative_items_matches_set_loop(rng):
         seed = int(rng.integers(2**32))
         fast_rng = np.random.default_rng(seed)
         loop_rng = np.random.default_rng(seed)
-        got = sample_negative_items(fast_rng, users, split, num_items)
+        got = sample_negative_items(fast_rng, users, split)
         expected = _sample_negative_items_loop(loop_rng, users, pos_sets,
                                                num_items)
         np.testing.assert_array_equal(got, expected)
