@@ -1,4 +1,8 @@
-"""Bipartite user-item graph: ingestion, connected components, projections."""
+"""Bipartite user-item graph: ingestion, connected components, projections.
+
+:func:`project` is the one co-occurrence build, for the characteristics
+and, on a split's train graph, for SVD-GCN and UltraGCN.
+"""
 
 from __future__ import annotations
 
@@ -94,7 +98,6 @@ class ProjectedGraph:
     self-loop-free structure).
     """
 
-    partition: str
     n: int
     v: np.ndarray
     w: np.ndarray
@@ -244,30 +247,15 @@ def project(g, partition):
     """Project the bipartite graph onto one partition.
 
     Weights are exact co-occurrence counts (off-diagonal entries of
-    R.R^T or R^T.R); degrees count distinct co-neighbors. A wedge-count
-    guard aborts before materializing a projection whose edge count could
-    exceed ``PROJECTION_EDGE_CAP``.
+    R.R^T or R^T.R), pairs sorted by (v, w); degrees count distinct
+    co-neighbors. Nodes of degree 0 stay, with no pairs. The size is not
+    bounded here; ``compute_vector`` checks ``PROJECTION_EDGE_CAP``.
     """
     if partition not in ("user", "item"):
         raise ValueError(f"unknown partition {partition!r}")
     R = g.to_sparse()
-    if partition == "user":
-        opp_deg = g.item_degrees
-        opp_ids = g.item_ids
-    else:
+    if partition == "item":
         R = R.T.tocsr()
-        opp_deg = g.user_degrees
-        opp_ids = g.user_ids
-
-    if len(opp_deg):
-        wedges = int((opp_deg * (opp_deg - 1) // 2).sum())
-        if wedges > PROJECTION_EDGE_CAP:
-            hub = int(np.argmax(opp_deg))
-            raise ProjectionCapError(
-                f"projection on {partition!r} side needs up to {wedges} edges, "
-                f"over the cap {PROJECTION_EDGE_CAP}; hub node "
-                f"{opp_ids[hub]!r} has degree {int(opp_deg[hub])}")
-
     P = (R @ R.T).tocoo()
     mask = P.row < P.col
     v = P.row[mask].astype(np.int64)
@@ -277,5 +265,4 @@ def project(g, partition):
     v, w, wt = v[order], w[order], wt[order]
     degrees = (np.bincount(v, minlength=R.shape[0])
                + np.bincount(w, minlength=R.shape[0]))
-    return ProjectedGraph(partition=partition, n=R.shape[0], v=v, w=w,
-                          weight=wt, degrees=degrees)
+    return ProjectedGraph(n=R.shape[0], v=v, w=w, weight=wt, degrees=degrees)

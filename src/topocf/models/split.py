@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..graph import sort_rows
+from ..graph import BipartiteGraph, sort_rows
 from ..sampling import round_half_up
 
 
@@ -23,6 +23,8 @@ class Split:
     ``train_indptr`` (likewise ``valid_``/``test_``) holds their row
     pointers, so user ``u``'s train items are the slice
     ``train_edges[train_indptr[u]:train_indptr[u + 1], 1]``.
+    ``train`` is the train CSR as a graph over all of ``graph``'s users
+    and items; those with no train edge stay in it with degree 0.
     ``train_keys`` holds the sorted ``user * num_items + item`` keys of the
     train edges, closed by a sentinel above any key so that every search
     lands on a valid position.
@@ -35,36 +37,31 @@ class Split:
     train_indptr: np.ndarray = field(init=False)
     valid_indptr: np.ndarray = field(init=False)
     test_indptr: np.ndarray = field(init=False)
+    train: BipartiteGraph = field(init=False)
     train_user_degrees: np.ndarray = field(init=False)
     train_keys: np.ndarray = field(init=False)
     test_users: np.ndarray = field(init=False)
     valid_users: np.ndarray = field(init=False)
-    excluded_users: int = field(init=False)
-    excluded_items: int = field(init=False)
 
     def __post_init__(self):
         U = self.graph.num_users
         self.train_edges, self.train_indptr = sort_rows(self.train_edges, U)
         self.valid_edges, self.valid_indptr = sort_rows(self.valid_edges, U)
         self.test_edges, self.test_indptr = sort_rows(self.test_edges, U)
-        self.train_user_degrees = np.diff(self.train_indptr)
+        self.train = BipartiteGraph(
+            indptr=self.train_indptr,
+            indices=np.ascontiguousarray(self.train_edges[:, 1]),
+            user_ids=self.graph.user_ids, item_ids=self.graph.item_ids)
+        self.train_user_degrees = self.train.user_degrees
         self.train_keys = np.append(
             self.train_edges[:, 0] * self.graph.num_items
             + self.train_edges[:, 1], np.iinfo(np.int64).max)
+        # users with no train edge cannot be learned and are not evaluated
         has_train = self.train_user_degrees > 0
         has_valid = np.diff(self.valid_indptr) > 0
         has_test = np.diff(self.test_indptr) > 0
         self.test_users = np.flatnonzero(has_train & has_test)
         self.valid_users = np.flatnonzero(has_train & has_valid)
-        # users/items with no train edge cannot be learned; recorded, and
-        # such users are excluded from evaluation
-        self.excluded_users = int((~has_train & (has_test | has_valid)).sum())
-        self.excluded_items = int((self.train_item_degrees == 0).sum())
-
-    @property
-    def train_item_degrees(self):
-        return np.bincount(self.train_edges[:, 1],
-                           minlength=self.graph.num_items)
 
 
 def split_dataset(g, rng):

@@ -4,38 +4,28 @@ Embeddings are fixed singular-vector features, rescaled per component by
 exp(a1 * singular value) and mapped through a single trainable linear
 transform. The interaction matrix is normalized with an additive degree
 damping a2 that bounds the top singular value by d_max / (d_max + a2).
+The user-user and item-item pair losses draw from the train graph's
+co-occurring pairs, read from ``graph.project`` as the characteristics are.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import expit
 
+from ..graph import project
 from .base import (EmbeddingModel, bpr_pairs, normal_init, pair_gradient,
                    sample_negative_items, softplus)
 from .svd import randomized_subspace_svd
 
 
-def normalized_interactions(edges, num_users, num_items, a2):
+def normalized_interactions(g, a2):
     """Sparse R~ with entries 1 / sqrt((sigma_u + a2) * (sigma_i + a2))."""
-    deg_u = np.bincount(edges[:, 0], minlength=num_users).astype(np.float64)
-    deg_i = np.bincount(edges[:, 1], minlength=num_items).astype(np.float64)
-    vals = 1.0 / np.sqrt((deg_u[edges[:, 0]] + a2) * (deg_i[edges[:, 1]] + a2))
-    return sp.csr_matrix((vals, (edges[:, 0], edges[:, 1])),
-                         shape=(num_users, num_items))
-
-
-def cooccurrence_pairs(edges, num_users, num_items):
-    """Distinct user-user and item-item pairs sharing at least one train
-    interaction, each as an (n, 2) array with first index < second."""
-    R = sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
-                      shape=(num_users, num_items))
-    pairs = []
-    for M in (R @ R.T, R.T @ R):
-        C = sp.triu(M.tocsr(), k=1).tocoo()
-        pairs.append(np.column_stack([C.row, C.col]).astype(np.int64))
-    return pairs[0], pairs[1]
+    R = g.to_sparse()
+    deg_u, deg_i = g.user_degrees, g.item_degrees
+    R.data = 1.0 / np.sqrt((np.repeat(deg_u, deg_u) + a2)
+                           * (deg_i[R.indices] + a2))
+    return R
 
 
 class SvdGcn(EmbeddingModel):
@@ -44,12 +34,13 @@ class SvdGcn(EmbeddingModel):
 
     def __init__(self, split, cfg):
         super().__init__(split, cfg)
-        g = split.graph
+        g = split.train
         self.rank = min(cfg.svd_rank, g.num_users, g.num_items)
-        self.user_pairs, self.item_pairs = cooccurrence_pairs(
-            split.train_edges, g.num_users, g.num_items)
-        self.Rn = normalized_interactions(split.train_edges, g.num_users,
-                                          g.num_items, cfg.a2)
+        # distinct co-occurring pairs (v, w), v < w, in (v, w) order
+        users, items = project(g, "user"), project(g, "item")
+        self.user_pairs = np.column_stack([users.v, users.w])
+        self.item_pairs = np.column_stack([items.v, items.w])
+        self.Rn = normalized_interactions(g, cfg.a2)
 
     def init_params(self, rng):
         """The truncated SVD that fixes F (ARPACK, seeded from ``rng``),

@@ -2,7 +2,8 @@
 
 No explicit propagation: the objective weights each positive/negative
 user-item pair by a degree-derived coefficient, and adds an item-item term
-over each positive item's top-k weighted co-occurrence neighbors.
+over each positive item's top-k weighted co-occurrence neighbors, read
+from ``graph.project`` on the train graph as the characteristics are.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from ..graph import project
 from .base import EmbeddingModel
 
 
@@ -30,17 +32,21 @@ def item_cooccurrence_topk(split, k):
     omega = (w_ij / (sigma_i - w_ii)) * sqrt(sigma_i / sigma_j); items with
     no off-diagonal co-occurrence mass are skipped and counted. Neighbors
     are ordered by weight descending, then index ascending.
-    """
-    g = split.graph
-    edges = split.train_edges
-    R = sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
-                      shape=(g.num_users, g.num_items))
-    RI = (R.T @ R).tocoo()
-    sigma = np.asarray(RI.sum(axis=1)).ravel()
-    denom = sigma - RI.diagonal()
 
-    off = RI.row != RI.col
-    row, col, dat = RI.row[off], RI.col[off], RI.data[off]
+    The w_ij are the item projection's counts, taken both ways; row i of
+    R^T.R sums deg(u) over the users u of item i, so sigma_i is that sum
+    and w_ii = deg(i), exact integers in float64.
+    """
+    g = split.train
+    proj = project(g, "item")
+    row = np.concatenate([proj.v, proj.w])
+    col = np.concatenate([proj.w, proj.v])
+    dat = np.concatenate([proj.weight, proj.weight])
+    deg_u = g.user_degrees
+    sigma = np.bincount(g.indices, weights=np.repeat(deg_u, deg_u),
+                        minlength=g.num_items)
+    denom = sigma - g.item_degrees
+
     order = np.lexsort((col, -dat, row))
     row, col, dat = row[order], col[order], dat[order]
     per_row = np.bincount(row, minlength=g.num_items)
@@ -78,7 +84,7 @@ class UltraGCN(EmbeddingModel):
     def __init__(self, split, cfg):
         super().__init__(split, cfg)
         self.a, self.r = beta_factors(np.maximum(split.train_user_degrees, 1),
-                                      split.train_item_degrees)
+                                      split.train.item_degrees)
         # padded neighbor slots hold item 0 with omega 0
         self.neighbors, self.omega, _, self.skipped_items = \
             item_cooccurrence_topk(split, cfg.item_topk)

@@ -214,14 +214,13 @@ def test_acceptance_5_spectral_bound():
         g = random_bipartite(rng, max_users=15, max_items=15, p=0.3)
         if g.num_interactions == 0:
             continue
-        Rn = normalized_interactions(g.edge_array(), g.num_users,
-                                     g.num_items, a2)
+        Rn = normalized_interactions(g, a2)
         top = np.linalg.svd(Rn.toarray(), compute_uv=False)[0]
         d_max = max(g.user_degrees.max(), g.item_degrees.max())
         bound_ok &= top <= d_max / (d_max + a2) + 1e-6
 
     k22 = make_graph([(u, i) for u in range(2) for i in range(2)])
-    R0 = normalized_interactions(k22.edge_array(), 2, 2, 0.0).toarray()
+    R0 = normalized_interactions(k22, 0.0).toarray()
     k22_ok = (np.allclose(R0, 0.5, atol=1e-12)
               and abs(np.linalg.svd(R0, compute_uv=False)[0] - 1.0) <= 1e-9)
 

@@ -15,7 +15,8 @@ from topocf.characteristics import (SHORTHAND_NAMES,
                                     read_characteristics_csv,
                                     write_characteristics_csv,
                                     write_degree_histogram)
-from topocf.graph import project
+from topocf import graph
+from topocf.graph import ProjectionCapError, project
 from topocf.synthetic import heavy_tailed_graph
 
 from conftest import adjacency, make_graph, random_bipartite
@@ -281,6 +282,19 @@ def test_compute_vector_undefined_fields():
                  if not np.isfinite(value)]
     assert "Assort-U" in undefined
     assert "Gini-U" not in undefined
+
+
+def test_projection_cap_names_hub(monkeypatch):
+    # star: one item shared by 6 users -> 15 wedges on the user side, 0 on
+    # the item side
+    g = make_graph([(u, 0) for u in range(6)])
+    monkeypatch.setattr(graph, "PROJECTION_EDGE_CAP", 10)
+    with pytest.raises(ProjectionCapError, match="'i0'"):
+        compute_vector(g)
+    monkeypatch.setattr(graph, "PROJECTION_EDGE_CAP", 15)
+    row = compute_vector(g)
+    # each of the 15 user pairs shares its only item: Jaccard 1, log 0
+    assert row[SHORTHAND_NAMES.index("AvgClustC-U_log")] == 0.0
 
 
 def test_pearson_matrix_against_two_pass_oracle(rng):

@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from topocf import graph
-from topocf.graph import (BipartiteGraph, GraphError, ProjectionCapError,
-                          induced_subgraph, ingest_and_build,
-                          largest_connected_component, project,
-                          write_interactions)
+from topocf.graph import (BipartiteGraph, GraphError, induced_subgraph,
+                          ingest_and_build, largest_connected_component,
+                          project, write_interactions)
 from topocf.synthetic import heavy_tailed_graph
 
 from conftest import adjacency, load_graph, make_graph, random_bipartite
@@ -393,15 +391,29 @@ def test_projection_k22(k22_graph):
     assert list(proj.degrees) == [1, 1]
 
 
-def test_projection_cap_names_hub(monkeypatch):
-    # star: one item shared by 6 users -> 15 wedges
-    g = make_graph([(u, 0) for u in range(6)])
-    monkeypatch.setattr(graph, "PROJECTION_EDGE_CAP", 10)
-    with pytest.raises(ProjectionCapError, match="'i0'"):
-        project(g, "user")
-    monkeypatch.setattr(graph, "PROJECTION_EDGE_CAP", 15)
-    proj = project(g, "user")
-    assert proj.num_edges == 15
+def test_projection_keeps_zero_degree_nodes(rng):
+    """A split's train graph keeps users and items with no train edge; the
+    projection must carry them as pair-free nodes of degree 0."""
+    for _ in range(40):
+        g = random_bipartite(rng, max_users=12, max_items=12, p=0.4)
+        nu, ni = g.num_users + 3, g.num_items + 2
+        # spread the edges over a wider index range, leaving gaps
+        users = rng.permutation(nu)[:g.num_users]
+        items = rng.permutation(ni)[:g.num_items]
+        edges = g.edge_array()
+        wide = make_graph(list(zip(users[edges[:, 0]], items[edges[:, 1]])),
+                          nu, ni)
+        assert (wide.user_degrees == 0).sum() >= 3
+        assert (wide.item_degrees == 0).sum() >= 2
+        for partition in ("user", "item"):
+            proj = project(wide, partition)
+            got = {(int(v), int(w)): int(wt)
+                   for v, w, wt in zip(proj.v, proj.w, proj.weight)}
+            assert got == _project_bruteforce(wide, partition)
+            degrees = (wide.user_degrees if partition == "user"
+                       else wide.item_degrees)
+            assert proj.n == len(degrees)
+            assert (proj.degrees[degrees == 0] == 0).all()
 
 
 def test_projection_relabeling_invariance(rng):

@@ -17,8 +17,7 @@ from topocf.models.dgcf import DGCFPropagator
 from topocf.models.lightgcn import LightGCNPropagator, normalized_operator
 from topocf.models.split import Split, SplitError, split_dataset
 from topocf.models.svd import randomized_subspace_svd
-from topocf.models.svdgcn import (SvdGcn, cooccurrence_pairs,
-                                  normalized_interactions)
+from topocf.models.svdgcn import SvdGcn, normalized_interactions
 from topocf.models.ultragcn import (UltraGCN, beta_factors,
                                     item_cooccurrence_topk)
 from topocf.synthetic import heavy_tailed_graph, two_block_graph
@@ -67,19 +66,15 @@ def test_split_rejects_tiny_graphs():
         _split_of(g)
 
 
-def test_split_excluded_users_counted():
-    from topocf.models.split import Split
-
+def test_split_untrained_user_not_evaluated():
     g = make_graph([(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)])
     split = Split(graph=g,
                   train_edges=np.array([(0, 0), (1, 0), (1, 1)]),
                   valid_edges=np.array([(0, 1)]),
                   test_edges=np.array([(2, 2)]))
     # u2 has a test edge but no train edge
-    assert split.excluded_users == 1
     assert list(split.test_users) == []
     assert list(split.valid_users) == [0]
-    assert split.excluded_items == 1  # i2 never trained
 
 
 def test_split_determinism(rng):
@@ -225,7 +220,7 @@ def test_dgcf_matches_per_intent_operators(intents, routing_iterations,
     rng = np.random.default_rng(seed)
     untrained = _split_with_untrained_nodes(seed)
     assert (untrained.train_user_degrees == 0).any()
-    assert (untrained.train_item_degrees == 0).any()
+    assert (untrained.train.item_degrees == 0).any()
     cfg = default_config("dgcf", embedding_dim=8, intents=intents,
                          routing_iterations=routing_iterations, layers=layers)
     for split in (_split_of(two_block_graph(12, 10, 4, seed=seed)), untrained):
@@ -635,7 +630,7 @@ def _ultragcn_batch_gradient_gather(model, rng, batch, split, E):
     pair_gradient: the reference batch_gradient must match."""
     cfg = model.cfg
     deg_u = np.maximum(split.train_user_degrees, 1).astype(np.float64)
-    deg_i = split.train_item_degrees.astype(np.float64)
+    deg_i = split.train.item_degrees.astype(np.float64)
 
     def beta(du, di):
         return (1.0 / du) * np.sqrt((du + 1.0) / (di + 1.0))
@@ -815,8 +810,8 @@ def test_randomized_svd_equal_seeds_are_identical():
 
 
 def test_normalized_interactions_k22_rank_one():
-    edges = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
-    Rn = normalized_interactions(edges, 2, 2, a2=0.0)
+    k22 = make_graph([(0, 0), (0, 1), (1, 0), (1, 1)])
+    Rn = normalized_interactions(k22, a2=0.0)
     np.testing.assert_allclose(Rn.toarray(), 0.5)
     top = np.linalg.svd(Rn.toarray(), compute_uv=False)[0]
     assert top == pytest.approx(1.0, abs=1e-12)
@@ -828,8 +823,7 @@ def test_spectral_bound_on_random_graphs(rng):
     a2 = 2.0
     for _ in range(50):
         g = _dense_graph(rng)
-        edges = g.edge_array()
-        Rn = normalized_interactions(edges, g.num_users, g.num_items, a2)
+        Rn = normalized_interactions(g, a2)
         top = np.linalg.svd(Rn.toarray(), compute_uv=False)[0]
         d_max = max(int(g.user_degrees.max()), int(g.item_degrees.max()))
         assert top <= d_max / (d_max + a2) + 1e-6
@@ -844,8 +838,7 @@ def test_svdgcn_features_without_sharpening(rng):
     # transform must return them unchanged
     trainer.P = np.eye(6)
     model = trainer.materialize()
-    Rn = normalized_interactions(split.train_edges, g.num_users,
-                                 g.num_items, cfg.a2)
+    Rn = normalized_interactions(split.train, cfg.a2)
     s_ref = np.linalg.svd(Rn.toarray(), compute_uv=False)
     np.testing.assert_allclose(model.extras["singular_values"], s_ref[:6],
                                atol=1e-8)
@@ -854,15 +847,22 @@ def test_svdgcn_features_without_sharpening(rng):
 
 
 def test_cooccurrence_pairs_symmetry(rng):
+    """SVD-GCN's pair pools are the distinct co-occurring (v, w), v < w,
+    of the train graph on each side, in (v, w) order."""
     g = _dense_graph(rng)
     split = _split_of(g)
-    user_pairs, item_pairs = cooccurrence_pairs(
-        split.train_edges, g.num_users, g.num_items)
-    train_sets = [set() for _ in range(g.num_users)]
+    model = SvdGcn(split, default_config("svdgcn", svd_rank=4))
+    user_sets = [set() for _ in range(g.num_users)]
+    item_sets = [set() for _ in range(g.num_items)]
     for u, i in split.train_edges:
-        train_sets[u].add(int(i))
-    expected = {(v, w) for v in range(g.num_users)
-                for w in range(v + 1, g.num_users)
-                if train_sets[v] & train_sets[w]}
-    assert set(map(tuple, user_pairs)) == expected
-    assert all(v < w for v, w in item_pairs)
+        user_sets[u].add(int(i))
+        item_sets[i].add(int(u))
+    for pairs, sets in ((model.user_pairs, user_sets),
+                        (model.item_pairs, item_sets)):
+        expected = {(v, w) for v in range(len(sets))
+                    for w in range(v + 1, len(sets)) if sets[v] & sets[w]}
+        assert len(expected) > 0
+        assert set(map(tuple, pairs.tolist())) == expected
+        assert len(pairs) == len(expected)
+        assert np.array_equal(np.lexsort((pairs[:, 1], pairs[:, 0])),
+                              np.arange(len(pairs)))
