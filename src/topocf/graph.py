@@ -256,13 +256,13 @@ def project(g, partition):
     R = g.to_sparse()
     if partition == "item":
         R = R.T.tocsr()
-    P = (R @ R.T).tocoo()
-    mask = P.row < P.col
-    v = P.row[mask].astype(np.int64)
-    w = P.col[mask].astype(np.int64)
-    wt = P.data[mask]
-    order = np.lexsort((w, v))
-    v, w, wt = v[order], w[order], wt[order]
+    # the upper triangle's rows, each sorted by column, list the pairs in
+    # (v, w) order
+    P = sp.triu(R @ R.T, k=1, format="csr")
+    P.sort_indices()
+    v = np.repeat(np.arange(R.shape[0], dtype=np.int64), np.diff(P.indptr))
+    w = P.indices.astype(np.int64)
+    wt = P.data
     degrees = (np.bincount(v, minlength=R.shape[0])
                + np.bincount(w, minlength=R.shape[0]))
     return ProjectedGraph(n=R.shape[0], v=v, w=w, weight=wt, degrees=degrees)

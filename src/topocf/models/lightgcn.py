@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .base import PropagationModel
+from .base import PropagationModel, spare, spmm
 
 
 def normalized_operator(edges, weights, num_users, num_items):
@@ -31,8 +31,11 @@ class LightGCNPropagator(PropagationModel):
     """Mean of layer-0..L embeddings under the fixed normalized adjacency.
 
     The operator is symmetric, so the backward pass reuses it to route
-    gradients on the final embeddings back to layer 0.
+    gradients on the final embeddings back to layer 0. Both passes run in
+    three node x dim buffers: the layer sum and two layers in turn.
     """
+
+    num_tables = 3
 
     def __init__(self, split, cfg):
         super().__init__(split, cfg)
@@ -42,15 +45,20 @@ class LightGCNPropagator(PropagationModel):
         self.layers = cfg.layers
 
     def forward(self, E0):
-        acc = E0.copy()
+        """E, as a view of a model buffer that is valid until the next
+        ``forward`` or ``backward``."""
+        acc, *layers = self.propagation_tables(E0.shape)
+        np.copyto(acc, E0)
         X = E0
         for _ in range(self.layers):
-            X = self.A @ X
+            X = spmm(self.A, X, spare(layers, X))
             acc += X
-        return acc / (self.layers + 1)
+        return np.divide(acc, self.layers + 1, out=acc)
 
     def backward(self, G):
+        tables = self.propagation_tables(G.shape)
         B = G
         for _ in range(self.layers):
-            B = G + self.A @ B
-        return B / (self.layers + 1)
+            T = spmm(self.A, B, spare(tables, G, B))
+            B = np.add(G, T, out=T)
+        return np.divide(B, self.layers + 1, out=spare(tables, G, B))

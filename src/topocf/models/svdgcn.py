@@ -6,6 +6,7 @@ transform. The interaction matrix is normalized with an additive degree
 damping a2 that bounds the top singular value by d_max / (d_max + a2).
 The user-user and item-item pair losses draw from the train graph's
 co-occurring pairs, read from ``graph.project`` as the characteristics are.
+E, the batch's gathered rows and the pair gradient live in model buffers.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from scipy.special import expit
 
 from ..graph import project
 from .base import (EmbeddingModel, bpr_pairs, normal_init, pair_gradient,
-                   sample_negative_items, softplus)
+                   sample_negative_items, softplus, take_rows)
 from .svd import randomized_subspace_svd
 
 
@@ -51,7 +52,10 @@ class SvdGcn(EmbeddingModel):
         return normal_init(rng, self.rank, self.cfg.embedding_dim)
 
     def forward(self, W):
-        return self.F @ W
+        """E, as a view of a model buffer that is valid until the next
+        ``forward`` or ``backward``."""
+        return np.matmul(self.F, W, out=self.table(0, (len(self.F),
+                                                       W.shape[1])))
 
     def backward(self, G):
         return self.F.T @ G
@@ -62,8 +66,9 @@ class SvdGcn(EmbeddingModel):
         uniform random node of its partition."""
         users, pos = batch[:, 0], batch[:, 1]
         negs = sample_negative_items(rng, users, split)
-        loss, terms = bpr_pairs(users, pos, negs, E, self.num_users)
         n = len(batch)
+        gathers = self.gathers(E, n)
+        loss, terms = bpr_pairs(users, pos, negs, E, self.num_users, gathers)
         for pairs, offset, size in ((self.user_pairs, 0, self.num_users),
                                     (self.item_pairs, self.num_users,
                                      self.num_items)):
@@ -71,14 +76,19 @@ class SvdGcn(EmbeddingModel):
                 continue
             sel = offset + pairs[rng.integers(len(pairs), size=n)]
             others = offset + rng.integers(size, size=n)
-            ea, eb, en = E[sel[:, 0]], E[sel[:, 1]], E[others]
-            s_pos = (ea * eb).sum(axis=1)
-            s_neg = (ea * en).sum(axis=1)
+            ea, eb = (take_rows(E, index, out) for index, out in
+                      zip((sel[:, 0], sel[:, 1]), gathers))
+            s_pos = np.multiply(ea, eb, out=eb).sum(axis=1)
+            en = take_rows(E, others, eb)
+            s_neg = np.multiply(ea, en, out=en).sum(axis=1)
             loss += (float(softplus(-s_pos).sum()) / n
                      + float(softplus(s_neg).sum()) / n)
             terms += [(sel[:, 0], sel[:, 1], -expit(-s_pos) / n),
                       (sel[:, 0], others, expit(s_neg) / n)]
-        return loss, pair_gradient(terms, E)
+        return loss, pair_gradient(terms, E, self.pair_tables(E))
+
+    def pair_tables(self, E):
+        return self.table(1, E.shape), self.table(2, E.shape)
 
     def extras(self, P):
         return {"singular_values": self.singular_values.copy(),

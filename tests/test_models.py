@@ -1,18 +1,20 @@
 """Recommender machinery: splits, propagation, the trainer and its four models, SVD."""
 
-import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.special import expit, softmax
 
+from topocf.evaluation import EvaluationResult
+from topocf.models import base
 from topocf.models.base import (MODEL_KINDS, Adam, ModelConfig, TrainedModel,
                                 Trainer, TrainingDivergedError,
-                                bpr_loss_and_coeff, default_config,
+                                bpr_pairs, default_config,
                                 pair_gradient, sample_negative_items,
-                                softplus, train_loop, train_model)
+                                softplus, spmm, train_loop, train_model)
 from topocf.models.dgcf import DGCFPropagator
 from topocf.models.lightgcn import LightGCNPropagator, normalized_operator
 from topocf.models.split import Split, SplitError, split_dataset
@@ -312,31 +314,32 @@ def test_adam_in_place_matches_allocating_steps(rng):
             assert opt.v.tobytes() == ref.v.tobytes()
 
 
-def test_adam_snapshots_survive_later_steps(rng):
+def test_train_loop_returns_best_validation_model(monkeypatch):
+    """The model materialized at the best validation is returned, not the
+    state after a later, worse one."""
     g = two_block_graph(num_users=12, num_items=10, interactions_per_user=4,
                         seed=1)
     split = _split_of(g)
-    cfg = default_config("lightgcn", embedding_dim=4)
+    cfg = default_config("lightgcn", embedding_dim=4, max_epochs=4,
+                         eval_interval=1, patience=10)
+    recalls = iter([0.2, 0.5, 0.1, 0.3])
+    evaluated = []
+
+    def scripted(model, split, k, phase):
+        evaluated.append(model.user_embeddings.copy())
+        return EvaluationResult(k=k, recall=next(recalls), ndcg=0.0,
+                                num_users=1)
+
+    monkeypatch.setattr(base, "evaluate", scripted)
     trainer = Trainer(LightGCNPropagator(split, cfg), split, cfg,
                       np.random.default_rng(0))
-    trainer.run_epoch(1)
-    snapshot = trainer.params_copy()
-    assert trainer.adam.scratch is not None and snapshot[1].scratch is None
-    frozen = [a.copy() for a in (snapshot[0], snapshot[1].m, snapshot[1].v)]
-    trainer.run_epoch(2)
-    for a, b in zip((snapshot[0], snapshot[1].m, snapshot[1].v), frozen):
-        assert np.array_equal(a, b)
-    # a step after set_params equals one from a fresh copy of the snapshot
-    trainer.set_params(snapshot)
-    P, adam = snapshot[0].copy(), copy.deepcopy(snapshot[1])
-    grad = rng.normal(size=P.shape)
-    trainer.adam.step(trainer.P, grad)
-    adam.step(P, grad)
-    assert np.array_equal(trainer.P, P)
-    assert np.array_equal(trainer.adam.m, adam.m)
-    assert np.array_equal(trainer.adam.v, adam.v)
-    for a, b in zip((snapshot[0], snapshot[1].m, snapshot[1].v), frozen):
-        assert np.array_equal(a, b)
+    model = train_loop(trainer, split, cfg)
+    assert len(evaluated) == 4
+    assert model.epochs_trained == 4 and not model.stopped_early
+    np.testing.assert_array_equal(model.user_embeddings, evaluated[1])
+    last = trainer.materialize()
+    np.testing.assert_array_equal(last.user_embeddings, evaluated[3])
+    assert not np.array_equal(model.user_embeddings, last.user_embeddings)
 
 
 def test_softplus_matches_logaddexp(rng):
@@ -367,12 +370,15 @@ def test_training_diverged_error_on_overflowing_loss(kind):
 
 
 def test_bpr_loss_hand_value():
-    eu = np.array([[1.0, 0.0]])
-    ei = np.array([[1.0, 0.0]])
-    ej = np.array([[0.0, 0.0]])
-    loss, coeff = bpr_loss_and_coeff(eu, ei, ej, 1)
+    # user 0, positive item 0 (node 1), negative item 1 (node 2)
+    E = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    gathers = [np.empty((1, 2)), np.empty((1, 2))]
+    loss, terms = bpr_pairs(np.array([0]), np.array([0]), np.array([1]), E,
+                            1, gathers)
+    coeff = terms[0][2]
     assert loss == pytest.approx(math.log(1 + math.exp(-1.0)))
     assert coeff[0] == pytest.approx(-1.0 / (1.0 + math.exp(1.0)))
+    np.testing.assert_array_equal(terms[1][2], -coeff)
 
 
 def _train_only_split(pos_sets, num_items):
@@ -449,13 +455,96 @@ def test_pair_gradient_matches_add_at(rng):
         cut = int(rng.integers(0, m + 1))
         terms = [(rows[:cut], cols[:cut], coeffs[:cut]),
                  (rows[cut:], cols[cut:], coeffs[cut:])]
-        np.testing.assert_allclose(pair_gradient(terms, E),
+        tables = (np.empty_like(E), np.empty_like(E))
+        got = pair_gradient(terms, E, tables)
+        np.testing.assert_allclose(got,
                                    _pair_gradient_add_at(rows, cols, coeffs, E),
                                    rtol=1e-12, atol=1e-12)
+        # the same sums, in the same order, as the COO matrix's products
+        C = sp.coo_matrix((coeffs, (rows, cols)), shape=(n, n))
+        assert got.tobytes() == (C @ E + C.T @ E).tobytes()
+
+
+def _assert_spmm_matches_matmul(A, X):
+    out = np.full((A.shape[0], X.shape[1]), np.nan)
+    got = spmm(A, X, out)
+    assert got is out
+    assert out.tobytes() == (A @ X).tobytes()
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_spmm_matches_matmul(rng, index_dtype):
+    """spmm runs the kernel A @ X runs, bit for bit, whatever ``out``
+    held before; rows 0 and 3 of A are empty."""
+    for trial in range(10):
+        m, n = int(rng.integers(5, 40)), int(rng.integers(1, 40))
+        A = sp.random(m, n, density=0.3, format="csr", random_state=trial)
+        A.data = rng.normal(size=A.nnz) * rng.choice([1e-8, 1.0, 1e8],
+                                                     size=A.nnz)
+        for row in (0, 3):
+            A.data[A.indptr[row]:A.indptr[row + 1]] = 0.0
+        A.eliminate_zeros()
+        A.indices = A.indices.astype(index_dtype)
+        A.indptr = A.indptr.astype(index_dtype)
+        assert A.indices.dtype == index_dtype
+        assert not A.getnnz(axis=1)[[0, 3]].any()
+        for width in (1, 2, 7, 64):
+            _assert_spmm_matches_matmul(A, rng.normal(size=(n, width)))
+
+
+def test_spmm_matches_matmul_on_dgcf_operators(rng):
+    g = heavy_tailed_graph(num_users=60, num_items=30, num_interactions=400,
+                           seed=2)
+    split = _split_of(g)
+    cfg = default_config("dgcf", embedding_dim=16, intents=4)
+    prop = DGCFPropagator(split, cfg)
+    n = g.num_users + g.num_items
+    prop.forward(rng.normal(0.0, 0.1, size=(n, 16)))
+    for op in [prop.uniform_op, *prop.layer_ops]:
+        _assert_spmm_matches_matmul(op, rng.normal(size=(4 * n, 4)))
+
+
+def test_spmm_rejects_bad_operands(rng):
+    A = sp.random(6, 5, density=0.5, format="csr", random_state=0)
+    X, out = rng.normal(size=(5, 4)), np.empty((6, 4))
+    bad = [(A, np.asfortranarray(X), out), (A, X, np.asfortranarray(out)),
+           (A, rng.normal(size=(5, 8))[:, ::2], out),
+           (A, X, np.empty((6, 8))[:, ::2]),
+           (A, rng.normal(size=(4, 4)), out), (A, X, np.empty((6, 3))),
+           (A, X, np.empty((5, 4))), (A, X.astype(np.float32), out),
+           (A.tocoo(), X, out), (sp.random(5, 5, format="csr"), X, X)]
+    for args in bad:
+        with pytest.raises(ValueError):
+            spmm(*args)
 
 
 _MODEL_CLASSES = {"lightgcn": LightGCNPropagator, "dgcf": DGCFPropagator,
                   "ultragcn": UltraGCN, "svdgcn": SvdGcn}
+
+
+@pytest.mark.parametrize("kind", ["lightgcn", "dgcf", "svdgcn"])
+def test_training_step_allocates_less_than_one_table(kind):
+    """After two warm-up steps, a step's traced allocation peak stays below
+    one node x dim float64 table: its tables are the model's buffers."""
+    g = heavy_tailed_graph(num_users=900, num_items=450,
+                           num_interactions=2500, seed=3)
+    split = _split_of(g)
+    cfg = default_config(kind)
+    trainer = Trainer(_MODEL_CLASSES[kind](split, cfg), split, cfg,
+                      np.random.default_rng(0))
+    order = np.random.default_rng(1).permutation(len(split.train_edges))
+    batch = split.train_edges[order[:cfg.batch_size]]
+    trainer.step(batch)
+    trainer.step(batch)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        trainer.step(batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = (g.num_users + g.num_items) * cfg.embedding_dim * 8
+    assert peak - start < table
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -664,7 +753,7 @@ def _ultragcn_batch_gradient_gather(model, rng, batch, split, E):
          c_neg.ravel()),
         (np.repeat(users, nb.shape[1]), model.num_users + nb.ravel(),
          c_ii.ravel()),
-    ], E)
+    ], E, (np.empty_like(E), np.empty_like(E)))
 
 
 def _assert_ultragcn_matches_gather(model, split, E, batches):

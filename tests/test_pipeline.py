@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,7 +189,7 @@ def test_resume_reruns_only_invalidated_cells(full_run, monkeypatch):
     cfg, *_ = full_run
     victims = [os.path.join(cfg.out_dir, "chars", "5.csv"),
                os.path.join(cfg.out_dir, "metrics", "3_lightgcn.csv")]
-    originals = [open(victim, "rb").read() for victim in victims]
+    originals = [Path(victim).read_bytes() for victim in victims]
     for victim in victims:
         os.remove(victim)
 
@@ -208,7 +209,7 @@ def test_resume_reruns_only_invalidated_cells(full_run, monkeypatch):
     assert result.ok
     assert calls == {"chars": 1, "train": 1}
     # deterministic seeding regenerates the deleted cells byte-identically
-    assert [open(victim, "rb").read() for victim in victims] == originals
+    assert [Path(victim).read_bytes() for victim in victims] == originals
 
 
 def _tree(out):
@@ -328,7 +329,7 @@ def test_rq2_sweep_outputs(full_run):
 def test_emit_report_concatenates_sections(full_run):
     cfg, *_ = full_run
     path = pipeline.emit_report(cfg)
-    text = open(path).read()
+    text = Path(path).read_text(encoding="utf-8")
     assert text.startswith("# Topology-performance analysis")
     assert "### lightgcn (Recall@20)" in text
     assert "alpha=0.3" in text
