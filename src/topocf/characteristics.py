@@ -86,9 +86,9 @@ def average_clustering_coefficient(g, partition, proj=None):
         return math.nan
     union = bipartite_deg[proj.v] + bipartite_deg[proj.w] - proj.weight
     jaccard = proj.weight / union
-    sums = np.zeros(proj.n)
-    np.add.at(sums, proj.v, jaccard)
-    np.add.at(sums, proj.w, jaccard)
+    sums = np.bincount(np.concatenate([proj.v, proj.w]),
+                       weights=np.concatenate([jaccard, jaccard]),
+                       minlength=proj.n)
     per_node = np.where(proj.degrees > 0,
                         sums / np.maximum(proj.degrees, 1), 0.0)
     mean = float(per_node.mean())

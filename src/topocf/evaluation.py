@@ -28,14 +28,14 @@ class EvaluationResult:
     num_users: int
 
 
-def _block_entries(edges, indptr, rows):
-    """(block row, item) of every edge of users ``rows`` in a Split's
-    sorted (user, item) edges with row pointers ``indptr``."""
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
+def _block_entries(part, rows):
+    """(block row, item) of every edge of users ``rows`` in one of a
+    Split's parts."""
+    starts = part.indptr[rows]
+    counts = part.indptr[rows + 1] - starts
     block_rows = np.repeat(np.arange(len(rows)), counts)
     first = np.repeat(starts - np.cumsum(counts) + counts, counts)
-    return block_rows, edges[first + np.arange(len(block_rows)), 1]
+    return block_rows, part.indices[first + np.arange(len(block_rows))]
 
 
 def evaluate(model, split, k=20, phase="test"):
@@ -47,16 +47,14 @@ def evaluate(model, split, k=20, phase="test"):
     nDCG uses binary relevance with the ideal DCG cut at
     min(k, |held-out items|).
     """
-    train = (split.train_edges, split.train_indptr)
-    valid = (split.valid_edges, split.valid_indptr)
     if phase == "test":
         users = split.test_users
-        held_out = (split.test_edges, split.test_indptr)
-        excluded = (train, valid)
+        held_out = split.test
+        excluded = (split.train, split.valid)
     elif phase == "valid":
         users = split.valid_users
-        held_out = valid
-        excluded = (train,)
+        held_out = split.valid
+        excluded = (split.train,)
     else:
         raise ValueError(f"unknown phase {phase!r}")
     if len(users) == 0:
@@ -66,14 +64,14 @@ def evaluate(model, split, k=20, phase="test"):
     kk = min(k, num_items)
     discount = np.array([1.0 / math.log2(pos + 1) for pos in range(1, kk + 1)])
     ideal = np.cumsum(discount)
-    sizes = np.diff(held_out[1])[users]
+    sizes = held_out.user_degrees[users]
     recalls, dcgs = [], []
     block = max(1, BLOCK_BYTES // (8 * num_items))
     for start in range(0, len(users), block):
         rows = users[start:start + block]
         scores = model.user_embeddings[rows] @ model.item_embeddings.T
-        for edges, indptr in excluded:
-            scores[_block_entries(edges, indptr, rows)] = -np.inf
+        for part in excluded:
+            scores[_block_entries(part, rows)] = -np.inf
         kth = np.partition(scores, num_items - kk, axis=1)[:, num_items - kk]
         # every row has at least kk candidates; nonzero lists them row by
         # row, and sorting keeps the rows in place
@@ -82,7 +80,7 @@ def evaluate(model, split, k=20, phase="test"):
         first = np.searchsorted(r, np.arange(len(rows)))
         top = c[order][first[:, None] + np.arange(kk)]
         relevant = np.zeros(scores.shape, dtype=bool)
-        relevant[_block_entries(*held_out, rows)] = True
+        relevant[_block_entries(held_out, rows)] = True
         hits = np.take_along_axis(relevant, top, axis=1)
         recalls.append(hits.sum(axis=1))
         # left to right, the order of a running sum over the ranks

@@ -73,20 +73,15 @@ class BipartiteGraph:
 
     @classmethod
     def from_edge_array(cls, edges, user_ids, item_ids):
-        """Build from a deduplicated (E, 2) index array and token maps."""
-        edges, indptr = sort_rows(edges, len(user_ids))
-        return cls(indptr=indptr, indices=np.ascontiguousarray(edges[:, 1]),
+        """Build from a deduplicated (E, 2) index array, in any order, and
+        token maps."""
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        order = np.lexsort((edges[:, 1], edges[:, 0]))
+        indptr = np.zeros(len(user_ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(edges[:, 0], minlength=len(user_ids)),
+                  out=indptr[1:])
+        return cls(indptr=indptr, indices=edges[order, 1],
                    user_ids=tuple(user_ids), item_ids=tuple(item_ids))
-
-
-def sort_rows(edges, num_rows):
-    """(row, col) pairs sorted by row then column, and the CSR row pointers
-    (``num_rows + 1`` entries) over them."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-    indptr = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(edges[:, 0], minlength=num_rows), out=indptr[1:])
-    return edges, indptr
 
 
 @dataclass(frozen=True)

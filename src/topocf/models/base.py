@@ -134,7 +134,7 @@ def sample_negative_items(rng, users, split):
         wanted = users[rows] * num_items + negs[rows]
         return keys[np.searchsorted(keys, wanted)] == wanted
 
-    idx = np.flatnonzero(split.train_user_degrees[users] < num_items)
+    idx = np.flatnonzero(split.train.user_degrees[users] < num_items)
     idx = idx[collides(idx)]
     while len(idx):
         negs[idx] = rng.integers(num_items, size=len(idx))
@@ -151,10 +151,12 @@ def spmm(A, X, out):
     """A @ X for a CSR matrix A and a dense X, written into ``out``.
 
     scipy's ``A @ X`` has no ``out`` and allocates its result. Here ``out``
-    is zeroed, then scipy's private ``csr_matvecs`` kernel (``csr_matvec``
-    for one column), the one ``A @ X`` runs, accumulates into it, so the
-    result equals ``A @ X`` bit for bit without the allocation. X and out
-    are C-contiguous, do not overlap, and have A's dtype. Returns ``out``.
+    is zeroed, then scipy's private ``csr_matvecs`` kernel, the one
+    ``A @ X`` runs, accumulates into it, so the result equals ``A @ X`` bit
+    for bit without the allocation. At one column ``A @ X`` runs
+    ``csr_matvec``, which makes the same multiply-adds in the same order.
+    X and out are C-contiguous, do not overlap, and have A's dtype.
+    Returns ``out``.
     """
     M, N = A.shape
     if A.format != "csr":
@@ -169,12 +171,8 @@ def spmm(A, X, out):
     if np.may_share_memory(X, out):
         raise ValueError("spmm's out overlaps X")
     out.fill(0)
-    if X.shape[1] == 1:
-        _sparsetools.csr_matvec(M, N, A.indptr, A.indices, A.data,
-                                X.ravel(), out.ravel())
-    else:
-        _sparsetools.csr_matvecs(M, N, X.shape[1], A.indptr, A.indices,
-                                 A.data, X.ravel(), out.ravel())
+    _sparsetools.csr_matvecs(M, N, X.shape[1], A.indptr, A.indices, A.data,
+                             X.ravel(), out.ravel())
     return out
 
 
@@ -298,9 +296,10 @@ class Trainer:
         self.rng = rng
         self.P = model.init_params(rng)
         self.adam = Adam(self.P.shape, cfg.learning_rate, cfg.l2_weight)
+        self.edges = split.train.edge_array()
 
     def run_epoch(self, epoch):
-        edges = self.split.train_edges
+        edges = self.edges
         order = self.rng.permutation(len(edges))
         total = 0.0
         for start in range(0, len(edges), self.cfg.batch_size):
@@ -342,14 +341,14 @@ class EmbeddingModel:
         return normal_init(rng, self.num_users + self.num_items,
                            self.cfg.embedding_dim)
 
-    def table(self, key, shape):
-        """The model's float64 buffer ``key`` as a (rows, cols) ``shape``
+    def table(self, key, shape, dtype=np.float64):
+        """The model's ``dtype`` buffer ``key`` as a (rows, cols) ``shape``
         array: allocated at its first request, reallocated when a request
         outgrows its rows or changes its cols, and otherwise the leading
         rows of the one allocated before."""
         buf = self.tables.get(key)
         if buf is None or len(buf) < shape[0] or buf.shape[1:] != shape[1:]:
-            buf = self.tables[key] = np.empty(shape)
+            buf = self.tables[key] = np.empty(shape, dtype)
         return buf[:shape[0]]
 
     def gathers(self, E, rows):

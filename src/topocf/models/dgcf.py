@@ -50,7 +50,7 @@ class DGCFPropagator(PropagationModel):
                 f"embedding_dim {cfg.embedding_dim} not divisible by "
                 f"intents {cfg.intents}")
         super().__init__(split, cfg)
-        edges = split.train_edges
+        edges = split.train.edge_array()
         K = cfg.intents
         n = self.num_users + self.num_items
         A = normalized_operator(edges, np.ones(len(edges)),

@@ -39,7 +39,7 @@ class LightGCNPropagator(PropagationModel):
 
     def __init__(self, split, cfg):
         super().__init__(split, cfg)
-        edges = split.train_edges
+        edges = split.train.edge_array()
         self.A = normalized_operator(edges, np.ones(len(edges)),
                                      self.num_users, self.num_items)
         self.layers = cfg.layers

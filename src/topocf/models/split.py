@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from ..graph import BipartiteGraph, sort_rows
+from ..graph import BipartiteGraph
 from ..sampling import round_half_up
 
 
@@ -16,52 +16,41 @@ class SplitError(Exception):
 
 @dataclass
 class Split:
-    """Train/validation/test edges of one graph, each a user-side CSR.
+    """Train, validation and test parts of one graph's edges.
 
-    ``train_edges``, ``valid_edges`` and ``test_edges`` are (E, 2)
-    ``(user, item)`` arrays, sorted by user then item on construction;
-    ``train_indptr`` (likewise ``valid_``/``test_``) holds their row
-    pointers, so user ``u``'s train items are the slice
-    ``train_edges[train_indptr[u]:train_indptr[u + 1], 1]``.
-    ``train`` is the train CSR as a graph over all of ``graph``'s users
-    and items; those with no train edge stay in it with degree 0.
+    Each part is a :class:`BipartiteGraph` over all of ``graph``'s users
+    and items, built from that part's (E, 2) ``(user, item)`` edges, given
+    in any order; a node with no edge in a part stays in it with degree 0.
     ``train_keys`` holds the sorted ``user * num_items + item`` keys of the
     train edges, closed by a sentinel above any key so that every search
     lands on a valid position.
     """
 
     graph: object
-    train_edges: np.ndarray
-    valid_edges: np.ndarray
-    test_edges: np.ndarray
-    train_indptr: np.ndarray = field(init=False)
-    valid_indptr: np.ndarray = field(init=False)
-    test_indptr: np.ndarray = field(init=False)
+    train_edges: InitVar[np.ndarray]
+    valid_edges: InitVar[np.ndarray]
+    test_edges: InitVar[np.ndarray]
     train: BipartiteGraph = field(init=False)
-    train_user_degrees: np.ndarray = field(init=False)
+    valid: BipartiteGraph = field(init=False)
+    test: BipartiteGraph = field(init=False)
     train_keys: np.ndarray = field(init=False)
     test_users: np.ndarray = field(init=False)
     valid_users: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        U = self.graph.num_users
-        self.train_edges, self.train_indptr = sort_rows(self.train_edges, U)
-        self.valid_edges, self.valid_indptr = sort_rows(self.valid_edges, U)
-        self.test_edges, self.test_indptr = sort_rows(self.test_edges, U)
-        self.train = BipartiteGraph(
-            indptr=self.train_indptr,
-            indices=np.ascontiguousarray(self.train_edges[:, 1]),
-            user_ids=self.graph.user_ids, item_ids=self.graph.item_ids)
-        self.train_user_degrees = self.train.user_degrees
-        self.train_keys = np.append(
-            self.train_edges[:, 0] * self.graph.num_items
-            + self.train_edges[:, 1], np.iinfo(np.int64).max)
+    def __post_init__(self, train_edges, valid_edges, test_edges):
+        g = self.graph
+        self.train, self.valid, self.test = (
+            BipartiteGraph.from_edge_array(edges, g.user_ids, g.item_ids)
+            for edges in (train_edges, valid_edges, test_edges))
+        edges = self.train.edge_array()
+        self.train_keys = np.append(edges[:, 0] * g.num_items + edges[:, 1],
+                                    np.iinfo(np.int64).max)
         # users with no train edge cannot be learned and are not evaluated
-        has_train = self.train_user_degrees > 0
-        has_valid = np.diff(self.valid_indptr) > 0
-        has_test = np.diff(self.test_indptr) > 0
-        self.test_users = np.flatnonzero(has_train & has_test)
-        self.valid_users = np.flatnonzero(has_train & has_valid)
+        has_train = self.train.user_degrees > 0
+        self.test_users = np.flatnonzero(has_train
+                                         & (self.test.user_degrees > 0))
+        self.valid_users = np.flatnonzero(has_train
+                                          & (self.valid.user_degrees > 0))
 
 
 def split_dataset(g, rng):
@@ -80,7 +69,5 @@ def split_dataset(g, rng):
     train_idx = rest[n_valid:]
     if n_test == 0:
         raise SplitError("empty test set")
-    return Split(graph=g,
-                 train_edges=edges[np.sort(train_idx)],
-                 valid_edges=edges[np.sort(valid_idx)],
-                 test_edges=edges[np.sort(test_idx)])
+    return Split(graph=g, train_edges=edges[train_idx],
+                 valid_edges=edges[valid_idx], test_edges=edges[test_idx])

@@ -75,23 +75,17 @@ class UltraGCN(EmbeddingModel):
     D @ Ei for those users and D.T @ Eu[rows] for the items. The block is
     used at every catalogue size, with no switch to a sparse path; it takes
     r * I * 8 bytes, at most 0.95 MB on the samples of a 12k-edge graph.
-    It, the gradient and the batch-by-pair work arrays are allocated by the
-    largest batch and reused until ``release``: a block allocated and freed
-    at every step goes back to the system and is faulted in again at the
-    next.
+    It, the gradient and the batch-by-pair work arrays are model buffers,
+    sized by the batch, not by r, and reused until ``release``.
     """
 
     def __init__(self, split, cfg):
         super().__init__(split, cfg)
-        self.a, self.r = beta_factors(np.maximum(split.train_user_degrees, 1),
+        self.a, self.r = beta_factors(np.maximum(split.train.user_degrees, 1),
                                       split.train.item_degrees)
         # padded neighbor slots hold item 0 with omega 0
         self.neighbors, self.omega, _, self.skipped_items = \
             item_cooccurrence_topk(split, cfg.item_topk)
-        self.buffers = None
-
-    def release(self):
-        self.buffers = None
 
     def forward(self, P):
         return P
@@ -108,18 +102,18 @@ class UltraGCN(EmbeddingModel):
         users, pos = batch[:, 0], batch[:, 1]
         B = len(batch)
         negs = rng.integers(I, size=(B, N))
-        if self.buffers is None or len(self.buffers[0]) < B:
-            # allocated above the negatives, whose block every batch then
-            # draws into again instead of growing the heap
-            width = N + 1 + self.neighbors.shape[1]
-            self.buffers = (np.empty((B, width), dtype=np.int64),
-                            np.empty((3, B, width)), np.empty((B, I)),
-                            np.empty((2, B, E.shape[1])), np.empty(E.shape))
-        J, (W, Z, T), S, (Eu, Gu), G = self.buffers
-        J, W, Z, T = J[:B], W[:B], Z[:B], T[:B]
+        # requested after the negatives, so that the first batch allocates
+        # them above the negatives' block, which every batch then draws
+        # into again instead of growing the heap
+        width = N + 1 + self.neighbors.shape[1]
+        J = self.table("J", (B, width), np.int64)
+        W, Z, T = (self.table(key, (B, width)) for key in "WZT")
         J[:, :N] = negs
         rows, inv = np.unique(users, return_inverse=True)
-        S, Eu, Gu = S[:len(rows)], Eu[:len(rows)], Gu[:len(rows)]
+        S = self.table("S", (B, I))[:len(rows)]
+        Eu, Gu = (self.table(key, (B, E.shape[1]))[:len(rows)]
+                  for key in ("Eu", "Gu"))
+        G = self.table("G", E.shape)
         Ei = E[self.num_users:]
         # every index is in range; "clip" lets take write to out unbuffered
         np.take(E, rows, axis=0, out=Eu, mode="clip")

@@ -47,10 +47,9 @@ def adjacency(g):
     return user_adj, item_adj
 
 
-def row_items(edges, indptr, u):
-    """Items of user ``u`` in a user-sorted (E, 2) edge array with CSR row
-    pointers ``indptr``, e.g. a Split's ``train_edges``/``train_indptr``."""
-    return edges[indptr[u]:indptr[u + 1], 1]
+def row_items(g, u):
+    """Items of user ``u`` in a graph's CSR, e.g. one of a Split's parts."""
+    return g.indices[g.indptr[u]:g.indptr[u + 1]]
 
 
 def random_bipartite(rng, max_users=10, max_items=10, p=0.3):

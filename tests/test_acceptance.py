@@ -55,14 +55,11 @@ def _oracle_evaluate(model, split, k, phase):
     recalls, ndcgs = [], []
     for u in users:
         scores = model.item_embeddings @ model.user_embeddings[u]
-        excluded = set(row_items(split.train_edges, split.train_indptr,
-                                 u).tolist())
-        valid = set(row_items(split.valid_edges, split.valid_indptr,
-                              u).tolist())
+        excluded = set(row_items(split.train, u).tolist())
+        valid = set(row_items(split.valid, u).tolist())
         if phase == "test":
             excluded |= valid
-            held_out = set(row_items(split.test_edges, split.test_indptr,
-                                     u).tolist())
+            held_out = set(row_items(split.test, u).tolist())
         else:
             held_out = valid
         ranked = sorted((i for i in range(len(scores)) if i not in excluded),
@@ -238,8 +235,8 @@ def test_acceptance_6_model_capability():
     k = 20
     baseline = float(np.mean(
         [k / (g.num_items
-              - len(row_items(split.train_edges, split.train_indptr, u))
-              - len(row_items(split.valid_edges, split.valid_indptr, u)))
+              - len(row_items(split.train, u))
+              - len(row_items(split.valid, u)))
          for u in split.test_users]))
     lifts = {}
     for kind in MODEL_KINDS:

@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +132,44 @@ def test_clustering_matches_jaccard_oracle(rng, partition):
         else:
             assert 10 ** log10_value == pytest.approx(expected, abs=1e-9)
     assert zeros < 40
+
+
+def _clustering_add_at(g, partition):
+    """average_clustering_coefficient with each node's Jaccard sum made by
+    two np.add.at scatters: the reference the one bincount must match
+    exactly."""
+    proj = project(g, partition)
+    bipartite_deg = g.user_degrees if partition == "user" else g.item_degrees
+    if proj.num_edges == 0:
+        return math.nan
+    union = bipartite_deg[proj.v] + bipartite_deg[proj.w] - proj.weight
+    jaccard = proj.weight / union
+    sums = np.zeros(proj.n)
+    np.add.at(sums, proj.v, jaccard)
+    np.add.at(sums, proj.w, jaccard)
+    per_node = np.where(proj.degrees > 0,
+                        sums / np.maximum(proj.degrees, 1), 0.0)
+    mean = float(per_node.mean())
+    return math.log10(mean) if mean > 0 else math.nan
+
+
+@pytest.mark.parametrize("partition", ["user", "item"])
+def test_clustering_matches_add_at_exactly(partition):
+    for seed in range(30):
+        g = heavy_tailed_graph(num_users=40 + 5 * seed, num_items=30 + seed,
+                               num_interactions=200 + 20 * seed, seed=seed)
+        got = average_clustering_coefficient(g, partition)
+        want = _clustering_add_at(g, partition)
+        assert got == want or (math.isnan(got) and math.isnan(want)), seed
+
+
+def test_src_has_no_add_at():
+    """np.bincount is the one scatter-add in the package."""
+    src = Path(__file__).resolve().parent.parent / "src" / "topocf"
+    calls = [f"{path.name}:{n}" for path in sorted(src.rglob("*.py"))
+             for n, line in enumerate(path.read_text("utf-8").splitlines(), 1)
+             if "add.at(" in line]
+    assert calls == []
 
 
 def test_clustering_k22_is_one(k22_graph):

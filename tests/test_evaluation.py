@@ -205,8 +205,8 @@ def test_random_model_matches_analytic_baseline():
     k = 10
     expected = float(np.mean(
         [k / (g.num_items
-              - len(row_items(split.train_edges, split.train_indptr, u))
-              - len(row_items(split.valid_edges, split.valid_indptr, u)))
+              - len(row_items(split.train, u))
+              - len(row_items(split.valid, u)))
          for u in split.test_users]))
     rng = np.random.default_rng(8)
     recalls = []

@@ -46,20 +46,20 @@ def test_split_sizes_100_edges(rng):
         edges = g.edge_array()
     g = make_graph(list(map(tuple, edges[:100])), g.num_users, g.num_items)
     split = _split_of(g)
-    assert len(split.test_edges) == 20
-    assert len(split.valid_edges) == 8
-    assert len(split.train_edges) == 72
+    assert split.test.num_interactions == 20
+    assert split.valid.num_interactions == 8
+    assert split.train.num_interactions == 72
 
 
 def test_split_partitions_are_disjoint_and_complete(rng):
     g = _dense_graph(rng)
     split = _split_of(g)
-    parts = [set(map(tuple, split.train_edges)),
-             set(map(tuple, split.valid_edges)),
-             set(map(tuple, split.test_edges))]
+    parts = [set(map(tuple, part.edge_array().tolist()))
+             for part in (split.train, split.valid, split.test)]
     assert not (parts[0] & parts[1] or parts[0] & parts[2]
                 or parts[1] & parts[2])
-    assert parts[0] | parts[1] | parts[2] == set(map(tuple, g.edge_array()))
+    assert (parts[0] | parts[1] | parts[2]
+            == set(map(tuple, g.edge_array().tolist())))
 
 
 def test_split_rejects_tiny_graphs():
@@ -79,11 +79,35 @@ def test_split_untrained_user_not_evaluated():
     assert list(split.valid_users) == [0]
 
 
+def test_split_parts_ignore_edge_order(rng):
+    """Each part is a CSR over all of the graph's nodes, the same for its
+    edges in any order; a user with no train edge has train degree 0."""
+    g = _dense_graph(rng)
+    edges = g.edge_array()
+    part = rng.integers(3, size=len(edges))
+    part[edges[:, 0] == 0] = 2
+    ordered = [edges[part == p] for p in range(3)]
+    shuffled = [e[rng.permutation(len(e))] for e in ordered]
+    a, b = Split(g, *ordered), Split(g, *shuffled)
+    for name, want in zip(("train", "valid", "test"), ordered):
+        pa, pb = getattr(a, name), getattr(b, name)
+        assert np.array_equal(pa.edge_array(), want)
+        assert np.array_equal(pa.indptr, pb.indptr)
+        assert np.array_equal(pa.indices, pb.indices)
+        assert (pa.user_ids, pa.item_ids) == (g.user_ids, g.item_ids)
+        assert (pb.user_ids, pb.item_ids) == (g.user_ids, g.item_ids)
+    for name in ("train_keys", "test_users", "valid_users"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert a.train.user_degrees[0] == 0 < a.test.user_degrees[0]
+    assert 0 not in a.test_users and 0 not in a.valid_users
+
+
 def test_split_determinism(rng):
     g = _dense_graph(rng)
     a, b = _split_of(g, seed=5), _split_of(g, seed=5)
-    assert np.array_equal(a.train_edges, b.train_edges)
-    assert np.array_equal(a.test_edges, b.test_edges)
+    for part in ("train", "valid", "test"):
+        assert np.array_equal(getattr(a, part).edge_array(),
+                              getattr(b, part).edge_array())
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +188,7 @@ def _dgcf_per_intent(split, cfg, E0, G):
     """DGCF with K separate per-intent operators, rebuilt at every routing
     iteration: the reference the block-diagonal propagator must match bit
     for bit. Returns (forward output, intent weights, backward of G)."""
-    edges = split.train_edges
+    edges = split.train.edge_array()
     num_users, num_items = split.graph.num_users, split.graph.num_items
     chunk = E0.shape[1] // cfg.intents
 
@@ -207,10 +231,11 @@ def _split_with_untrained_nodes(seed):
     g = heavy_tailed_graph(num_users=30, num_items=20, num_interactions=150,
                            seed=seed)
     split = _split_of(g, seed=seed)
-    edges = split.train_edges
+    edges = split.train.edge_array()
     keep = ~np.isin(edges[:, 0], [0, 1]) & ~np.isin(edges[:, 1], [0, 2])
     return Split(graph=g, train_edges=edges[keep],
-                 valid_edges=split.valid_edges, test_edges=split.test_edges)
+                 valid_edges=split.valid.edge_array(),
+                 test_edges=split.test.edge_array())
 
 
 @pytest.mark.parametrize("intents", [1, 2, 4])
@@ -221,7 +246,7 @@ def test_dgcf_matches_per_intent_operators(intents, routing_iterations,
     seed = 100 * intents + 10 * routing_iterations + layers
     rng = np.random.default_rng(seed)
     untrained = _split_with_untrained_nodes(seed)
-    assert (untrained.train_user_degrees == 0).any()
+    assert (untrained.train.user_degrees == 0).any()
     assert (untrained.train.item_degrees == 0).any()
     cfg = default_config("dgcf", embedding_dim=8, intents=intents,
                          routing_iterations=routing_iterations, layers=layers)
@@ -532,8 +557,9 @@ def test_training_step_allocates_less_than_one_table(kind):
     cfg = default_config(kind)
     trainer = Trainer(_MODEL_CLASSES[kind](split, cfg), split, cfg,
                       np.random.default_rng(0))
-    order = np.random.default_rng(1).permutation(len(split.train_edges))
-    batch = split.train_edges[order[:cfg.batch_size]]
+    edges = split.train.edge_array()
+    order = np.random.default_rng(1).permutation(len(edges))
+    batch = edges[order[:cfg.batch_size]]
     trainer.step(batch)
     trainer.step(batch)
     tracemalloc.start()
@@ -560,7 +586,7 @@ def test_batch_gradient_matches_finite_differences(kind):
                          svd_rank=3)
     model = _MODEL_CLASSES[kind](split, cfg)
     P = model.init_params(np.random.default_rng(0))
-    batch = split.train_edges[::3]
+    batch = split.train.edge_array()[::3]
 
     def batch_loss(P):
         E = model.forward(P)
@@ -642,10 +668,9 @@ def test_item_cooccurrence_topk_matches_bruteforce(rng):
     split = _split_of(g)
     k = 3
     neighbors, omega, mask, skipped = item_cooccurrence_topk(split, k)
-    R = sp.csr_matrix(
-        (np.ones(len(split.train_edges)),
-         (split.train_edges[:, 0], split.train_edges[:, 1])),
-        shape=(g.num_users, g.num_items))
+    edges = split.train.edge_array()
+    R = sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                      shape=(g.num_users, g.num_items))
     G = (R.T @ R).toarray()
     sigma = G.sum(axis=1)
     for i in range(g.num_items):
@@ -668,7 +693,7 @@ def _item_cooccurrence_topk_loop(split, k):
     """Per-item loop over co-occurrence rows: the reference the vectorized
     top-k must match exactly."""
     g = split.graph
-    edges = split.train_edges
+    edges = split.train.edge_array()
     R = sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
                       shape=(g.num_users, g.num_items))
     RI = (R.T @ R).tocsr()
@@ -718,7 +743,7 @@ def _ultragcn_batch_gradient_gather(model, rng, batch, split, E):
     by einsum, its beta weights computed per pair, and its gradient made by
     pair_gradient: the reference batch_gradient must match."""
     cfg = model.cfg
-    deg_u = np.maximum(split.train_user_degrees, 1).astype(np.float64)
+    deg_u = np.maximum(split.train.user_degrees, 1).astype(np.float64)
     deg_i = split.train.item_degrees.astype(np.float64)
 
     def beta(du, di):
@@ -780,7 +805,7 @@ def test_ultragcn_batch_gradient_matches_gather(num_items):
     cfg = default_config("ultragcn")
     model = UltraGCN(split, cfg)
     E = model.forward(model.init_params(np.random.default_rng(1)))
-    edges = split.train_edges
+    edges = split.train.edge_array()
     first = edges[:cfg.batch_size]
     assert len(np.unique(first[:, 0])) < len(first)
     _assert_ultragcn_matches_gather(model, split, E, [
@@ -798,7 +823,7 @@ def test_ultragcn_item_zero_neighbor_among_padding():
     assert list(model.neighbors[5]) == [0] * cfg.item_topk
     assert model.omega[5, 0] > 0 and not model.omega[5, 1:].any()
     E = model.forward(model.init_params(np.random.default_rng(2)))
-    edges = split.train_edges
+    edges = split.train.edge_array()
     _assert_ultragcn_matches_gather(model, split, E, [edges, edges[::2]])
 
 
@@ -811,11 +836,11 @@ def test_ultragcn_release_drops_buffers():
     trainer = Trainer(UltraGCN(split, cfg), split, cfg,
                       np.random.default_rng(0))
     trainer.run_epoch(1)
-    assert trainer.model.buffers is not None
+    assert trainer.model.tables
     trainer.materialize()
-    assert trainer.model.buffers is None
+    assert not trainer.model.tables
     trainer.run_epoch(2)
-    assert trainer.model.buffers is not None
+    assert trainer.model.tables
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +968,7 @@ def test_cooccurrence_pairs_symmetry(rng):
     model = SvdGcn(split, default_config("svdgcn", svd_rank=4))
     user_sets = [set() for _ in range(g.num_users)]
     item_sets = [set() for _ in range(g.num_items)]
-    for u, i in split.train_edges:
+    for u, i in split.train.edge_array():
         user_sets[u].add(int(i))
         item_sets[i].add(int(u))
     for pairs, sets in ((model.user_pairs, user_sets),
