@@ -76,7 +76,9 @@ class BipartiteGraph:
         """Build from a deduplicated (E, 2) index array, in any order, and
         token maps."""
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
+        # keys are distinct, so this is the (user, item) lexicographic order
+        order = np.argsort(edges[:, 0] * len(item_ids) + edges[:, 1],
+                           kind="stable")
         indptr = np.zeros(len(user_ids) + 1, dtype=np.int64)
         np.cumsum(np.bincount(edges[:, 0], minlength=len(user_ids)),
                   out=indptr[1:])

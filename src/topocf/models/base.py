@@ -369,10 +369,50 @@ class EmbeddingModel:
 
 
 class PropagationModel(EmbeddingModel):
-    """BPR on embeddings propagated linearly from the layer-0 matrix
-    P = E0 (LightGCN, DGCF); subclasses supply forward/backward, which
-    write into the node x dim buffers ``propagation_tables`` returns. The
-    gradient goes into two of them that do not hold E."""
+    """BPR on the mean of layer-0..L embeddings propagated linearly from
+    P = E0 (LightGCN, DGCF).
+
+    Each node's embedding is ``intents`` equal chunks, and layer l maps
+    its input X to its output Y by one sparse product on ``chunks``, the
+    (n*intents, dim/intents) view of a node x dim table in which row
+    x*intents + k is node x's chunk k. A model supplies the product's
+    operator, ``layer_operator(l, X, Y)``, which may use Y as scratch.
+    The layers' operators are
+    symmetric, so the backward pass runs them again, in reverse order, to
+    route a gradient on E back to P. Both passes run in three node x dim
+    buffers: the layer sum and two layers in turn. The gradient goes into
+    the two that do not hold E.
+    """
+
+    intents = 1
+
+    def chunks(self, M):
+        return M.reshape(len(M) * self.intents, -1)
+
+    def forward(self, E0):
+        """E, as a view of a model buffer that is valid until the next
+        ``forward`` or ``backward``."""
+        acc, *layers = self.propagation_tables(E0.shape)
+        np.copyto(acc, E0)
+        X = E0
+        self.layer_ops = []
+        for layer in range(self.cfg.layers):
+            Y = spare(layers, X)
+            op = self.layer_operator(layer, X, Y)
+            self.layer_ops.append(op)
+            spmm(op, self.chunks(X), self.chunks(Y))
+            acc += Y
+            X = Y
+        return np.divide(acc, self.cfg.layers + 1, out=acc)
+
+    def backward(self, G):
+        tables = self.propagation_tables(G.shape)
+        B = G
+        for op in reversed(self.layer_ops):
+            T = spare(tables, G, B)
+            spmm(op, self.chunks(B), self.chunks(T))
+            B = np.add(G, T, out=T)
+        return np.divide(B, self.cfg.layers + 1, out=spare(tables, G, B))
 
     def batch_gradient(self, rng, batch, split, E):
         users, pos = batch[:, 0], batch[:, 1]
@@ -382,8 +422,8 @@ class PropagationModel(EmbeddingModel):
         return loss, pair_gradient(terms, E, self.pair_tables(E))
 
     def propagation_tables(self, shape):
-        """The model's node x dim buffers, ``shape`` each."""
-        return [self.table(i, shape) for i in range(self.num_tables)]
+        """The model's three node x dim buffers, ``shape`` each."""
+        return [self.table(i, shape) for i in range(3)]
 
     def pair_tables(self, E):
         tables = self.propagation_tables(E.shape)

@@ -18,40 +18,6 @@ def _zipf_weights(n, exponent):
     return w / w.sum()
 
 
-def two_block_graph(num_users=300, num_items=300, interactions_per_user=30,
-                    cross_interactions=2, popularity_exponent=1.0, seed=0):
-    """Two-community graph with popularity-skewed within-block interactions.
-
-    Users and items split into two equal blocks. Each user draws most
-    interactions from their own block's items, with item popularity
-    following a rank-``popularity_exponent`` power law inside the block,
-    plus a few uniform cross-block interactions that keep the graph
-    connected. The block plus popularity structure makes held-out items
-    predictable from the observed ones.
-    """
-    rng = np.random.default_rng(seed)
-    half_items = num_items // 2
-    edges = set()
-    within = interactions_per_user - cross_interactions
-    for u in range(num_users):
-        block = 0 if u < num_users // 2 else 1
-        base = block * half_items
-        block_size = half_items if block == 0 else num_items - half_items
-        probs = _zipf_weights(block_size, popularity_exponent)
-        own = rng.choice(block_size, size=min(within, block_size),
-                         replace=False, p=probs)
-        for i in own:
-            edges.add((u, base + int(i)))
-        other_base = (half_items - base) if block else half_items
-        other_size = num_items - block_size
-        for i in rng.choice(other_size, size=min(cross_interactions, other_size),
-                            replace=False):
-            edges.add((u, other_base + int(i)))
-    edge_array = np.array(sorted(edges), dtype=np.int64)
-    user_ids, item_ids = _token_maps(num_users, num_items)
-    return BipartiteGraph.from_edge_array(edge_array, user_ids, item_ids)
-
-
 def heavy_tailed_graph(num_users=1200, num_items=800, num_interactions=12000,
                        user_exponent=0.8, item_exponent=1.1, seed=0):
     """Scale-free-like graph: user activity and item popularity both follow

@@ -5,6 +5,7 @@ import pytest
 
 from topocf.graph import BipartiteGraph, ingest_and_build
 from topocf.sampling import MANIFEST_HEADER, SampleSpec
+from topocf.synthetic import _token_maps, _zipf_weights
 
 
 def make_graph(edges, num_users=None, num_items=None):
@@ -61,6 +62,40 @@ def random_bipartite(rng, max_users=10, max_items=10, p=0.3):
         if mask.any():
             us, its = np.nonzero(mask)
             return make_graph(list(zip(us, its)), nu, ni)
+
+
+def two_block_graph(num_users=300, num_items=300, interactions_per_user=30,
+                    cross_interactions=2, popularity_exponent=1.0, seed=0):
+    """Two-community graph with popularity-skewed within-block interactions.
+
+    Users and items split into two equal blocks. Each user draws most
+    interactions from their own block's items, with item popularity
+    following a rank-``popularity_exponent`` power law inside the block,
+    plus a few uniform cross-block interactions that keep the graph
+    connected. The block plus popularity structure makes held-out items
+    predictable from the observed ones.
+    """
+    rng = np.random.default_rng(seed)
+    half_items = num_items // 2
+    edges = set()
+    within = interactions_per_user - cross_interactions
+    for u in range(num_users):
+        block = 0 if u < num_users // 2 else 1
+        base = block * half_items
+        block_size = half_items if block == 0 else num_items - half_items
+        probs = _zipf_weights(block_size, popularity_exponent)
+        own = rng.choice(block_size, size=min(within, block_size),
+                         replace=False, p=probs)
+        for i in own:
+            edges.add((u, base + int(i)))
+        other_base = (half_items - base) if block else half_items
+        other_size = num_items - block_size
+        for i in rng.choice(other_size, size=min(cross_interactions, other_size),
+                            replace=False):
+            edges.add((u, other_base + int(i)))
+    edge_array = np.array(sorted(edges), dtype=np.int64)
+    user_ids, item_ids = _token_maps(num_users, num_items)
+    return BipartiteGraph.from_edge_array(edge_array, user_ids, item_ids)
 
 
 @pytest.fixture

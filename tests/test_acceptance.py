@@ -25,9 +25,9 @@ from topocf.pipeline import rq2_sweep, RunResult
 from topocf.config import parse_config
 from topocf.sampling import (EDGE_DROPOUT, NODE_DROPOUT, edge_dropout,
                              generate_samples, node_dropout, round_half_up)
-from topocf.synthetic import heavy_tailed_graph, two_block_graph
+from topocf.synthetic import heavy_tailed_graph
 
-from conftest import make_graph, random_bipartite, row_items
+from conftest import make_graph, random_bipartite, row_items, two_block_graph
 from test_explain import COUNT_DERIVED, _design, _p_two_sided_oracle
 
 

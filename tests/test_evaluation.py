@@ -9,9 +9,8 @@ from topocf import evaluation
 from topocf.evaluation import evaluate
 from topocf.models.base import TrainedModel, default_config
 from topocf.models.split import Split, split_dataset
-from topocf.synthetic import two_block_graph
 
-from conftest import make_graph, random_bipartite, row_items
+from conftest import make_graph, random_bipartite, row_items, two_block_graph
 from test_acceptance import _oracle_evaluate, _random_split
 
 

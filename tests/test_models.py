@@ -22,9 +22,9 @@ from topocf.models.svd import randomized_subspace_svd
 from topocf.models.svdgcn import SvdGcn, normalized_interactions
 from topocf.models.ultragcn import (UltraGCN, beta_factors,
                                     item_cooccurrence_topk)
-from topocf.synthetic import heavy_tailed_graph, two_block_graph
+from topocf.synthetic import heavy_tailed_graph
 
-from conftest import make_graph, random_bipartite
+from conftest import make_graph, random_bipartite, two_block_graph
 
 
 def _dense_graph(rng, nu=20, ni=15, p=0.5):
@@ -186,7 +186,7 @@ def test_dgcf_adjoint_identity(rng):
 
 def _dgcf_per_intent(split, cfg, E0, G):
     """DGCF with K separate per-intent operators, rebuilt at every routing
-    iteration: the reference the block-diagonal propagator must match bit
+    iteration: the reference the interleaved-intent propagator must match bit
     for bit. Returns (forward output, intent weights, backward of G)."""
     edges = split.train.edge_array()
     num_users, num_items = split.graph.num_users, split.graph.num_items
@@ -256,7 +256,7 @@ def test_dgcf_matches_per_intent_operators(intents, routing_iterations,
         n = g.num_users + g.num_items
         E0 = rng.normal(0.0, 0.1, size=(n, 8))
         G = rng.normal(size=(n, 8))
-        out = prop.forward(E0)
+        out = prop.forward(E0).copy()
         back = prop.backward(G)
         out_ref, weights_ref, back_ref = _dgcf_per_intent(split, cfg, E0, G)
         assert np.array_equal(out, out_ref)
@@ -283,19 +283,34 @@ def test_dgcf_requires_divisible_embedding(rng):
                                              intents=4))
 
 
-def test_dgcf_single_intent_matches_lightgcn(rng):
+@pytest.mark.parametrize("routing_iterations", [0, 2])
+def test_dgcf_single_intent_matches_lightgcn(rng, routing_iterations):
     g = _dense_graph(rng, nu=15, ni=15)
     split = _split_of(g)
     kw = dict(embedding_dim=16, layers=2, max_epochs=6, eval_interval=100)
     m_light = train_model(split, default_config("lightgcn", **kw),
                           np.random.default_rng(13))
-    m_dgcf = train_model(split, default_config("dgcf", intents=1,
-                                               routing_iterations=2, **kw),
+    m_dgcf = train_model(split, default_config(
+        "dgcf", intents=1, routing_iterations=routing_iterations, **kw),
                          np.random.default_rng(13))
-    np.testing.assert_allclose(m_light.user_embeddings,
-                               m_dgcf.user_embeddings, atol=1e-9)
-    np.testing.assert_allclose(m_light.item_embeddings,
-                               m_dgcf.item_embeddings, atol=1e-9)
+    assert np.array_equal(m_light.user_embeddings, m_dgcf.user_embeddings)
+    assert np.array_equal(m_light.item_embeddings, m_dgcf.item_embeddings)
+
+
+@pytest.mark.parametrize("kind", ["lightgcn", "dgcf"])
+def test_propagation_runs_on_three_shared_tables(kind):
+    """LightGCN and DGCF run PropagationModel's one forward/backward pair,
+    and a training step leaves exactly three node x dim tables."""
+    cls = _MODEL_CLASSES[kind]
+    assert "forward" not in vars(cls) and "backward" not in vars(cls)
+    g = heavy_tailed_graph(num_users=60, num_items=30, num_interactions=400,
+                           seed=2)
+    split = _split_of(g)
+    cfg = default_config(kind, embedding_dim=16, batch_size=64)
+    trainer = Trainer(cls(split, cfg), split, cfg, np.random.default_rng(0))
+    trainer.step(split.train.edge_array()[:64])
+    shape = (g.num_users + g.num_items, cfg.embedding_dim)
+    assert sum(T.shape == shape for T in trainer.model.tables.values()) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -353,9 +353,9 @@ def test_cli_import_leaves_out_dense_linalg_and_csgraph():
         "from topocf.evaluation import evaluate; "
         "from topocf.models.base import default_config, train_model; "
         "from topocf.models.split import split_dataset; "
-        "from topocf.synthetic import two_block_graph; "
-        "g = two_block_graph(num_users=12, num_items=10, "
-        "interactions_per_user=4, seed=1); "
+        "from topocf.synthetic import heavy_tailed_graph; "
+        "g = heavy_tailed_graph(num_users=12, num_items=10, "
+        "num_interactions=48, seed=1); "
         "split = split_dataset(g, np.random.default_rng(0)); "
         "model = train_model(split, "
         "default_config('lightgcn', embedding_dim=4, max_epochs=2), "
