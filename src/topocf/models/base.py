@@ -75,12 +75,18 @@ class TrainedModel:
     stopped_early: bool = False
 
 
+ADAM_BLOCK = 32768  # float64 elements per array in one block: 256 KiB
+
+
 class Adam:
     """Adaptive-moment estimation with the standard defaults, on the
     gradient plus the L2 term ``l2 * param``.
 
-    ``step`` updates param, m and v in place, through two scratch arrays
-    allocated here, and allocates nothing.
+    ``step`` updates param, m and v in place and allocates nothing. It
+    walks them and the gradient as flat views, ``ADAM_BLOCK`` elements at
+    a time, so that the block's operands stay in cache between its
+    operations; its scratch is two blocks. Every operation is elementwise,
+    so the blocks change no bit of the result.
     """
 
     def __init__(self, shape, lr, l2=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -92,29 +98,37 @@ class Adam:
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.t = 0
-        self.scratch = np.empty((2,) + self.m.shape)
+        self.scratch = np.empty((2, min(self.m.size, ADAM_BLOCK)))
 
     def step(self, param, grad):
         """param -= lr * m_hat / (sqrt(v_hat) + eps), with the operands of
-        every product and quotient in that order."""
+        every product and quotient in that order. param and grad are
+        C-contiguous, so that their flat views are not copies."""
+        if not (param.flags.c_contiguous and grad.flags.c_contiguous):
+            raise ValueError("Adam.step needs C-contiguous param and grad")
         self.t += 1
-        a, b = self.scratch
-        np.multiply(self.l2, param, out=a)
-        a += grad
-        np.multiply(1 - self.beta1, a, out=b)
-        self.m *= self.beta1
-        self.m += b
-        np.multiply(1 - self.beta2, a, out=b)
-        b *= a
-        self.v *= self.beta2
-        self.v += b
-        np.divide(self.v, 1 - self.beta2 ** self.t, out=a)
-        np.sqrt(a, out=a)
-        a += self.eps
-        np.divide(self.m, 1 - self.beta1 ** self.t, out=b)
-        b *= self.lr
-        b /= a
-        param -= b
+        m_bias = 1 - self.beta1 ** self.t
+        v_bias = 1 - self.beta2 ** self.t
+        flat = [x.reshape(-1) for x in (param, grad, self.m, self.v)]
+        for start in range(0, param.size, ADAM_BLOCK):
+            p, g, m, v = (x[start:start + ADAM_BLOCK] for x in flat)
+            a, b = (x[:len(p)] for x in self.scratch)
+            np.multiply(self.l2, p, out=a)
+            a += g
+            np.multiply(1 - self.beta1, a, out=b)
+            m *= self.beta1
+            m += b
+            np.multiply(1 - self.beta2, a, out=b)
+            b *= a
+            v *= self.beta2
+            v += b
+            np.divide(v, v_bias, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, m_bias, out=b)
+            b *= self.lr
+            b /= a
+            p -= b
 
 
 def normal_init(rng, rows, dim):

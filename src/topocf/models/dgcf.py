@@ -10,33 +10,47 @@ Routing weights are treated as constants by the backward pass.
 All K intents propagate as one product on ``chunks``, the (n*K, d/K) view
 of a node x dim table, whose row x*K + k is node x's intent-k chunk. The
 operator's row x*K + k repeats the normalized adjacency's CSR row x, at
-columns c*K + k; this pattern is fixed once per model, and a routing
-iteration writes only its K*2E values. The train edges are sorted by
+columns c*K + k; this pattern is fixed once per model, every operator
+shares its index arrays, and a routing iteration writes only its K*2E
+values, normalizing them in place. The train edges are sorted by
 (user, item), so each CSR row lists its edges in the order the weighted
-degrees sum them, and every value, degree and product equals that of K
-separate per-intent operators bit for bit.
+degrees sum them.
 
 Propagation runs on ``PropagationModel``'s three node x dim buffers; a
 layer's routing iterations use the buffer its output goes to as scratch.
-The routing scores, weights and per-value arrays have buffers of their
-own; a routing iteration still allocates its K*n weighted degrees.
+The routing scores and weights are intent-major (K, E) arrays, so that the
+softmax reduces over K contiguous rows of E. The affinity gathers each
+train edge's full user and item rows of the layer output, ``AFFINITY_BLOCK``
+edges at a time, into two (block, d) buffers that stay in cache, and sums
+their product over each intent's d/K columns. The weighted degrees and
+the block buffers are the model's, so a routing iteration allocates
+nothing of size K*n or E*d/K.
+
+With fewer than 8 intents every weight, value and product equals that of
+K separate per-intent operators with (E, K) scores bit for bit. From 8
+intents on, numpy sums each row of an (E, K) array pairwise, so the
+softmax's sum over the K rows here may differ from that in the last bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
-from .base import PropagationModel, spmm
+from .base import PropagationModel, spmm, take_rows
 from .lightgcn import inverse_sqrt, normalized_operator
 
 
-def softmax_rows(x, out):
-    """scipy.special.softmax(x, axis=1), by the same operations, written
-    into ``out``."""
-    np.subtract(x, x.max(axis=1, keepdims=True), out=out)
+AFFINITY_BLOCK = 1024  # train edges whose endpoint rows are gathered at once
+
+
+def softmax_intents(x, out):
+    """scipy.special.softmax(x, axis=0) of (K, E) scores, by the same
+    operations, written into ``out``."""
+    np.subtract(x, x.max(axis=0), out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=1, keepdims=True)
+    out /= out.sum(axis=0)
     return out
 
 
@@ -57,54 +71,67 @@ class DGCFPropagator(PropagationModel):
         # per operator value: its row and column, the value of A it repeats
         # and that value's train edge (user rows list their edges in order,
         # item rows list theirs by user)
-        self.rows = np.repeat(np.arange(K * n), degrees)
-        intent = self.rows % K
-        of_A = (np.arange(K * A.nnz) - indptr[self.rows]
-                + A.indptr[self.rows // K])
-        self.cols = A.indices[of_A] * K + intent
+        rows = np.repeat(np.arange(K * n), degrees)
+        intent = rows % K
+        of_A = np.arange(K * A.nnz) - indptr[rows] + A.indptr[rows // K]
+        cols = A.indices[of_A] * K + intent
         edge_of = np.concatenate([np.arange(len(edges)),
                                   np.argsort(edges[:, 1], kind="stable")])
-        # per value, its flat index into the (edge, intent) weights
-        self.weight_of = edge_of[of_A] * K + intent
-        # per intent, the chunk rows of each train edge's user and item
-        self.end_rows = (K * np.stack([edges[:, 0],
-                                       self.num_users + edges[:, 1]])
-                         + np.arange(K)[:, None, None])
-        # one intent's endpoint chunks, reused by every routing iteration
-        self.ends = np.empty((2, len(edges), cfg.embedding_dim // K))
+        # per value, its flat index into the (intent, edge) weights
+        self.weight_of = intent * len(edges) + edge_of[of_A]
+        # each train edge's user and item rows of a node x dim table
+        self.ends = np.stack([edges[:, 0], self.num_users + edges[:, 1]])
+        # the operator times ones sums each row's values
+        self.ones = np.ones((K * n, 1))
 
-        def operator():
-            return sp.csr_matrix((np.empty(K * A.nnz), self.cols, indptr),
-                                 shape=(K * n, K * n))
-
-        self.routed_ops = [operator() for _ in range(cfg.layers)]
+        self.uniform_op = sp.csr_matrix((np.empty(K * A.nnz), cols, indptr),
+                                        shape=(K * n, K * n))
+        # the routed operators share its index arrays
+        self.routed_ops = [
+            sp.csr_matrix((np.empty(K * A.nnz), self.uniform_op.indices,
+                           self.uniform_op.indptr),
+                          shape=self.uniform_op.shape)
+            for _ in range(cfg.layers)]
         # every layer's first routing iteration weighs the intents uniformly
-        self.uniform_weights = softmax_rows(np.zeros((len(edges), K)),
-                                            np.empty((len(edges), K)))
-        self.uniform_op = operator()
+        self.uniform_weights = softmax_intents(np.zeros((K, len(edges))),
+                                               np.empty((K, len(edges))))
         self._route(self.uniform_op, self.uniform_weights)
-        self.intent_weights = None
+        self.intent_weights = self.uniform_weights
 
     def _route(self, op, weights):
         """Write the weighted normalized values into op's fixed pattern."""
-        w, t = (self.table(("route", j), self.rows.shape) for j in range(2))
+        deg, inv_sqrt = (self.table(("degree", j), self.ones.shape)
+                         for j in range(2))
         # every index is in range; "clip" lets take write to out unbuffered
-        np.take(weights, self.weight_of, out=w, mode="clip")
-        inv_sqrt = inverse_sqrt(np.bincount(self.rows, weights=w,
-                                            minlength=op.shape[0]))
-        w *= np.take(inv_sqrt, self.rows, out=t, mode="clip")
-        np.multiply(w, np.take(inv_sqrt, self.cols, out=t, mode="clip"),
-                    out=op.data)
+        np.take(weights, self.weight_of, out=op.data, mode="clip")
+        # each row's weighted degree: csr_matvecs adds a row's values in
+        # CSR order, as np.bincount over the values' rows does
+        spmm(op, self.ones, deg)
+        inverse_sqrt(deg, inv_sqrt,
+                     self.table("positive", self.ones.shape, bool))
+        # each value times inv_sqrt of its row, then of its column, in place
+        M, N = op.shape
+        for scale in (_sparsetools.csr_scale_rows,
+                      _sparsetools.csr_scale_columns):
+            scale(M, N, op.indptr, op.indices, op.data, inv_sqrt.ravel())
 
     def _affinity(self, Y, scores):
-        """scores[:, k] += each edge's endpoint dot product in intent k."""
-        u, i = self.ends
-        chunks = self.chunks(Y)
-        # every index is in range; "clip" lets take write to out unbuffered
-        for k, rows in enumerate(self.end_rows):
-            np.take(chunks, rows, axis=0, out=self.ends, mode="clip")
+        """scores[k] += each edge's endpoint dot product in intent k."""
+        K, num_edges = scores.shape
+        block = min(AFFINITY_BLOCK, num_edges)
+        gathers = [self.table(("affinity", j), (block, Y.shape[1]))
+                   for j in range(2)]
+        block_sums = self.table("affinity sums", (block, K))
+        for start in range(0, num_edges, AFFINITY_BLOCK):
+            stop = start + AFFINITY_BLOCK
+            u, i = (take_rows(Y, rows, out[:len(rows)]) for rows, out in
+                    zip(self.ends[:, start:stop], gathers))
             u *= i
-            scores[:, k] += u.sum(axis=1)
+            sums = u.reshape(len(u), K, -1).sum(axis=2,
+                                                out=block_sums[:len(u)])
+            # intent by intent: numpy buffers a 2-d add of transposed blocks
+            for k, row in enumerate(scores):
+                row[start:stop] += sums[:, k]
 
     def layer_operator(self, layer, X, Y):
         """Layer ``layer``'s routed operator for its input X; Y is scratch."""
@@ -115,11 +142,12 @@ class DGCFPropagator(PropagationModel):
         for _ in range(self.cfg.routing_iterations):
             spmm(op, self.chunks(X), self.chunks(Y))
             self._affinity(Y, scores)
-            weights = softmax_rows(scores, routed)
+            weights = softmax_intents(scores, routed)
             op = self.routed_ops[layer]
             self._route(op, weights)
         self.intent_weights = weights
         return op
 
     def extras(self, P):
-        return {"intent_weights": self.intent_weights.copy()}
+        # one row of K weights per train edge
+        return {"intent_weights": self.intent_weights.T.copy()}

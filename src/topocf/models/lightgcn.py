@@ -21,10 +21,14 @@ def normalized_operator(edges, weights, num_users, num_items):
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def inverse_sqrt(deg):
-    """1 / sqrt(deg), and 0 where deg is 0."""
-    with np.errstate(divide="ignore"):
-        return np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+def inverse_sqrt(deg, out=None, positive=None):
+    """1 / sqrt(deg), and 0 where deg is 0. Written into ``out``, with
+    ``positive`` (a bool array) receiving deg > 0, when they are given."""
+    positive = np.greater(deg, 0, out=positive)
+    out = np.empty(deg.shape) if out is None else out
+    out.fill(0)
+    np.sqrt(deg, out=out, where=positive)
+    return np.divide(1.0, out, out=out, where=positive)
 
 
 class LightGCNPropagator(PropagationModel):

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from scipy.special import expit, softmax
 
 from topocf.evaluation import EvaluationResult
-from topocf.models import base
+from topocf.models import base, dgcf
 from topocf.models.base import (MODEL_KINDS, Adam, ModelConfig, TrainedModel,
                                 Trainer, TrainingDivergedError,
                                 bpr_pairs, default_config,
@@ -242,7 +242,9 @@ def _split_with_untrained_nodes(seed):
 @pytest.mark.parametrize("routing_iterations", [0, 1, 2])
 @pytest.mark.parametrize("layers", [1, 3])
 def test_dgcf_matches_per_intent_operators(intents, routing_iterations,
-                                           layers):
+                                           layers, monkeypatch):
+    """Also with the affinity gathered 3 edges at a time: the two-block
+    split's 34 train edges end in a ragged block."""
     seed = 100 * intents + 10 * routing_iterations + layers
     rng = np.random.default_rng(seed)
     untrained = _split_with_untrained_nodes(seed)
@@ -252,16 +254,80 @@ def test_dgcf_matches_per_intent_operators(intents, routing_iterations,
                          routing_iterations=routing_iterations, layers=layers)
     for split in (_split_of(two_block_graph(12, 10, 4, seed=seed)), untrained):
         g = split.graph
-        prop = DGCFPropagator(split, cfg)
         n = g.num_users + g.num_items
         E0 = rng.normal(0.0, 0.1, size=(n, 8))
         G = rng.normal(size=(n, 8))
-        out = prop.forward(E0).copy()
-        back = prop.backward(G)
         out_ref, weights_ref, back_ref = _dgcf_per_intent(split, cfg, E0, G)
-        assert np.array_equal(out, out_ref)
-        assert np.array_equal(prop.extras(E0)["intent_weights"], weights_ref)
-        assert np.array_equal(back, back_ref)
+        for block in (dgcf.AFFINITY_BLOCK, 3):
+            monkeypatch.setattr(dgcf, "AFFINITY_BLOCK", block)
+            prop = DGCFPropagator(split, cfg)
+            out = prop.forward(E0).copy()
+            back = prop.backward(G)
+            assert np.array_equal(out, out_ref)
+            assert np.array_equal(prop.extras(E0)["intent_weights"],
+                                  weights_ref)
+            assert np.array_equal(back, back_ref)
+
+
+def test_dgcf_eight_intents_match_per_intent_operators_to_rounding(rng):
+    """From 8 intents on, numpy sums an (E, K) row pairwise, and the
+    softmax over the intent-major (K, E) scores may differ in the last
+    bit."""
+    split = _split_of(two_block_graph(12, 10, 4, seed=7))
+    cfg = default_config("dgcf", embedding_dim=16, intents=8, layers=2)
+    n = split.graph.num_users + split.graph.num_items
+    E0 = rng.normal(0.0, 0.1, size=(n, 16))
+    G = rng.normal(size=(n, 16))
+    prop = DGCFPropagator(split, cfg)
+    out = prop.forward(E0).copy()
+    back = prop.backward(G)
+    out_ref, weights_ref, back_ref = _dgcf_per_intent(split, cfg, E0, G)
+    np.testing.assert_allclose(out, out_ref, rtol=1e-13, atol=1e-16)
+    np.testing.assert_allclose(prop.extras(E0)["intent_weights"],
+                               weights_ref, rtol=1e-13)
+    np.testing.assert_allclose(back, back_ref, rtol=1e-13, atol=1e-15)
+
+
+def test_dgcf_layer_operator_allocates_no_intent_table(rng):
+    """A routing pass, after the one that allocates the model's buffers,
+    allocates no K*n weighted degrees and no E x d/K endpoint chunks; the
+    operators share one index pattern."""
+    g = heavy_tailed_graph(num_users=3000, num_items=1500,
+                           num_interactions=5000, seed=3)
+    split = _split_of(g)
+    cfg = default_config("dgcf")
+    prop = DGCFPropagator(split, cfg)
+    n = g.num_users + g.num_items
+    num_edges = len(split.train.edge_array())
+    assert num_edges > dgcf.AFFINITY_BLOCK
+    X = rng.normal(0.0, 0.1, size=(n, cfg.embedding_dim))
+    Y = np.empty_like(X)
+    prop.layer_operator(0, X, Y)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        prop.layer_operator(0, X, Y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    K = cfg.intents
+    assert peak - start < 8 * min(K * n, num_edges * cfg.embedding_dim // K)
+    for op in prop.routed_ops:
+        assert np.shares_memory(op.indices, prop.uniform_op.indices)
+        assert np.shares_memory(op.indptr, prop.uniform_op.indptr)
+
+
+def test_dgcf_without_layers_reports_uniform_weights():
+    """With no layer, no routing runs: the intent weights stay the uniform
+    ones every layer's routing starts from."""
+    g = heavy_tailed_graph(num_users=60, num_items=30, num_interactions=400,
+                           seed=2)
+    split = _split_of(g)
+    cfg = default_config("dgcf", layers=0, max_epochs=1)
+    model = train_model(split, cfg, np.random.default_rng(0))
+    weights = model.extras["intent_weights"]
+    shape = (len(split.train.edge_array()), cfg.intents)
+    assert np.array_equal(weights, np.full(shape, 1 / cfg.intents))
 
 
 def test_dgcf_zero_routing_iterations_gives_uniform_weights(rng):
@@ -338,20 +404,26 @@ def _adam_step_allocating(opt, param, grad):
 
 
 def test_adam_in_place_matches_allocating_steps(rng):
-    """The L2 term enters as ``grad + l2 * param``, added before the step."""
-    shape = (37, 8)
-    for l2 in (0.0, 1e-4, 0.7):
-        opt, ref = Adam(shape, lr=1e-2, l2=l2), Adam(shape, lr=1e-2)
-        param = rng.normal(size=shape)
-        param_ref = param.copy()
-        for _ in range(30):
-            grad = (rng.normal(size=shape)
-                    * rng.choice([1e-12, 1.0, 1e6], size=shape))
-            opt.step(param, grad.copy())
-            _adam_step_allocating(ref, param_ref, grad + l2 * param_ref)
-            assert param.tobytes() == param_ref.tobytes()
-            assert opt.m.tobytes() == ref.m.tobytes()
-            assert opt.v.tobytes() == ref.v.tobytes()
+    """The L2 term enters as ``grad + l2 * param``, added before the step.
+    The second shape spans three full blocks and a ragged fourth, and the
+    step's scratch is two blocks, not two tables."""
+    for shape in ((37, 8), (3 * base.ADAM_BLOCK // 64 + 7, 64)):
+        for l2 in (0.0, 1e-4, 0.7):
+            opt, ref = Adam(shape, lr=1e-2, l2=l2), Adam(shape, lr=1e-2)
+            assert opt.scratch.shape == (2, min(math.prod(shape),
+                                                base.ADAM_BLOCK))
+            param = rng.normal(size=shape)
+            param_ref = param.copy()
+            for _ in range(30):
+                grad = (rng.normal(size=shape)
+                        * rng.choice([1e-12, 1.0, 1e6], size=shape))
+                opt.step(param, grad.copy())
+                _adam_step_allocating(ref, param_ref, grad + l2 * param_ref)
+                assert param.tobytes() == param_ref.tobytes()
+                assert opt.m.tobytes() == ref.m.tobytes()
+                assert opt.v.tobytes() == ref.v.tobytes()
+            with pytest.raises(ValueError, match="C-contiguous"):
+                opt.step(param, np.asfortranarray(grad))
 
 
 def test_train_loop_returns_best_validation_model(monkeypatch):

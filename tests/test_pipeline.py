@@ -292,6 +292,33 @@ def test_bench_trace_spans_name_every_patched_stage(dataset_path, tmp_path,
     assert stages <= {span[0] for span in spans}
 
 
+def test_bench_trace_counts_every_model_site(dataset_path, tmp_path):
+    # the model-level wrappers of bench/trace_cli.py count calls made inside
+    # the models; a site no longer called through its module attribute
+    # would read 0 without failing the benchmark
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                          "trace_cli.py")
+    kinds = ("lightgcn", "dgcf", "ultragcn", "svdgcn")
+    model_lines = [f"model.{kind}.{key}={value}" for kind in kinds
+                   for key, value in (("embedding_dim", 8), ("max_epochs", 1),
+                                      ("eval_interval", 1))]
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, script, str(spans_path), "--out",
+         str(tmp_path / "out"), "train", f"dataset={dataset_path}",
+         "num_samples=1", "master_seed=3", "models=" + ",".join(kinds),
+         "model.svdgcn.svd_rank=8", *model_lines],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with open(spans_path, encoding="utf-8") as fh:
+        counts = json.load(fh)["counts"]
+    for name in ("models.dgcf.operator_builds", "models.svd.calls",
+                 "models.ultragcn.cooccurrence_topk.calls",
+                 "models.sample_negative_items.calls"):
+        assert counts.get(name, 0) > 0, name
+
+
 # ---------------------------------------------------------------------------
 # alpha sweep and report assembly
 
