@@ -55,6 +55,15 @@ _SCALAR_PARSERS = {
 _MODEL_FIELDS = {f.name: f.type for f in dataclasses.fields(ModelConfig)
                  if f.name != "kind"}
 
+# the least value each model field may take; learning_rate must be > 0
+_MODEL_MINIMUMS = {
+    **dict.fromkeys(("embedding_dim", "intents", "negatives", "item_topk",
+                     "svd_rank", "batch_size", "max_epochs", "patience",
+                     "eval_interval"), 1),
+    **dict.fromkeys(("layers", "routing_iterations", "l2_weight",
+                     "item_loss_weight", "a2"), 0),
+}
+
 
 def _parse_bool(raw, key):
     low = raw.strip().lower()
@@ -156,7 +165,19 @@ def _validate(cfg):
     if cfg.rq2_total < 0:
         raise ConfigError("rq2_total must be >= 0")
     for kind in cfg.model_configs:
-        cfg.config_for(kind)
+        _validate_model(cfg.config_for(kind))
+
+
+def _validate_model(mc):
+    """Reject a model setting that would fail or mislead inside every cell."""
+    for name, least in _MODEL_MINIMUMS.items():
+        if not getattr(mc, name) >= least:  # NaN fails too
+            raise ConfigError(f"model.{mc.kind}.{name} must be >= {least}")
+    if not mc.learning_rate > 0:
+        raise ConfigError(f"model.{mc.kind}.learning_rate must be > 0")
+    if mc.kind == "dgcf" and mc.embedding_dim % mc.intents:
+        raise ConfigError("model.dgcf.embedding_dim must be divisible by "
+                          f"intents, got {mc.embedding_dim} and {mc.intents}")
 
 
 def describe_keys():

@@ -30,7 +30,7 @@ def randomized_subspace_svd(A, k, rng=None):
                                  full_matrices=False)
         return U, s, Vt.T
     # imported here, not at module level: scipy.sparse.linalg loads
-    # scipy.linalg (about 8 MB and 0.1 s per process), and train_model
+    # scipy.linalg (about 9 MB and 75 ms per process), and train_model
     # imports this module for every model kind
     from scipy.sparse.linalg import LinearOperator, eigsh
     X = A if m >= n else A.T

@@ -12,11 +12,10 @@ E, the batch's gathered rows and the pair gradient live in model buffers.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from ..graph import project
 from .base import (EmbeddingModel, bpr_pairs, normal_init, pair_gradient,
-                   sample_negative_items, softplus, take_rows)
+                   sample_negative_items, sigmoid, softplus, take_rows)
 from .svd import randomized_subspace_svd
 
 
@@ -83,8 +82,8 @@ class SvdGcn(EmbeddingModel):
             s_neg = np.multiply(ea, en, out=en).sum(axis=1)
             loss += (float(softplus(-s_pos).sum()) / n
                      + float(softplus(s_neg).sum()) / n)
-            terms += [(sel[:, 0], sel[:, 1], -expit(-s_pos) / n),
-                      (sel[:, 0], others, expit(s_neg) / n)]
+            terms += [(sel[:, 0], sel[:, 1], -sigmoid(-s_pos) / n),
+                      (sel[:, 0], others, sigmoid(s_neg) / n)]
         return loss, pair_gradient(terms, E, self.pair_tables(E))
 
     def pair_tables(self, E):

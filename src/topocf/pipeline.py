@@ -32,7 +32,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,6 +170,8 @@ def _run_ledgered(cfg, ledger, result, cells, fn, read, write,
             todo.append(cell)
     work = [cell[4] for cell in todo]
     if cfg.jobs > 1 and len(work) > 1:
+        # multiprocessing is imported only by a run that starts a pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             outcomes = list(pool.map(fn, work))
     else:

@@ -15,6 +15,7 @@ from topocf.characteristics import read_characteristics_csv
 from topocf.cli import main
 from topocf.config import ConfigError, parse_config
 from topocf.graph import write_interactions
+from topocf.models.base import MODEL_KINDS
 from topocf.pipeline import RunLedger, metrics_header, run_experiment
 from topocf.synthetic import heavy_tailed_graph
 
@@ -373,27 +374,35 @@ def test_emit_report_without_outputs_raises(tmp_path):
 
 def test_cli_import_leaves_out_dense_linalg_and_csgraph():
     # scipy.linalg (which scipy.sparse.csgraph and scipy.sparse.linalg also
-    # pull in) costs about 8 MB of resident memory and 0.1 s in every
-    # process; only SVD-GCN's truncated SVD needs it
-    train_lightgcn = (
-        "import numpy as np; "
-        "from topocf.evaluation import evaluate; "
-        "from topocf.models.base import default_config, train_model; "
-        "from topocf.models.split import split_dataset; "
-        "from topocf.synthetic import heavy_tailed_graph; "
-        "g = heavy_tailed_graph(num_users=12, num_items=10, "
-        "num_interactions=48, seed=1); "
-        "split = split_dataset(g, np.random.default_rng(0)); "
-        "model = train_model(split, "
-        "default_config('lightgcn', embedding_dim=4, max_epochs=2), "
-        "np.random.default_rng(0)); "
-        "evaluate(model, split, phase='valid'); evaluate(model, split); ")
+    # pull in) costs about 9 MB of resident memory and 75 ms in every
+    # process; only SVD-GCN's truncated SVD needs it. scipy.special (about
+    # 4.5 MB and 45 ms) is only for the regressions' p-values, and
+    # multiprocessing only for a run with jobs > 1
+    def train(kinds):
+        return ("import numpy as np\n"
+                "from topocf.evaluation import evaluate\n"
+                "from topocf.models.base import default_config, train_model\n"
+                "from topocf.models.split import split_dataset\n"
+                "from topocf.synthetic import heavy_tailed_graph\n"
+                "g = heavy_tailed_graph(num_users=12, num_items=10, "
+                "num_interactions=48, seed=1)\n"
+                "split = split_dataset(g, np.random.default_rng(0))\n"
+                f"for kind in {kinds!r}:\n"
+                # svd_rank 3 < min(12, 10) takes SVD-GCN through ARPACK
+                "    model = train_model(split, default_config(kind, "
+                "embedding_dim=4, svd_rank=3, max_epochs=2), "
+                "np.random.default_rng(0))\n"
+                "    evaluate(model, split, phase='valid')\n"
+                "    evaluate(model, split)\n")
+
+    dense = ("scipy.linalg", "scipy.sparse.csgraph", "scipy.sparse.linalg")
+    lazy = ("scipy.special", "multiprocessing", "concurrent.futures.process")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    for setup in ("import topocf.cli; ", train_lightgcn):
-        code = ("import sys; " + setup +
-                "print(sorted(m for m in ('scipy.linalg', "
-                "'scipy.sparse.csgraph', 'scipy.sparse.linalg') "
-                "if m in sys.modules))")
+    for setup, absent in (("import topocf.cli\n", dense + lazy),
+                          (train(("lightgcn",)), dense),
+                          (train(MODEL_KINDS), lazy)):
+        code = (f"import sys\n{setup}"
+                f"print(sorted(m for m in {absent!r} if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              check=True, capture_output=True, text=True).stdout
         assert out.strip() == "[]", setup
@@ -447,6 +456,29 @@ def test_cli_rq2_pool_error_exits_two(dataset_path, tmp_path, capsys,
             "num_samples=4", *FAST_MODEL_LINES, "models=lightgcn", trigger]
     assert main(args) == 2
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", [
+    *(f"model.{kind}.{name}=0" for kind, name in (
+        ("lightgcn", "embedding_dim"), ("dgcf", "intents"),
+        ("ultragcn", "negatives"), ("ultragcn", "item_topk"),
+        ("svdgcn", "svd_rank"), ("lightgcn", "batch_size"),
+        ("lightgcn", "max_epochs"), ("lightgcn", "patience"),
+        ("lightgcn", "eval_interval"), ("lightgcn", "learning_rate"))),
+    *(f"model.{kind}.{name}=-1" for kind, name in (
+        ("lightgcn", "layers"), ("dgcf", "routing_iterations"),
+        ("lightgcn", "learning_rate"), ("lightgcn", "l2_weight"),
+        ("ultragcn", "item_loss_weight"), ("svdgcn", "a2"))),
+    "model.dgcf.embedding_dim=30",    # not divisible by 4 intents
+])
+def test_cli_rejects_out_of_domain_model_setting(dataset_path, tmp_path,
+                                                 capsys, setting):
+    out = tmp_path / "out"
+    args = ["train", f"dataset={dataset_path}", f"out_dir={out}",
+            "num_samples=2", setting]
+    assert main(args) == 2
+    assert "configuration error: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_degenerate_sample_exits_two(tmp_path, capsys):
