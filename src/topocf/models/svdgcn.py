@@ -2,8 +2,10 @@
 
 Embeddings are fixed singular-vector features, rescaled per component by
 exp(a1 * singular value) and mapped through a single trainable linear
-transform. The interaction matrix is normalized with an additive degree
-damping a2 that bounds the top singular value by d_max / (d_max + a2).
+transform. The features come from ``models.svd``'s numpy Lanczos solver
+with each pair's sign fixed, so the data and the seed set them. The
+interaction matrix is normalized with an additive degree damping a2 that
+bounds the top singular value by d_max / (d_max + a2).
 The user-user and item-item pair losses draw from the train graph's
 co-occurring pairs, read from ``graph.project`` as the characteristics are.
 E, the batch's gathered rows and the pair gradient live in model buffers.
@@ -43,12 +45,17 @@ class SvdGcn(EmbeddingModel):
         self.Rn = normalized_interactions(g, cfg.a2)
 
     def init_params(self, rng):
-        """The truncated SVD that fixes F (ARPACK, seeded from ``rng``),
-        then the draw of W."""
-        P, s, Q = randomized_subspace_svd(self.Rn, self.rank, rng=rng)
+        """The draw of W, then the truncated SVD that fixes F (seeded from
+        ``rng``), so that W does not depend on how many numbers the solver
+        draws."""
+        W = normal_init(rng, self.rank, self.cfg.embedding_dim)
+        svd = randomized_subspace_svd(self.Rn, self.rank, rng=rng)
+        P, s, Q = svd
         self.F = np.vstack([P, Q]) * np.exp(self.cfg.a1 * s)
         self.singular_values = s
-        return normal_init(rng, self.rank, self.cfg.embedding_dim)
+        self.svd_restarts = svd.restarts
+        self.svd_max_residual = svd.max_residual
+        return W
 
     def forward(self, W):
         """E, as a view of a model buffer that is valid until the next
@@ -92,4 +99,6 @@ class SvdGcn(EmbeddingModel):
     def extras(self, P):
         return {"singular_values": self.singular_values.copy(),
                 "svd_rank_used": self.rank,
+                "svd_restarts": self.svd_restarts,
+                "svd_max_residual": self.svd_max_residual,
                 "transform": P.copy()}

@@ -10,7 +10,8 @@ import scipy.sparse as sp
 from scipy.special import expit, softmax
 
 from topocf.evaluation import EvaluationResult
-from topocf.models import base, dgcf
+from topocf.graph import largest_connected_component
+from topocf.models import base, dgcf, svd
 from topocf.models.base import (MODEL_KINDS, Adam, ModelConfig, TrainedModel,
                                 Trainer, TrainingDivergedError,
                                 bpr_pairs, default_config,
@@ -1028,6 +1029,63 @@ def test_randomized_svd_equal_seeds_are_identical():
     np.testing.assert_allclose(V.T @ V, np.eye(6), atol=1e-10)
 
 
+def test_randomized_svd_invariant_subspaces(rng):
+    """Inputs on which the Lanczos basis closes before k triplets are found
+    and must continue from fresh directions: rank 3 with k = 5, a 60 x 40
+    matrix with 30 zero columns and k = 12, and disconnected blocks with
+    sqrt(6) six times and 2 eight times over, cut at k = 16."""
+    low_rank = rng.normal(size=(50, 3)) @ rng.normal(size=(3, 30))
+    zero_columns = rng.normal(size=(60, 40))
+    zero_columns[:, rng.permutation(40)[:30]] = 0.0
+    blocks = sp.block_diag([np.ones((3, 2))] * 6 + [2.0 * np.eye(4)] * 2
+                           + [0.1 * rng.normal(size=(30, 20))], format="csr")
+    for A, k in ((low_rank, 5), (zero_columns, 12), (blocks, 16),
+                 (blocks.T.tocsr(), 16)):
+        U, s, V = randomized_subspace_svd(A, k, rng=rng)
+        dense = A.toarray() if sp.issparse(A) else A
+        s_ref = np.linalg.svd(dense, compute_uv=False)[:k]
+        np.testing.assert_allclose(s, s_ref, atol=1e-12)
+        np.testing.assert_allclose(A @ V, U * s, atol=1e-12)
+        np.testing.assert_allclose(U.T @ U, np.eye(k), atol=1e-12)
+        np.testing.assert_allclose(V.T @ V, np.eye(k), atol=1e-12)
+        # each pair's sign: the largest-|.| entry of its right vector is > 0
+        assert (V[np.abs(V).argmax(axis=0), np.arange(k)] > 0).all()
+
+
+def test_randomized_svd_finds_every_copy_of_a_repeated_value():
+    """Normalized split graphs repeat singular values: each component has
+    sigma = 1 when a2 = 0, and isolated edges and pendant pairs on a hub
+    add copies of 1/3, 1/sqrt(6) and so on when a2 = 2. One Krylov
+    sequence holds one copy of each. The cases: 30 components cut at
+    k = 20, inside the cluster at 1, and two heavy-tailed splits at
+    k = 64 on which Lanczos without probes (seed 5) and ARPACK (seed 0)
+    returned wrong singular values for every solver seed tried."""
+    rng = np.random.default_rng(5)
+    blocks = [np.argwhere(rng.random((4, 3)) < 0.6) + (4 * b, 3 * b)
+              for b in range(30)]
+    cases = [(normalized_interactions(make_graph(np.vstack(blocks)), 0.0),
+              20)]
+    for seed in (0, 5):
+        g = largest_connected_component(heavy_tailed_graph(300, 150, 1200,
+                                                           seed=seed))
+        cases.append((normalized_interactions(_split_of(g).train, 2.0), 64))
+    for A, k in cases:
+        s_ref = np.linalg.svd(A.toarray(), compute_uv=False)[:k]
+        for seed in range(3):
+            U, s, V = randomized_subspace_svd(A, k, rng=seed)
+            np.testing.assert_allclose(s, s_ref, atol=1e-12)
+            np.testing.assert_allclose(A @ V, U * s, atol=1e-12)
+            np.testing.assert_allclose(V.T @ V, np.eye(k), atol=1e-12)
+
+
+def test_randomized_svd_restart_cap_raises(monkeypatch):
+    A = sp.random(300, 200, density=0.05, random_state=3, format="csr")
+    assert randomized_subspace_svd(A, 10, rng=0).restarts > 0
+    monkeypatch.setattr(svd, "MAX_RESTARTS", 0)
+    with pytest.raises(svd.SvdConvergenceError):
+        randomized_subspace_svd(A, 10, rng=0)
+
+
 def test_normalized_interactions_k22_rank_one():
     k22 = make_graph([(0, 0), (0, 1), (1, 0), (1, 1)])
     Rn = normalized_interactions(k22, a2=0.0)
@@ -1063,6 +1121,20 @@ def test_svdgcn_features_without_sharpening(rng):
                                atol=1e-8)
     np.testing.assert_allclose(np.linalg.norm(model.user_embeddings, axis=0),
                                1.0, atol=1e-8)
+
+
+def test_svdgcn_draws_w_before_the_svd(rng):
+    """W is the seed's first draw, whatever the solver draws after it; the
+    solver's restarts and residual are kept as diagnostics."""
+    split = _split_of(_dense_graph(rng, nu=30, ni=25))
+    model = SvdGcn(split, default_config("svdgcn", svd_rank=5,
+                                         embedding_dim=4))
+    W = model.init_params(np.random.default_rng(3))
+    np.testing.assert_array_equal(
+        W, base.normal_init(np.random.default_rng(3), 5, 4))
+    extras = model.extras(W)
+    assert extras["svd_restarts"] >= 0
+    assert 0.0 <= extras["svd_max_residual"] <= svd.TOL
 
 
 def test_cooccurrence_pairs_symmetry(rng):

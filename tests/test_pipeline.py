@@ -375,32 +375,29 @@ def test_emit_report_without_outputs_raises(tmp_path):
 def test_cli_import_leaves_out_dense_linalg_and_csgraph():
     # scipy.linalg (which scipy.sparse.csgraph and scipy.sparse.linalg also
     # pull in) costs about 9 MB of resident memory and 75 ms in every
-    # process; only SVD-GCN's truncated SVD needs it. scipy.special (about
-    # 4.5 MB and 45 ms) is only for the regressions' p-values, and
-    # multiprocessing only for a run with jobs > 1
-    def train(kinds):
-        return ("import numpy as np\n"
-                "from topocf.evaluation import evaluate\n"
-                "from topocf.models.base import default_config, train_model\n"
-                "from topocf.models.split import split_dataset\n"
-                "from topocf.synthetic import heavy_tailed_graph\n"
-                "g = heavy_tailed_graph(num_users=12, num_items=10, "
-                "num_interactions=48, seed=1)\n"
-                "split = split_dataset(g, np.random.default_rng(0))\n"
-                f"for kind in {kinds!r}:\n"
-                # svd_rank 3 < min(12, 10) takes SVD-GCN through ARPACK
-                "    model = train_model(split, default_config(kind, "
-                "embedding_dim=4, svd_rank=3, max_epochs=2), "
-                "np.random.default_rng(0))\n"
-                "    evaluate(model, split, phase='valid')\n"
-                "    evaluate(model, split)\n")
-
-    dense = ("scipy.linalg", "scipy.sparse.csgraph", "scipy.sparse.linalg")
-    lazy = ("scipy.special", "multiprocessing", "concurrent.futures.process")
+    # process, and no model needs it: SVD-GCN's truncated SVD is numpy
+    # only. scipy.special (about 4.5 MB and 45 ms) is only for the
+    # regressions' p-values, and multiprocessing only for a run with
+    # jobs > 1
+    train_all = ("import numpy as np\n"
+                 "from topocf.evaluation import evaluate\n"
+                 "from topocf.models.base import default_config, train_model\n"
+                 "from topocf.models.split import split_dataset\n"
+                 "from topocf.synthetic import heavy_tailed_graph\n"
+                 "g = heavy_tailed_graph(num_users=12, num_items=10, "
+                 "num_interactions=48, seed=1)\n"
+                 "split = split_dataset(g, np.random.default_rng(0))\n"
+                 f"for kind in {MODEL_KINDS!r}:\n"
+                 # svd_rank 3 < min(12, 10): a truncated, not a full, SVD
+                 "    model = train_model(split, default_config(kind, "
+                 "embedding_dim=4, svd_rank=3, max_epochs=2), "
+                 "np.random.default_rng(0))\n"
+                 "    evaluate(model, split, phase='valid')\n"
+                 "    evaluate(model, split)\n")
+    absent = ("scipy.linalg", "scipy.sparse.csgraph", "scipy.sparse.linalg",
+              "scipy.special", "multiprocessing", "concurrent.futures.process")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    for setup, absent in (("import topocf.cli\n", dense + lazy),
-                          (train(("lightgcn",)), dense),
-                          (train(MODEL_KINDS), lazy)):
+    for setup in ("import topocf.cli\n", train_all):
         code = (f"import sys\n{setup}"
                 f"print(sorted(m for m in {absent!r} if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
