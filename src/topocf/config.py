@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .models.base import MODEL_KINDS, ModelConfig, default_config
+from .models.base import MODEL_CONFIGS, MODEL_KINDS
 from .sampling import EDGE_DROPOUT, NODE_DROPOUT
 
 
@@ -34,10 +33,11 @@ class ExperimentConfig:
     jobs: int = 1
 
     def config_for(self, kind):
-        """ModelConfig for a model kind with any file/CLI overrides applied."""
-        if kind not in MODEL_KINDS:
-            raise ConfigError(f"unknown model kind {kind!r}")
-        return default_config(kind, **self.model_configs.get(kind, {}))
+        """The kind's model config with any file/CLI overrides applied."""
+        try:
+            return MODEL_CONFIGS[kind](**self.model_configs.get(kind, {}))
+        except ValueError as exc:
+            raise ConfigError(f"model.{kind}: {exc}") from None
 
 
 _SCALAR_PARSERS = {
@@ -50,18 +50,6 @@ _SCALAR_PARSERS = {
     "rq2_total": int,
     "out_dir": str,
     "jobs": int,
-}
-
-_MODEL_FIELDS = {f.name: f.type for f in dataclasses.fields(ModelConfig)
-                 if f.name != "kind"}
-
-# the least value each model field may take; learning_rate must be > 0
-_MODEL_MINIMUMS = {
-    **dict.fromkeys(("embedding_dim", "intents", "negatives", "item_topk",
-                     "svd_rank", "batch_size", "max_epochs", "patience",
-                     "eval_interval"), 1),
-    **dict.fromkeys(("layers", "routing_iterations", "l2_weight",
-                     "item_loss_weight", "a2"), 0),
 }
 
 
@@ -105,13 +93,14 @@ def apply_setting(settings, key, raw):
             settings[key] = alphas
         elif key.startswith("model.") and key.count(".") == 2:
             _, kind, name = key.split(".")
-            if kind not in MODEL_KINDS:
+            if kind not in MODEL_CONFIGS:
                 raise ConfigError(f"{key}: unknown model kind {kind!r}")
-            if name not in _MODEL_FIELDS:
-                raise ConfigError(f"{key}: unknown model field {name!r}")
-            caster = float if "float" in str(_MODEL_FIELDS[name]) else int
+            own = {f.name: f.default for f in fields(MODEL_CONFIGS[kind])}
+            if name not in own:
+                raise ConfigError(f"{key}: {kind} has no field {name!r} "
+                                  f"(fields: {', '.join(own)})")
             settings.setdefault("model_configs", {}).setdefault(kind, {})[name] \
-                = caster(raw)
+                = type(own[name])(raw)
         else:
             raise ConfigError(f"unknown configuration key {key!r}")
     except ConfigError:
@@ -165,19 +154,7 @@ def _validate(cfg):
     if cfg.rq2_total < 0:
         raise ConfigError("rq2_total must be >= 0")
     for kind in cfg.model_configs:
-        _validate_model(cfg.config_for(kind))
-
-
-def _validate_model(mc):
-    """Reject a model setting that would fail or mislead inside every cell."""
-    for name, least in _MODEL_MINIMUMS.items():
-        if not getattr(mc, name) >= least:  # NaN fails too
-            raise ConfigError(f"model.{mc.kind}.{name} must be >= {least}")
-    if not mc.learning_rate > 0:
-        raise ConfigError(f"model.{mc.kind}.learning_rate must be > 0")
-    if mc.kind == "dgcf" and mc.embedding_dim % mc.intents:
-        raise ConfigError("model.dgcf.embedding_dim must be divisible by "
-                          f"intents, got {mc.embedding_dim} and {mc.intents}")
+        cfg.config_for(kind)  # the model config rejects what fails every cell
 
 
 def describe_keys():
@@ -186,5 +163,7 @@ def describe_keys():
     for key in sorted(_SCALAR_PARSERS):
         lines.append(f"  {key}")
     lines += ["  standardize", "  strategies", "  models", "  alphas",
-              "  model.<kind>.<field>  (e.g. model.lightgcn.layers=2)"]
+              "  model.<kind>.<field>, each kind's own (default):"]
+    lines += [f"    model.{kind}.{f.name}={f.default}"
+              for kind, cls in MODEL_CONFIGS.items() for f in fields(cls)]
     return "\n".join(lines)

@@ -17,7 +17,7 @@ the system and is page-faulted in again at the next.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,42 +26,83 @@ from scipy.sparse import _sparsetools
 from ..evaluation import evaluate
 
 
-MODEL_KINDS = ("lightgcn", "dgcf", "ultragcn", "svdgcn")
-
-
 class TrainingDivergedError(Exception):
     pass
 
 
+def least(default, bound):
+    """A config field whose values below ``bound`` the config rejects."""
+    return field(default=default, metadata={"least": bound})
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    kind: str
-    embedding_dim: int = 64
-    layers: int = 3                 # LightGCN / DGCF propagation depth
-    intents: int = 4                # DGCF
-    routing_iterations: int = 2     # DGCF
-    negatives: int = 1              # negatives per positive
-    item_topk: int = 10             # UltraGCN co-occurrence neighbors
-    item_loss_weight: float = 1.0   # UltraGCN lambda_I
-    svd_rank: int = 64              # SVD-GCN
-    a1: float = 1.0                 # SVD-GCN spectrum sharpening
-    a2: float = 2.0                 # SVD-GCN degree damping
-    learning_rate: float = 1e-3
-    l2_weight: float = 1e-4
-    batch_size: int = 1024
-    max_epochs: int = 200
-    patience: int = 5
-    eval_interval: int = 5
+    """The settings every model kind reads; the subclass of each ``kind``
+    adds its own. Construction rejects a value that would fail every cell."""
+
+    embedding_dim: int = least(64, 1)
+    learning_rate: float = 1e-3     # must be > 0
+    l2_weight: float = least(1e-4, 0)
+    batch_size: int = least(1024, 1)
+    max_epochs: int = least(200, 1)
+    patience: int = least(5, 1)
+    eval_interval: int = least(5, 1)
+
+    def __post_init__(self):
+        for f in fields(self):
+            bound, value = f.metadata.get("least"), getattr(self, f.name)
+            if bound is not None and not value >= bound:  # NaN fails too
+                raise ValueError(f"{f.name} must be >= {bound}, got {value}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got "
+                             f"{self.learning_rate}")
+
+
+@dataclass(frozen=True)
+class LightGCNConfig(ModelConfig):
+    kind = "lightgcn"
+    layers: int = least(3, 0)
+
+
+@dataclass(frozen=True)
+class DGCFConfig(ModelConfig):
+    kind = "dgcf"
+    layers: int = least(3, 0)
+    intents: int = least(4, 1)
+    routing_iterations: int = least(2, 0)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.embedding_dim % self.intents:
+            raise ValueError(f"embedding_dim {self.embedding_dim} is not "
+                             f"divisible by intents {self.intents}")
+
+
+@dataclass(frozen=True)
+class UltraGCNConfig(ModelConfig):
+    kind = "ultragcn"
+    batch_size: int = least(256, 1)             # UltraGCN's own (Mao et al.),
+    negatives: int = least(300, 1)              # as are 300 negatives
+    item_topk: int = least(10, 1)               # co-occurrence neighbors
+    item_loss_weight: float = least(1.0, 0)     # lambda_I
+
+
+@dataclass(frozen=True)
+class SvdGcnConfig(ModelConfig):
+    kind = "svdgcn"
+    svd_rank: int = least(64, 1)
+    a1: float = 1.0                 # spectrum sharpening
+    a2: float = least(2.0, 0)       # degree damping
+
+
+MODEL_CONFIGS = {cls.kind: cls for cls in (LightGCNConfig, DGCFConfig,
+                                           UltraGCNConfig, SvdGcnConfig)}
+MODEL_KINDS = tuple(MODEL_CONFIGS)
 
 
 def default_config(kind, **overrides):
-    """Desk-scale defaults per model kind."""
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    cfg = ModelConfig(kind=kind)
-    if kind == "ultragcn":
-        cfg = replace(cfg, negatives=300, batch_size=256)
-    return replace(cfg, **overrides) if overrides else cfg
+    """Desk-scale defaults for a model kind, with ``overrides`` applied."""
+    return MODEL_CONFIGS[kind](**overrides)
 
 
 @dataclass
@@ -454,15 +495,10 @@ class PropagationModel(EmbeddingModel):
 
 def train_model(split, cfg, rng):
     """Train the model for cfg.kind."""
-    from .dgcf import DGCFPropagator
-    from .lightgcn import LightGCNPropagator
-    from .svdgcn import SvdGcn
-    from .ultragcn import UltraGCN
+    from . import dgcf, lightgcn, svdgcn, ultragcn
 
-    models = {"lightgcn": LightGCNPropagator, "dgcf": DGCFPropagator,
-              "ultragcn": UltraGCN, "svdgcn": SvdGcn}
-    if cfg.kind not in models:
-        raise ValueError(f"unknown model kind {cfg.kind!r}")
-    trainer = Trainer(models[cfg.kind](split, cfg), split, cfg,
-                      np.random.default_rng(rng))
+    model = {"lightgcn": lightgcn.LightGCNPropagator,
+             "dgcf": dgcf.DGCFPropagator, "ultragcn": ultragcn.UltraGCN,
+             "svdgcn": svdgcn.SvdGcn}[cfg.kind](split, cfg)
+    trainer = Trainer(model, split, cfg, np.random.default_rng(rng))
     return train_loop(trainer, split, cfg)

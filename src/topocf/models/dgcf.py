@@ -56,10 +56,6 @@ def softmax_intents(x, out):
 
 class DGCFPropagator(PropagationModel):
     def __init__(self, split, cfg):
-        if cfg.embedding_dim % cfg.intents:
-            raise ValueError(
-                f"embedding_dim {cfg.embedding_dim} not divisible by "
-                f"intents {cfg.intents}")
         super().__init__(split, cfg)
         edges = split.train.edge_array()
         K = self.intents = cfg.intents

@@ -31,7 +31,8 @@ def item_cooccurrence_topk(split, k):
     co-occurrence row sum sigma_i (diagonal included), neighbor j gets
     omega = (w_ij / (sigma_i - w_ii)) * sqrt(sigma_i / sigma_j); items with
     no off-diagonal co-occurrence mass are skipped and counted. Neighbors
-    are ordered by weight descending, then index ascending.
+    are ordered by weight descending, then index ascending. An empty slot
+    holds item 0 with omega 0; a filled one has omega > 0 (w_ij >= 1).
 
     The w_ij are the item projection's counts, taken both ways; row i of
     R^T.R sums deg(u) over the users u of item i, so sigma_i is that sum
@@ -56,12 +57,10 @@ def item_cooccurrence_topk(split, k):
 
     neighbors = np.zeros((g.num_items, k), dtype=np.int64)
     omega = np.zeros((g.num_items, k))
-    mask = np.zeros((g.num_items, k), dtype=bool)
     neighbors[row, rank] = col
     omega[row, rank] = (dat / denom[row]) * np.sqrt(sigma[row] / sigma[col])
-    mask[row, rank] = True
     skipped = int(np.count_nonzero((per_row == 0) & (sigma > 0)))
-    return neighbors, omega, mask, skipped
+    return neighbors, omega, skipped
 
 
 class UltraGCN(EmbeddingModel):
@@ -83,8 +82,7 @@ class UltraGCN(EmbeddingModel):
         super().__init__(split, cfg)
         self.a, self.r = beta_factors(np.maximum(split.train.user_degrees, 1),
                                       split.train.item_degrees)
-        # padded neighbor slots hold item 0 with omega 0
-        self.neighbors, self.omega, _, self.skipped_items = \
+        self.neighbors, self.omega, self.skipped_items = \
             item_cooccurrence_topk(split, cfg.item_topk)
 
     def forward(self, P):

@@ -27,6 +27,9 @@ def heavy_tailed_graph(num_users=1200, num_items=800, num_interactions=12000,
     deduplicated, then every user and item is guaranteed at least one edge
     so the generated graph has no isolated nodes.
     """
+    if num_interactions > num_users * num_items:
+        raise ValueError(f"{num_interactions} interactions exceed the "
+                         f"{num_users} x {num_items} distinct pairs")
     rng = np.random.default_rng(seed)
     p_user = _zipf_weights(num_users, user_exponent)
     p_item = _zipf_weights(num_items, item_exponent)

@@ -1,5 +1,6 @@
 """Recommender machinery: splits, propagation, the trainer and its four models, SVD."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -12,8 +13,8 @@ from scipy.special import expit, softmax
 from topocf.evaluation import EvaluationResult
 from topocf.graph import largest_connected_component
 from topocf.models import base, dgcf, svd
-from topocf.models.base import (MODEL_KINDS, Adam, ModelConfig, TrainedModel,
-                                Trainer, TrainingDivergedError,
+from topocf.models.base import (MODEL_CONFIGS, MODEL_KINDS, Adam, ModelConfig,
+                                TrainedModel, Trainer, TrainingDivergedError,
                                 bpr_pairs, default_config,
                                 pair_gradient, sample_negative_items,
                                 sigmoid, softplus, spmm, train_loop,
@@ -490,8 +491,10 @@ def test_training_diverged_error_on_overflowing_loss(kind):
     g = two_block_graph(num_users=12, num_items=10, interactions_per_user=4,
                         seed=1)
     split = _split_of(g)
-    cfg = default_config(kind, embedding_dim=4, svd_rank=3, negatives=3,
-                         item_topk=3)
+    own = {"lightgcn": {}, "dgcf": {},
+           "ultragcn": {"negatives": 3, "item_topk": 3},
+           "svdgcn": {"svd_rank": 3}}
+    cfg = default_config(kind, embedding_dim=4, **own[kind])
     trainer = Trainer(_MODEL_CLASSES[kind](split, cfg), split, cfg,
                       np.random.default_rng(0))
     trainer.P *= 1e200
@@ -687,9 +690,11 @@ def test_batch_gradient_matches_finite_differences(kind):
     g = two_block_graph(num_users=12, num_items=10, interactions_per_user=4,
                         seed=1)
     split = _split_of(g)
-    cfg = default_config(kind, embedding_dim=4, layers=2, intents=2,
-                         routing_iterations=0, negatives=3, item_topk=3,
-                         svd_rank=3)
+    own = {"lightgcn": {"layers": 2},
+           "dgcf": {"layers": 2, "intents": 2, "routing_iterations": 0},
+           "ultragcn": {"negatives": 3, "item_topk": 3},
+           "svdgcn": {"svd_rank": 3}}
+    cfg = default_config(kind, embedding_dim=4, **own[kind])
     model = _MODEL_CLASSES[kind](split, cfg)
     P = model.init_params(np.random.default_rng(0))
     batch = split.train.edge_array()[::3]
@@ -726,10 +731,11 @@ def test_train_loop_divergence_raises():
 def test_training_is_deterministic(rng):
     g = _dense_graph(rng, nu=15, ni=15)
     split = _split_of(g)
+    own = {"lightgcn": {}, "dgcf": {}, "ultragcn": {"negatives": 5},
+           "svdgcn": {"svd_rank": 8}}
     for kind in ("lightgcn", "dgcf", "ultragcn", "svdgcn"):
-        cfg = default_config(kind, embedding_dim=16, svd_rank=8,
-                            max_epochs=4, eval_interval=100, negatives=5,
-                            batch_size=64)
+        cfg = default_config(kind, embedding_dim=16, max_epochs=4,
+                             eval_interval=100, batch_size=64, **own[kind])
         a = train_model(split, cfg, np.random.default_rng(21))
         b = train_model(split, cfg, np.random.default_rng(21))
         np.testing.assert_array_equal(a.user_embeddings, b.user_embeddings)
@@ -758,6 +764,51 @@ def test_early_stopping_restores_best(rng):
     assert model.epochs_trained < 200
 
 
+# a value of each model setting other than the one _setting_run starts from
+_OTHER_VALUE = {
+    "embedding_dim": 8, "learning_rate": 0.01, "l2_weight": 0.1,
+    "batch_size": 8, "max_epochs": 1, "patience": 2, "eval_interval": 2,
+    "layers": 1, "intents": 2, "routing_iterations": 0, "negatives": 4,
+    "item_topk": 1, "item_loss_weight": 0.0, "svd_rank": 3, "a1": 0.0,
+    "a2": 0.5,
+}
+_SETTING_BASE = {"embedding_dim": 4, "max_epochs": 6, "eval_interval": 1,
+                 "patience": 1}
+_setting_runs = {}
+
+
+def _setting_run(kind, **overrides):
+    """What training does on a 12 x 10 graph: the returned embeddings, the
+    epochs trained and whether it stopped early. Validation Recall@20 is 1
+    at every evaluation with 10 items, so the run stops at the second."""
+    cfg = default_config(kind, **{**_SETTING_BASE, **overrides})
+    key = repr(cfg)
+    if key not in _setting_runs:
+        g = two_block_graph(num_users=12, num_items=10,
+                            interactions_per_user=4, seed=1)
+        model = train_model(_split_of(g), cfg, np.random.default_rng(3))
+        _setting_runs[key] = (model.user_embeddings, model.item_embeddings,
+                              model.epochs_trained, model.stopped_early)
+    return _setting_runs[key]
+
+
+@pytest.mark.parametrize("kind, name", [
+    (kind, f.name) for kind, cls in MODEL_CONFIGS.items()
+    for f in dataclasses.fields(cls)])
+def test_every_model_setting_changes_training(kind, name):
+    """A setting that nothing reads would leave training as it was."""
+    assert getattr(default_config(kind, **_SETTING_BASE), name) \
+        != _OTHER_VALUE[name]
+    base_users, base_items, base_epochs, base_stopped = _setting_run(kind)
+    users, items, epochs, stopped = _setting_run(
+        kind, **{name: _OTHER_VALUE[name]})
+    assert base_stopped and base_epochs == 2
+    assert ((epochs, stopped) != (base_epochs, base_stopped)
+            or users.shape != base_users.shape
+            or not np.array_equal(users, base_users)
+            or not np.array_equal(items, base_items))
+
+
 # ---------------------------------------------------------------------------
 # UltraGCN specifics
 
@@ -773,7 +824,8 @@ def test_item_cooccurrence_topk_matches_bruteforce(rng):
     g = _dense_graph(rng)
     split = _split_of(g)
     k = 3
-    neighbors, omega, mask, skipped = item_cooccurrence_topk(split, k)
+    neighbors, omega, skipped = item_cooccurrence_topk(split, k)
+    mask = omega > 0
     edges = split.train.edge_array()
     R = sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
                       shape=(g.num_users, g.num_items))
@@ -835,11 +887,11 @@ def test_item_cooccurrence_topk_matches_loop(rng):
         pos_sets.append({num_items - 1})  # a single-item user
         split = _train_only_split(pos_sets, num_items)
         for k in (1, 3, 20):
-            got = item_cooccurrence_topk(split, k)
+            neighbors, omega, skipped = item_cooccurrence_topk(split, k)
             expected = _item_cooccurrence_topk_loop(split, k)
-            for a, b in zip(got[:3], expected[:3]):
+            for a, b in zip((neighbors, omega, omega > 0), expected[:3]):
                 np.testing.assert_array_equal(a, b)
-            assert got[3] == expected[3]
+            assert skipped == expected[3]
         skipped_seen += expected[3]
     assert skipped_seen > 0
 
@@ -871,7 +923,8 @@ def _ultragcn_batch_gradient_gather(model, rng, batch, split, E):
     loss += float((w_neg * np.logaddexp(0.0, s_neg)).sum()) / cfg.negatives
     c_neg = w_neg * expit(s_neg) / (B * cfg.negatives)
 
-    neighbors, omega, mask, _ = item_cooccurrence_topk(split, cfg.item_topk)
+    neighbors, omega, _ = item_cooccurrence_topk(split, cfg.item_topk)
+    mask = omega > 0
     nb = neighbors[pos]
     om = omega[pos] * mask[pos]
     s_ii = np.einsum("bd,bkd->bk", eu, Ei[nb])
@@ -982,7 +1035,7 @@ def test_randomized_svd_rank_validation(rng):
 
 
 def test_randomized_svd_full_rank_matches_dense_svd(rng):
-    """k == min(shape), which ARPACK cannot compute."""
+    """k == min(shape): the Lanczos basis spans the whole space."""
     for A in (rng.normal(size=(12, 9)),
               sp.random(9, 14, density=0.5, random_state=3, format="csr")):
         k = min(A.shape)
@@ -1015,8 +1068,8 @@ def test_randomized_svd_near_degenerate_cut(rng):
 
 def test_randomized_svd_equal_seeds_are_identical():
     """Twelve disjoint K_{3,2} blocks: one singular value sqrt(6) twelve
-    times over. ARPACK must restart from new vectors to find the repeats,
-    and those must come from the seed too."""
+    times over. The solver must continue from new random directions to
+    find the repeats, and those must come from the seed too."""
     A = sp.csr_matrix(np.kron(np.eye(12), np.ones((3, 2))))
     first = randomized_subspace_svd(A, 6, rng=np.random.default_rng(11))
     second = randomized_subspace_svd(A, 6, rng=np.random.default_rng(11))
@@ -1058,8 +1111,9 @@ def test_randomized_svd_finds_every_copy_of_a_repeated_value():
     add copies of 1/3, 1/sqrt(6) and so on when a2 = 2. One Krylov
     sequence holds one copy of each. The cases: 30 components cut at
     k = 20, inside the cluster at 1, and two heavy-tailed splits at
-    k = 64 on which Lanczos without probes (seed 5) and ARPACK (seed 0)
-    returned wrong singular values for every solver seed tried."""
+    k = 64 on which a Lanczos without probes (seed 5) and an implicitly
+    restarted Lanczos (seed 0) returned wrong singular values for every
+    solver seed tried."""
     rng = np.random.default_rng(5)
     blocks = [np.argwhere(rng.random((4, 3)) < 0.6) + (4 * b, 3 * b)
               for b in range(30)]

@@ -1,8 +1,10 @@
 """Configuration parsing, orchestration, resume, parallelism, and the CLI."""
 
+import dataclasses
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +14,10 @@ import pytest
 
 from topocf import graph, pipeline
 from topocf.characteristics import read_characteristics_csv
-from topocf.cli import main
+from topocf.cli import build_parser, main
 from topocf.config import ConfigError, parse_config
 from topocf.graph import write_interactions
-from topocf.models.base import MODEL_KINDS
+from topocf.models.base import MODEL_CONFIGS, MODEL_KINDS, default_config
 from topocf.pipeline import RunLedger, metrics_header, run_experiment
 from topocf.synthetic import heavy_tailed_graph
 
@@ -111,6 +113,45 @@ def test_model_field_overrides_reach_config_for():
 def test_parse_config_rejects_invalid_input(bad):
     with pytest.raises(ConfigError):
         parse_config(bad.split("\n"))
+
+
+@pytest.mark.parametrize("setting", ["model.lightgcn.negatives=5",
+                                     "model.ultragcn.layers=2",
+                                     "model.svdgcn.intents=2"])
+def test_config_rejects_a_field_the_kind_does_not_read(setting, capsys):
+    kind = setting.split(".")[1]
+    with pytest.raises(ConfigError, match=f"{kind} has no field"):
+        parse_config([setting])
+    assert main(["train", setting]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    own = ", ".join(f.name for f in dataclasses.fields(MODEL_CONFIGS[kind]))
+    assert f"(fields: {own})" in err
+
+
+def test_help_lists_every_settable_model_key_with_its_default():
+    names = {f.name for cls in MODEL_CONFIGS.values()
+             for f in dataclasses.fields(cls)}
+    settable = []
+    for kind in MODEL_KINDS:
+        for name in sorted(names):
+            try:
+                parse_config([f"model.{kind}.{name}=1"])
+            except ConfigError as exc:
+                if "has no field" in str(exc):
+                    continue
+            settable.append(f"model.{kind}.{name}")
+    text = build_parser().format_help()
+    listed = dict(re.findall(r"(model\.\w+\.\w+)=(\S+)", text))
+    assert sorted(listed) == sorted(settable)
+    assert len(re.findall(r"model\.\w+\.\w+", text)) == len(settable)
+    for key, shown in listed.items():
+        _, kind, name = key.split(".")
+        assert shown == str(getattr(default_config(kind), name))
+    # a setting is parsed with its default's type
+    for cls in MODEL_CONFIGS.values():
+        for f in dataclasses.fields(cls):
+            assert type(f.default).__name__ == f.type, f.name
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +430,9 @@ def test_cli_import_leaves_out_dense_linalg_and_csgraph():
                  "split = split_dataset(g, np.random.default_rng(0))\n"
                  f"for kind in {MODEL_KINDS!r}:\n"
                  # svd_rank 3 < min(12, 10): a truncated, not a full, SVD
+                 "    own = {'svd_rank': 3} if kind == 'svdgcn' else {}\n"
                  "    model = train_model(split, default_config(kind, "
-                 "embedding_dim=4, svd_rank=3, max_epochs=2), "
+                 "embedding_dim=4, max_epochs=2, **own), "
                  "np.random.default_rng(0))\n"
                  "    evaluate(model, split, phase='valid')\n"
                  "    evaluate(model, split)\n")

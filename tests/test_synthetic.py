@@ -69,3 +69,10 @@ def test_heavy_tailed_graph_matches_loop_with_fill_draws(shape):
         filled += got.num_interactions > shape[2]
         assert (got.user_degrees > 0).all() and (got.item_degrees > 0).all()
     assert filled or shape[2] == shape[0] * shape[1]
+
+
+def test_heavy_tailed_graph_rejects_more_interactions_than_pairs():
+    with pytest.raises(ValueError, match="exceed"):
+        heavy_tailed_graph(3, 3, 10, seed=0)
+    full = heavy_tailed_graph(3, 3, 9, seed=0)
+    assert full.num_interactions == 9
