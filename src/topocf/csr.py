@@ -1,0 +1,228 @@
+"""Compressed sparse rows over scipy's compiled sparse kernels.
+
+This is the one module that knows scipy's sparse layout. It loads the
+compiled extension ``scipy/sparse/_sparsetools`` straight from its file,
+so no process imports ``scipy`` or ``scipy.sparse``: their package init
+(``scipy._lib``'s array-API layer pulls in ``numpy.f2py``, ``numpy.testing``
+and ``email``) costs about 17 MB and 0.2 s, and nothing here needs it.
+Every product, conversion and scaling runs the kernel that scipy's own
+method runs, in the same order, so each result equals scipy's bit for bit.
+
+Index arrays are int64, the dtype of ``BipartiteGraph``'s arrays, so a
+graph's CSR shares them without a copy.
+"""
+
+from __future__ import annotations
+
+import importlib.machinery
+import importlib.util
+import os
+import sys
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
+
+
+INDEX = np.int64
+
+
+def _load_sparsetools():
+    """scipy.sparse._sparsetools, loaded from its file without importing
+    ``scipy`` or running ``scipy/sparse/__init__.py``. It is registered
+    under its own name, so a later ``from scipy.sparse import _sparsetools``
+    returns this module."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    folders = spec.submodule_search_locations if spec else None
+    paths = [os.path.join(folder, "sparse", "_sparsetools" + suffix)
+             for folder in folders or ()
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next(filter(os.path.isfile, paths), None)
+    if path is None:
+        raise ImportError("topocf needs scipy's compiled sparse kernels "
+                          "(scipy/sparse/_sparsetools): is scipy installed?",
+                          name=name)
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    return sys.modules.setdefault(name, module)
+
+
+_sparsetools = _load_sparsetools()
+
+
+@dataclass(frozen=True, eq=False)
+class CSR:
+    """A sparse matrix of ``shape`` whose row r stores its values
+    ``data[indptr[r]:indptr[r + 1]]`` at the columns
+    ``indices[indptr[r]:indptr[r + 1]]``.
+
+    The fields are never rebound, but ``data`` may be written in place;
+    the transpose is built at its first use and does not follow such
+    writes.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "indptr", np.asarray(self.indptr, INDEX))
+        object.__setattr__(self, "indices", np.asarray(self.indices, INDEX))
+        object.__setattr__(self, "shape", tuple(map(int, self.shape)))
+
+    @property
+    def nnz(self):
+        return len(self.indices)
+
+    @property
+    def dtype(self):
+        return self.data.dtype
+
+    @cached_property
+    def T(self):
+        """The transpose, each row's columns ascending (csr_tocsc)."""
+        M, N = self.shape
+        indptr = np.empty(N + 1, INDEX)
+        indices = np.empty(self.nnz, INDEX)
+        data = np.empty(self.nnz, self.dtype)
+        _sparsetools.csr_tocsc(M, N, self.indptr, self.indices, self.data,
+                               indptr, indices, data)
+        return CSR(indptr, indices, data, (N, M))
+
+    def __matmul__(self, other):
+        """self @ other for a CSR, or for a dense 1-D or 2-D operand of the
+        same dtype, by the kernel scipy's ``@`` runs. A sparse product lists
+        each row's columns in the kernel's order, not sorted."""
+        if isinstance(other, CSR):
+            return _matmat(self, other)
+        M, N = self.shape
+        other = np.ascontiguousarray(other)
+        if other.ndim == 2:
+            out = np.empty((M, other.shape[1]), self.dtype)
+            return spmm(self, other, out)
+        if other.shape != (N,) or other.dtype != self.dtype:
+            raise ValueError(f"{self.shape} {self.dtype} @ {other.shape} "
+                             f"{other.dtype}")
+        out = np.zeros(M, self.dtype)
+        _sparsetools.csr_matvec(M, N, self.indptr, self.indices, self.data,
+                                other, out)
+        return out
+
+    def scale(self, row_factors, column_factors):
+        """Multiply each value by row_factors[its row], then by
+        column_factors[its column], in place (csr_scale_rows, then
+        csr_scale_columns)."""
+        M, N = self.shape
+        if row_factors.shape != (M,) or column_factors.shape != (N,):
+            raise ValueError(f"scale factors {row_factors.shape} and "
+                             f"{column_factors.shape} for shape {self.shape}")
+        _sparsetools.csr_scale_rows(M, N, self.indptr, self.indices,
+                                    self.data, row_factors)
+        _sparsetools.csr_scale_columns(M, N, self.indptr, self.indices,
+                                       self.data, column_factors)
+
+    def strict_upper(self):
+        """The entries above the diagonal, each row's columns ascending:
+        scipy's ``triu(A, 1, format="csr")`` with sorted indices."""
+        M = self.shape[0]
+        rows = np.repeat(np.arange(M, dtype=INDEX), np.diff(self.indptr))
+        upper = self.indices > rows
+        indptr = np.zeros(M + 1, INDEX)
+        np.cumsum(np.bincount(rows[upper], minlength=M), out=indptr[1:])
+        out = CSR(indptr, self.indices[upper], self.data[upper], self.shape)
+        _sparsetools.csr_sort_indices(M, out.indptr, out.indices, out.data)
+        return out
+
+
+def _matmat(A, B):
+    """A @ B for two CSRs (csr_matmat_maxnnz, then csr_matmat)."""
+    (M, K), (K2, N) = A.shape, B.shape
+    if K != K2:
+        raise ValueError(f"shapes: {A.shape} @ {B.shape}")
+    nnz = _sparsetools.csr_matmat_maxnnz(M, N, A.indptr, A.indices,
+                                         B.indptr, B.indices)
+    indptr = np.empty(M + 1, INDEX)
+    indices = np.empty(nnz, INDEX)
+    data = np.empty(nnz, A.dtype)
+    _sparsetools.csr_matmat(M, N, A.indptr, A.indices, A.data,
+                            B.indptr, B.indices, B.data,
+                            indptr, indices, data)
+    return CSR(indptr, indices[:indptr[-1]], data[:indptr[-1]], (M, N))
+
+
+def from_coo(rows, cols, values, shape):
+    """The CSR of the (rows, cols, values) triples in scipy's canonical form:
+    each row's columns ascending, duplicates summed. The kernels are those
+    ``scipy.sparse.csr_matrix((values, (rows, cols)))`` runs: coo_tocsr,
+    csr_sort_indices unless the rows are sorted already, then
+    csr_sum_duplicates."""
+    M, N = shape
+    rows, cols = np.asarray(rows, INDEX), np.asarray(cols, INDEX)
+    nnz = len(values)
+    if not len(rows) == len(cols) == nnz:
+        raise ValueError("from_coo needs as many rows and cols as values")
+    _check_range(rows, M)
+    _check_range(cols, N)
+    indptr = np.empty(M + 1, INDEX)
+    indices = np.empty(nnz, INDEX)
+    data = np.empty(nnz, values.dtype)
+    _sparsetools.coo_tocsr(M, N, nnz, rows, cols, values,
+                           indptr, indices, data)
+    if not _sparsetools.csr_has_sorted_indices(M, indptr, indices):
+        _sparsetools.csr_sort_indices(M, indptr, indices, data)
+    _sparsetools.csr_sum_duplicates(M, N, indptr, indices, data)
+    return CSR(indptr, indices[:indptr[-1]], data[:indptr[-1]], shape)
+
+
+def spmm(A, X, out):
+    """A @ X for a CSR A and a dense X, written into ``out``.
+
+    ``A @ X`` allocates its result. Here ``out`` is zeroed, then the
+    ``csr_matvecs`` kernel that scipy's ``A @ X`` runs accumulates into it,
+    so the result equals scipy's ``A @ X`` bit for bit. At one column
+    scipy runs ``csr_matvec``, which makes the same multiply-adds in the
+    same order. X and out are C-contiguous, do not overlap, and have A's
+    dtype. Returns ``out``.
+    """
+    M, N = A.shape
+    if X.ndim != 2 or X.shape[0] != N or out.shape != (M, X.shape[1]):
+        raise ValueError(f"spmm shapes: {A.shape} @ {X.shape} -> {out.shape}")
+    if not (X.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError("spmm needs C-contiguous X and out")
+    if not X.dtype == out.dtype == A.dtype:
+        raise ValueError(
+            f"spmm dtypes: {A.dtype} @ {X.dtype} -> {out.dtype}")
+    if np.may_share_memory(X, out):
+        raise ValueError("spmm's out overlaps X")
+    out.fill(0)
+    _sparsetools.csr_matvecs(M, N, X.shape[1], A.indptr, A.indices, A.data,
+                             X.ravel(), out.ravel())
+    return out
+
+
+def scatter_add(out, index, values):
+    """out.flat[index.flat[t]] += values.flat[t] for every t, in order and
+    in place, for a C-contiguous ``out``: the kernel (coo_todense_nd) that
+    scipy's ``coo_array((values, (index,))).toarray(out=...)`` runs after
+    zeroing ``out``."""
+    if not out.flags.c_contiguous:
+        raise ValueError("scatter_add needs a C-contiguous out")
+    index = np.asarray(index, INDEX).reshape(-1)
+    if len(index) != values.size:
+        raise ValueError("scatter_add needs one index per value")
+    _check_range(index, out.size)
+    _sparsetools.coo_todense_nd(np.ones(1, INDEX), len(index), 1, index,
+                                values.reshape(-1), out.reshape(-1), 0)
+
+
+def _check_range(index, size):
+    """Raise unless every entry of ``index`` is in [0, size): the kernels
+    index without bounds checks."""
+    if len(index) and not (index.min() >= 0 and index.max() < size):
+        raise ValueError(f"index out of range [0, {size})")

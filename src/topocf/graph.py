@@ -9,7 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+
+from .csr import CSR
 
 
 PROJECTION_EDGE_CAP = 50_000_000
@@ -65,11 +66,13 @@ class BipartiteGraph:
                           self.user_degrees)
         return np.column_stack([users, self.indices])
 
-    def to_sparse(self):
-        """Interaction matrix as a CSR of shape (num_users, num_items)."""
-        data = np.ones(self.num_interactions, dtype=np.float64)
-        return sp.csr_matrix((data, self.indices, self.indptr),
-                             shape=(self.num_users, self.num_items))
+    def to_sparse(self, values=None):
+        """Interaction matrix as a CSR of shape (num_users, num_items), with
+        ``values`` in edge order, or ones, as its entries."""
+        if values is None:
+            values = np.ones(self.num_interactions)
+        return CSR(self.indptr, self.indices, values,
+                   (self.num_users, self.num_items))
 
     @classmethod
     def from_edge_array(cls, edges, user_ids, item_ids):
@@ -252,13 +255,12 @@ def project(g, partition):
         raise ValueError(f"unknown partition {partition!r}")
     R = g.to_sparse()
     if partition == "item":
-        R = R.T.tocsr()
+        R = R.T
     # the upper triangle's rows, each sorted by column, list the pairs in
     # (v, w) order
-    P = sp.triu(R @ R.T, k=1, format="csr")
-    P.sort_indices()
+    P = (R @ R.T).strict_upper()
     v = np.repeat(np.arange(R.shape[0], dtype=np.int64), np.diff(P.indptr))
-    w = P.indices.astype(np.int64)
+    w = P.indices
     wt = P.data
     degrees = (np.bincount(v, minlength=R.shape[0])
                + np.bincount(w, minlength=R.shape[0]))

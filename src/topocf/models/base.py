@@ -6,7 +6,8 @@ model supplies only the map from its parameters P to node embeddings E,
 the adjoint of that map, and a batch's loss and gradient in E. LightGCN,
 DGCF and SVD-GCN list the batch's pairs with each pair's loss slope and
 ``pair_gradient`` turns them into that gradient; UltraGCN scores and
-scatters its pairs on one dense user x item block.
+scatters its pairs on one dense user x item block. Every sparse product
+is ``topocf.csr``'s ``spmm`` on a ``CSR``, which writes into a given table.
 
 A training step allocates no table of its size: every node x dim array it
 makes (propagation layers, gathered batch rows, the pair gradient) is
@@ -20,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
+from ..csr import CSR, spmm
 from ..evaluation import evaluate
 
 
@@ -119,8 +119,8 @@ ADAM_BLOCK = 32768  # float64 elements per array in one block: 256 KiB
 
 
 class Adam:
-    """Adaptive-moment estimation with the standard defaults, on the
-    gradient plus the L2 term ``l2 * param``.
+    """Adaptive-moment estimation with the standard constants beta1, beta2
+    and eps, on the gradient plus the L2 term ``l2 * param``.
 
     ``step`` updates param, m and v in place and allocates nothing. It
     walks them and the gradient as flat views, ``ADAM_BLOCK`` elements at
@@ -129,12 +129,13 @@ class Adam:
     so the blocks change no bit of the result.
     """
 
-    def __init__(self, shape, lr, l2=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, shape, lr, l2=0.0):
         self.lr = lr
         self.l2 = l2
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.t = 0
@@ -204,38 +205,9 @@ def softplus(x):
 def sigmoid(x):
     """1 / (1 + exp(-x)), the slope of softplus: scipy.special.expit's
     formula, within a few ulp of it through numpy's exp, without the
-    ~4.5 MB that importing scipy.special costs every process."""
+    ~26 MB that importing scipy.special costs every process."""
     with np.errstate(over="ignore"):  # x < -709: exp is inf, sigmoid 0
         return 1.0 / (1.0 + np.exp(-x))
-
-
-def spmm(A, X, out):
-    """A @ X for a CSR matrix A and a dense X, written into ``out``.
-
-    scipy's ``A @ X`` has no ``out`` and allocates its result. Here ``out``
-    is zeroed, then scipy's private ``csr_matvecs`` kernel, the one
-    ``A @ X`` runs, accumulates into it, so the result equals ``A @ X`` bit
-    for bit without the allocation. At one column ``A @ X`` runs
-    ``csr_matvec``, which makes the same multiply-adds in the same order.
-    X and out are C-contiguous, do not overlap, and have A's dtype.
-    Returns ``out``.
-    """
-    M, N = A.shape
-    if A.format != "csr":
-        raise ValueError(f"spmm needs a CSR matrix, got {A.format}")
-    if X.ndim != 2 or X.shape[0] != N or out.shape != (M, X.shape[1]):
-        raise ValueError(f"spmm shapes: {A.shape} @ {X.shape} -> {out.shape}")
-    if not (X.flags.c_contiguous and out.flags.c_contiguous):
-        raise ValueError("spmm needs C-contiguous X and out")
-    if not X.dtype == out.dtype == A.dtype:
-        raise ValueError(
-            f"spmm dtypes: {A.dtype} @ {X.dtype} -> {out.dtype}")
-    if np.may_share_memory(X, out):
-        raise ValueError("spmm's out overlaps X")
-    out.fill(0)
-    _sparsetools.csr_matvecs(M, N, X.shape[1], A.indptr, A.indices, A.data,
-                             X.ravel(), out.ravel())
-    return out
 
 
 def spare(buffers, *busy):
@@ -275,7 +247,7 @@ def pair_matrix(rows, cols, coeffs, n):
     order = np.argsort(rows, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return sp.csr_matrix((coeffs[order], cols[order], indptr), shape=(n, n))
+    return CSR(indptr, cols[order], coeffs[order], (n, n))
 
 
 def pair_gradient(terms, E, tables):

@@ -35,10 +35,9 @@ softmax's sum over the K rows here may differ from that in the last bit.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
-from .base import PropagationModel, spmm, take_rows
+from ..csr import CSR, spmm
+from .base import PropagationModel, take_rows
 from .lightgcn import inverse_sqrt, normalized_operator
 
 
@@ -80,14 +79,12 @@ class DGCFPropagator(PropagationModel):
         # the operator times ones sums each row's values
         self.ones = np.ones((K * n, 1))
 
-        self.uniform_op = sp.csr_matrix((np.empty(K * A.nnz), cols, indptr),
-                                        shape=(K * n, K * n))
+        self.uniform_op = CSR(indptr, cols, np.empty(K * A.nnz),
+                              (K * n, K * n))
         # the routed operators share its index arrays
-        self.routed_ops = [
-            sp.csr_matrix((np.empty(K * A.nnz), self.uniform_op.indices,
-                           self.uniform_op.indptr),
-                          shape=self.uniform_op.shape)
-            for _ in range(cfg.layers)]
+        self.routed_ops = [CSR(indptr, cols, np.empty(K * A.nnz),
+                               self.uniform_op.shape)
+                           for _ in range(cfg.layers)]
         # every layer's first routing iteration weighs the intents uniformly
         self.uniform_weights = softmax_intents(np.zeros((K, len(edges))),
                                                np.empty((K, len(edges))))
@@ -106,10 +103,7 @@ class DGCFPropagator(PropagationModel):
         inverse_sqrt(deg, inv_sqrt,
                      self.table("positive", self.ones.shape, bool))
         # each value times inv_sqrt of its row, then of its column, in place
-        M, N = op.shape
-        for scale in (_sparsetools.csr_scale_rows,
-                      _sparsetools.csr_scale_columns):
-            scale(M, N, op.indptr, op.indices, op.data, inv_sqrt.ravel())
+        op.scale(inv_sqrt.ravel(), inv_sqrt.ravel())
 
     def _affinity(self, Y, scores):
         """scores[k] += each edge's endpoint dot product in intent k."""

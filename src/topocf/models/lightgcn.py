@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
+from ..csr import from_coo
 from .base import PropagationModel
 
 
@@ -18,7 +18,7 @@ def normalized_operator(edges, weights, num_users, num_items):
     data = np.concatenate([weights, weights]).astype(np.float64)
     inv_sqrt = inverse_sqrt(np.bincount(rows, weights=data, minlength=n))
     vals = data * inv_sqrt[rows] * inv_sqrt[cols]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return from_coo(rows, cols, vals, (n, n))
 
 
 def inverse_sqrt(deg, out=None, positive=None):

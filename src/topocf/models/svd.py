@@ -9,7 +9,9 @@ interactions of a split graph repeat singular values many times over
 one Krylov sequence holds one copy of each, so random probes of the
 space the basis leaves out look for the copies it lacks. Nothing here
 imports ``scipy.linalg`` or ``scipy.sparse.linalg``, which would add
-about 9 MB to every process that trains SVD-GCN.
+about 28 MB to every process that trains SVD-GCN. A sparse input needs
+only ``shape``, ``T`` and ``@``: SVD-GCN's ``topocf.csr.CSR`` builds its
+transpose once, at the first step, not at every one.
 """
 
 from __future__ import annotations

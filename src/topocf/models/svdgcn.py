@@ -23,11 +23,9 @@ from .svd import randomized_subspace_svd
 
 def normalized_interactions(g, a2):
     """Sparse R~ with entries 1 / sqrt((sigma_u + a2) * (sigma_i + a2))."""
-    R = g.to_sparse()
     deg_u, deg_i = g.user_degrees, g.item_degrees
-    R.data = 1.0 / np.sqrt((np.repeat(deg_u, deg_u) + a2)
-                           * (deg_i[R.indices] + a2))
-    return R
+    return g.to_sparse(1.0 / np.sqrt((np.repeat(deg_u, deg_u) + a2)
+                                     * (deg_i[g.indices] + a2)))
 
 
 class SvdGcn(EmbeddingModel):

@@ -9,8 +9,8 @@ from ``graph.project`` on the train graph as the characteristics are.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
+from ..csr import scatter_add
 from ..graph import project
 from .base import EmbeddingModel
 
@@ -146,8 +146,8 @@ class UltraGCN(EmbeddingModel):
 
         # D: S's block zeroed, then every slope added at its flat index in
         # pair order, the sum np.bincount makes, but in place
-        sp.coo_array((T.ravel(), (J.ravel(),)), shape=(S.size,)).toarray(
-            out=S.ravel())
+        S.fill(0.0)
+        scatter_add(S, J, T)
         G[:self.num_users] = 0.0
         G[rows] = np.matmul(S, Ei, out=Gu)
         np.matmul(S.T, Eu, out=G[self.num_users:])

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from topocf.csr import CSR
 from topocf.graph import BipartiteGraph, ingest_and_build
 from topocf.sampling import MANIFEST_HEADER, SampleSpec
 from topocf.synthetic import _token_maps, _zipf_weights
@@ -37,12 +39,22 @@ def read_manifest(path):
     return rows
 
 
+def to_scipy(A):
+    """A ``topocf.csr.CSR`` as a scipy CSR matrix, for scipy as an oracle."""
+    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+
+
+def from_scipy(A):
+    """A scipy CSR matrix as a ``topocf.csr.CSR`` on the same arrays."""
+    return CSR(A.indptr, A.indices, A.data, A.shape)
+
+
 def adjacency(g):
     """Per-user item arrays read from the CSR rows, and per-item user
-    arrays from scipy's transpose of the interaction matrix."""
+    arrays from the transpose of the interaction matrix."""
     user_adj = [g.indices[g.indptr[u]:g.indptr[u + 1]]
                 for u in range(g.num_users)]
-    RT = g.to_sparse().T.tocsr()
+    RT = g.to_sparse().T
     item_adj = [RT.indices[RT.indptr[i]:RT.indptr[i + 1]]
                 for i in range(g.num_items)]
     return user_adj, item_adj

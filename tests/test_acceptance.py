@@ -27,7 +27,8 @@ from topocf.sampling import (EDGE_DROPOUT, NODE_DROPOUT, edge_dropout,
                              generate_samples, node_dropout, round_half_up)
 from topocf.synthetic import heavy_tailed_graph
 
-from conftest import make_graph, random_bipartite, row_items, two_block_graph
+from conftest import (make_graph, random_bipartite, row_items, to_scipy,
+                      two_block_graph)
 from test_explain import COUNT_DERIVED, _design, _p_two_sided_oracle
 
 
@@ -212,12 +213,12 @@ def test_acceptance_5_spectral_bound():
         if g.num_interactions == 0:
             continue
         Rn = normalized_interactions(g, a2)
-        top = np.linalg.svd(Rn.toarray(), compute_uv=False)[0]
+        top = np.linalg.svd(to_scipy(Rn).toarray(), compute_uv=False)[0]
         d_max = max(g.user_degrees.max(), g.item_degrees.max())
         bound_ok &= top <= d_max / (d_max + a2) + 1e-6
 
     k22 = make_graph([(u, i) for u in range(2) for i in range(2)])
-    R0 = normalized_interactions(k22, 0.0).toarray()
+    R0 = to_scipy(normalized_interactions(k22, 0.0)).toarray()
     k22_ok = (np.allclose(R0, 0.5, atol=1e-12)
               and abs(np.linalg.svd(R0, compute_uv=False)[0] - 1.0) <= 1e-9)
 

@@ -8,7 +8,8 @@ from topocf.graph import (BipartiteGraph, GraphError, induced_subgraph,
                           project, write_interactions)
 from topocf.synthetic import heavy_tailed_graph
 
-from conftest import adjacency, load_graph, make_graph, random_bipartite
+from conftest import (adjacency, load_graph, make_graph, random_bipartite,
+                      to_scipy)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +222,7 @@ def test_to_sparse_round_trip(small_graph):
     R = small_graph.to_sparse()
     assert R.shape == (4, 5)
     assert R.nnz == 8
-    us, its = R.nonzero()
+    us, its = to_scipy(R).nonzero()
     assert sorted(zip(us, its)) == list(map(tuple, small_graph.edge_array()))
 
 

@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import expit, softmax
 
+from topocf.csr import spmm
 from topocf.evaluation import EvaluationResult
 from topocf.graph import largest_connected_component
 from topocf.models import base, dgcf, svd
@@ -17,7 +18,7 @@ from topocf.models.base import (MODEL_CONFIGS, MODEL_KINDS, Adam, ModelConfig,
                                 TrainedModel, Trainer, TrainingDivergedError,
                                 bpr_pairs, default_config,
                                 pair_gradient, sample_negative_items,
-                                sigmoid, softplus, spmm, train_loop,
+                                sigmoid, softplus, train_loop,
                                 train_model)
 from topocf.models.dgcf import DGCFPropagator
 from topocf.models.lightgcn import LightGCNPropagator, normalized_operator
@@ -28,7 +29,8 @@ from topocf.models.ultragcn import (UltraGCN, beta_factors,
                                     item_cooccurrence_topk)
 from topocf.synthetic import heavy_tailed_graph
 
-from conftest import make_graph, random_bipartite, two_block_graph
+from conftest import (from_scipy, make_graph, random_bipartite, to_scipy,
+                      two_block_graph)
 
 
 def _dense_graph(rng, nu=20, ni=15, p=0.5):
@@ -119,7 +121,7 @@ def test_split_determinism(rng):
 
 def test_normalized_operator_k22():
     edges = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
-    A = normalized_operator(edges, np.ones(4), 2, 2).toarray()
+    A = to_scipy(normalized_operator(edges, np.ones(4), 2, 2)).toarray()
     # every endpoint has weighted degree 2 -> each entry 1/2
     expected = np.zeros((4, 4))
     expected[:2, 2:] = 0.5
@@ -128,7 +130,8 @@ def test_normalized_operator_k22():
 
 
 def test_normalized_operator_single_edge():
-    A = normalized_operator(np.array([(0, 0)]), np.ones(1), 2, 1).toarray()
+    A = to_scipy(normalized_operator(np.array([(0, 0)]), np.ones(1),
+                                     2, 1)).toarray()
     assert A[0, 2] == pytest.approx(1.0)
     assert A[2, 0] == pytest.approx(1.0)
     assert A[1].sum() == 0  # isolated user row stays zero
@@ -137,8 +140,8 @@ def test_normalized_operator_single_edge():
 def test_normalized_operator_is_symmetric(rng):
     g = _dense_graph(rng)
     edges = g.edge_array()
-    A = normalized_operator(edges, np.ones(len(edges)),
-                            g.num_users, g.num_items)
+    A = to_scipy(normalized_operator(edges, np.ones(len(edges)),
+                                     g.num_users, g.num_items))
     diff = (A - A.T).toarray()
     assert np.abs(diff).max() < 1e-12
 
@@ -600,8 +603,9 @@ def test_pair_gradient_matches_add_at(rng):
 
 
 def _assert_spmm_matches_matmul(A, X):
+    """spmm on the CSR of scipy's A against scipy's A @ X."""
     out = np.full((A.shape[0], X.shape[1]), np.nan)
-    got = spmm(A, X, out)
+    got = spmm(from_scipy(A), X, out)
     assert got is out
     assert out.tobytes() == (A @ X).tobytes()
 
@@ -635,18 +639,18 @@ def test_spmm_matches_matmul_on_dgcf_operators(rng):
     n = g.num_users + g.num_items
     prop.forward(rng.normal(0.0, 0.1, size=(n, 16)))
     for op in [prop.uniform_op, *prop.layer_ops]:
-        _assert_spmm_matches_matmul(op, rng.normal(size=(4 * n, 4)))
+        _assert_spmm_matches_matmul(to_scipy(op), rng.normal(size=(4 * n, 4)))
 
 
 def test_spmm_rejects_bad_operands(rng):
-    A = sp.random(6, 5, density=0.5, format="csr", random_state=0)
+    A = from_scipy(sp.random(6, 5, density=0.5, format="csr", random_state=0))
     X, out = rng.normal(size=(5, 4)), np.empty((6, 4))
     bad = [(A, np.asfortranarray(X), out), (A, X, np.asfortranarray(out)),
            (A, rng.normal(size=(5, 8))[:, ::2], out),
            (A, X, np.empty((6, 8))[:, ::2]),
            (A, rng.normal(size=(4, 4)), out), (A, X, np.empty((6, 3))),
            (A, X, np.empty((5, 4))), (A, X.astype(np.float32), out),
-           (A.tocoo(), X, out), (sp.random(5, 5, format="csr"), X, X)]
+           (from_scipy(sp.random(5, 5, format="csr")), X, X)]
     for args in bad:
         with pytest.raises(ValueError):
             spmm(*args)
@@ -1124,7 +1128,7 @@ def test_randomized_svd_finds_every_copy_of_a_repeated_value():
                                                            seed=seed))
         cases.append((normalized_interactions(_split_of(g).train, 2.0), 64))
     for A, k in cases:
-        s_ref = np.linalg.svd(A.toarray(), compute_uv=False)[:k]
+        s_ref = np.linalg.svd(to_scipy(A).toarray(), compute_uv=False)[:k]
         for seed in range(3):
             U, s, V = randomized_subspace_svd(A, k, rng=seed)
             np.testing.assert_allclose(s, s_ref, atol=1e-12)
@@ -1143,8 +1147,8 @@ def test_randomized_svd_restart_cap_raises(monkeypatch):
 def test_normalized_interactions_k22_rank_one():
     k22 = make_graph([(0, 0), (0, 1), (1, 0), (1, 1)])
     Rn = normalized_interactions(k22, a2=0.0)
-    np.testing.assert_allclose(Rn.toarray(), 0.5)
-    top = np.linalg.svd(Rn.toarray(), compute_uv=False)[0]
+    np.testing.assert_allclose(to_scipy(Rn).toarray(), 0.5)
+    top = np.linalg.svd(to_scipy(Rn).toarray(), compute_uv=False)[0]
     assert top == pytest.approx(1.0, abs=1e-12)
 
 
@@ -1155,7 +1159,7 @@ def test_spectral_bound_on_random_graphs(rng):
     for _ in range(50):
         g = _dense_graph(rng)
         Rn = normalized_interactions(g, a2)
-        top = np.linalg.svd(Rn.toarray(), compute_uv=False)[0]
+        top = np.linalg.svd(to_scipy(Rn).toarray(), compute_uv=False)[0]
         d_max = max(int(g.user_degrees.max()), int(g.item_degrees.max()))
         assert top <= d_max / (d_max + a2) + 1e-6
 
@@ -1170,7 +1174,7 @@ def test_svdgcn_features_without_sharpening(rng):
     trainer.P = np.eye(6)
     model = trainer.materialize()
     Rn = normalized_interactions(split.train, cfg.a2)
-    s_ref = np.linalg.svd(Rn.toarray(), compute_uv=False)
+    s_ref = np.linalg.svd(to_scipy(Rn).toarray(), compute_uv=False)
     np.testing.assert_allclose(model.extras["singular_values"], s_ref[:6],
                                atol=1e-8)
     np.testing.assert_allclose(np.linalg.norm(model.user_embeddings, axis=0),

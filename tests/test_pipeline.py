@@ -413,11 +413,14 @@ def test_emit_report_without_outputs_raises(tmp_path):
 # ---------------------------------------------------------------------------
 # command-line interface
 
-def test_cli_import_leaves_out_dense_linalg_and_csgraph():
-    # scipy.linalg (which scipy.sparse.csgraph and scipy.sparse.linalg also
-    # pull in) costs about 9 MB of resident memory and 75 ms in every
-    # process, and no model needs it: SVD-GCN's truncated SVD is numpy
-    # only. scipy.special (about 4.5 MB and 45 ms) is only for the
+def test_cli_training_and_input_generation_import_no_scipy_package():
+    # topocf.csr loads scipy's compiled sparse kernels from their file, so
+    # no process runs the init of scipy or scipy.sparse: with it,
+    # scipy._lib's array-API layer (numpy.f2py, numpy.testing, email,
+    # concurrent.futures) took about 17 MB of resident memory and 0.2 s.
+    # scipy.linalg, scipy.sparse.csgraph and scipy.sparse.linalg load it
+    # too, and no model needs them: SVD-GCN's truncated SVD is numpy only.
+    # scipy.special (+26 MB and 0.2-0.3 s after numpy alone) is only for the
     # regressions' p-values, and multiprocessing only for a run with
     # jobs > 1
     train_all = ("import numpy as np\n"
@@ -436,11 +439,17 @@ def test_cli_import_leaves_out_dense_linalg_and_csgraph():
                  "np.random.default_rng(0))\n"
                  "    evaluate(model, split, phase='valid')\n"
                  "    evaluate(model, split)\n")
-    absent = ("scipy.linalg", "scipy.sparse.csgraph", "scipy.sparse.linalg",
-              "scipy.special", "multiprocessing", "concurrent.futures.process")
+    # the imports and calls of bench/gen_input.py
+    gen_input = ("from topocf.graph import write_interactions\n"
+                 "from topocf.synthetic import heavy_tailed_graph\n"
+                 "write_interactions(heavy_tailed_graph(num_users=12, "
+                 "num_items=10, num_interactions=48, seed=1), os.devnull)\n")
+    absent = ("scipy", "scipy.sparse", "scipy._lib._array_api", "numpy.f2py",
+              "concurrent.futures", "scipy.linalg", "scipy.sparse.csgraph",
+              "scipy.sparse.linalg", "scipy.special", "multiprocessing")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    for setup in ("import topocf.cli\n", train_all):
-        code = (f"import sys\n{setup}"
+    for setup in ("import topocf.cli\n", train_all, gen_input):
+        code = (f"import os, sys\n{setup}"
                 f"print(sorted(m for m in {absent!r} if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              check=True, capture_output=True, text=True).stdout
