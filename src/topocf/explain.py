@@ -10,6 +10,7 @@ identifies.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +124,9 @@ def fit_ols(design, y):
     times those, with sigma^2 = SS_res / (M - rank); p-values are
     two-sided Student-t and adjusted R-squared uses the same M - rank
     degrees of freedom. A full-rank design (rank C + 1) gives the
-    ordinary OLS estimates.
+    ordinary OLS estimates. p is the regularized incomplete beta
+    I_x(dof / 2, 1 / 2) at x = dof / (dof + t^2), from its continued
+    fraction (``_t_two_sided_p``).
 
     Coefficient j is identified when no exact collinearity moves it: row
     j of the null-space basis (the columns of V past the rank) has a norm
@@ -163,16 +166,51 @@ def fit_ols(design, y):
     se = np.sqrt(ss_res / dof * var_unit)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, beta / se, np.inf * np.sign(beta))
-    # scipy.special costs ~26 MB and 0.2-0.3 s to import, since nothing else
-    # loads scipy; only p-values need it
-    from scipy.special import stdtr
-    p = 2.0 * stdtr(dof, -np.abs(t))
+    p = np.array([_t_two_sided_p(float(v), dof) for v in t])
     return RegressionReport(
         theta0=float(beta[0]), coefficients=beta[1:], std_errors=se,
         t_stats=t, p_values=p, stars=tuple(map(significance_stars, p)),
         r2=r2, adj_r2=adj_r2, residuals=residuals, y=y,
         column_names=design.column_names, identified=identified,
         dropped_rows=len(design.dropped_ids))
+
+
+def _t_two_sided_p(t, dof):
+    """P(|T| >= |t|) for T Student-t on ``dof`` degrees of freedom: 1 at
+    t = 0, 0 at t = +-inf, nan at nan."""
+    t = abs(t)
+    if not t < math.inf:
+        return 0.0 if t == math.inf else math.nan
+    if t == 0:
+        return 1.0
+    a, b = dof / 2.0, 0.5
+    # x = dof / (dof + t^2) and 1 - x = t^2 / (dof + t^2), each from its
+    # own ratio: 1 - x taken by subtraction loses digits near t = 0, and
+    # the hypot keeps t^2 from overflowing
+    h = math.hypot(math.sqrt(dof), t)
+    rx, ry = math.sqrt(dof) / h, t / h
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + 2.0 * (a * math.log(rx) + b * math.log(ry)))
+    if rx * rx < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_continued_fraction(a, b, rx * rx) / a
+    return 1.0 - front * _beta_continued_fraction(b, a, ry * ry) / b
+
+
+def _beta_continued_fraction(a, b, x):
+    """The continued fraction F of I_x(a, b) = front * F / a, by Lentz's
+    method; it converges fast for x below (a + 1) / (a + b + 2)."""
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 1000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x
+                    / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 / (1.0 + num * d or 1e-300)
+            c = 1.0 + num / c or 1e-300
+            h *= d * c
+        if abs(d * c - 1.0) <= 1e-15:
+            return h
+    raise ArithmeticError(f"incomplete beta I_{x}({a}, {b}) did not converge")
 
 
 REPORT_HEADER = ["characteristic", "coefficient", "std_err", "t", "p", "stars",

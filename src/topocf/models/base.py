@@ -204,8 +204,8 @@ def softplus(x):
 
 def sigmoid(x):
     """1 / (1 + exp(-x)), the slope of softplus: scipy.special.expit's
-    formula, within a few ulp of it through numpy's exp, without the
-    ~26 MB that importing scipy.special costs every process."""
+    formula, within a few ulp of it through numpy's exp, so that no
+    process imports scipy."""
     with np.errstate(over="ignore"):  # x < -709: exp is inf, sigmoid 0
         return 1.0 / (1.0 + np.exp(-x))
 

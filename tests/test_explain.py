@@ -8,8 +8,8 @@ import pytest
 
 from topocf.characteristics import SHORTHAND_NAMES, compute_vector
 from topocf.explain import (REPORT_HEADER, DesignError, DesignMatrix,
-                            RegressionReport, build_design, fit_ols,
-                            render_markdown, significance_stars,
+                            RegressionReport, _t_two_sided_p, build_design,
+                            fit_ols, render_markdown, significance_stars,
                             write_report_csv)
 from topocf.graph import largest_connected_component
 from topocf.sampling import DegenerateSampleError, generate_samples
@@ -130,6 +130,43 @@ def test_p_values_match_continued_fraction_oracle():
     for t, p in zip(report.t_stats, report.p_values):
         assert p == pytest.approx(_p_two_sided_oracle(float(t), dof),
                                   abs=1e-8)
+
+
+def test_t_tail_matches_scipy_stdtr():
+    # scipy.special is a test-only oracle: src/ computes the tail itself
+    from scipy.special import stdtr
+    ts = np.logspace(-3, 3, 241)
+    for dof in (*range(1, 61), 100, 300, 1000):
+        expected = 2.0 * stdtr(dof, -ts)
+        for sign in (1.0, -1.0):
+            got = [_t_two_sided_p(sign * t, dof) for t in ts]
+            # atol: at dof 300 and |t| near 1e3 the tail is subnormal, where
+            # stdtr returns 0
+            np.testing.assert_allclose(got, expected, rtol=1e-10,
+                                       atol=np.finfo(np.float64).tiny,
+                                       err_msg=f"dof={dof}")
+
+
+def test_t_tail_matches_closed_forms():
+    # closed forms, not stdtr, down to |t| = 1e-8: scipy's own stdtr(1, -1e-8)
+    # is off by 3e-9 relative there
+    ts = np.logspace(-8, 3, 221)
+    cauchy = np.where(ts >= 1, 2 / np.pi * np.arctan(1 / ts),
+                      1 - 2 / np.pi * np.arctan(ts))
+    s = np.sqrt(2 + ts * ts)
+    for dof, expected in ((1, cauchy), (2, 2 / (s * (s + ts)))):
+        got = [_t_two_sided_p(t, dof) for t in ts]
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0,
+                                   err_msg=f"dof={dof}")
+
+
+def test_t_tail_edge_cases():
+    for dof in (1, 2, 7, 300):
+        assert _t_two_sided_p(0.0, dof) == 1.0
+        assert _t_two_sided_p(-0.0, dof) == 1.0
+        assert _t_two_sided_p(math.inf, dof) == 0.0
+        assert _t_two_sided_p(-math.inf, dof) == 0.0
+        assert math.isnan(_t_two_sided_p(math.nan, dof))
 
 
 def test_noisy_planted_coefficients_within_three_se():

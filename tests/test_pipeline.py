@@ -413,16 +413,16 @@ def test_emit_report_without_outputs_raises(tmp_path):
 # ---------------------------------------------------------------------------
 # command-line interface
 
-def test_cli_training_and_input_generation_import_no_scipy_package():
+def test_no_command_imports_scipy_package(dataset_path, tmp_path):
     # topocf.csr loads scipy's compiled sparse kernels from their file, so
     # no process runs the init of scipy or scipy.sparse: with it,
     # scipy._lib's array-API layer (numpy.f2py, numpy.testing, email,
     # concurrent.futures) took about 17 MB of resident memory and 0.2 s.
     # scipy.linalg, scipy.sparse.csgraph and scipy.sparse.linalg load it
     # too, and no model needs them: SVD-GCN's truncated SVD is numpy only.
-    # scipy.special (+26 MB and 0.2-0.3 s after numpy alone) is only for the
-    # regressions' p-values, and multiprocessing only for a run with
-    # jobs > 1
+    # scipy.special (+26 MB and 0.2-0.3 s after numpy alone) is not needed
+    # either: explain computes its p-values itself. multiprocessing is
+    # only for a run with jobs > 1
     train_all = ("import numpy as np\n"
                  "from topocf.evaluation import evaluate\n"
                  "from topocf.models.base import default_config, train_model\n"
@@ -444,11 +444,21 @@ def test_cli_training_and_input_generation_import_no_scipy_package():
                  "from topocf.synthetic import heavy_tailed_graph\n"
                  "write_interactions(heavy_tailed_graph(num_users=12, "
                  "num_items=10, num_interactions=48, seed=1), os.devnull)\n")
+    # a whole run-all, whose explain and alpha sweep fit the regressions;
+    # its summary goes to devnull so that stdout holds only the check's
+    args = ["--out", str(tmp_path / "out"), "--jobs", "1", "run-all",
+            f"dataset={dataset_path}", "num_samples=28", "master_seed=3",
+            *FAST_MODEL_LINES, "models=lightgcn"]
+    run_all = ("import contextlib\n"
+               "from topocf.cli import main\n"
+               "with open(os.devnull, 'w') as fh, "
+               "contextlib.redirect_stdout(fh):\n"
+               f"    assert main({args!r}) == 0\n")
     absent = ("scipy", "scipy.sparse", "scipy._lib._array_api", "numpy.f2py",
               "concurrent.futures", "scipy.linalg", "scipy.sparse.csgraph",
               "scipy.sparse.linalg", "scipy.special", "multiprocessing")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    for setup in ("import topocf.cli\n", train_all, gen_input):
+    for setup in ("import topocf.cli\n", train_all, gen_input, run_all):
         code = (f"import os, sys\n{setup}"
                 f"print(sorted(m for m in {absent!r} if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
