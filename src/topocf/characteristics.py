@@ -14,8 +14,7 @@ import math
 
 import numpy as np
 
-from . import graph
-from .graph import ProjectionCapError, project
+from .graph import project
 
 
 SHORTHAND_NAMES = (
@@ -119,22 +118,10 @@ def compute_vector(g):
     """All eleven characteristics of one graph as a float64 array in
     SHORTHAND_NAMES order.
 
-    Each side's wedge count, the sum of d(d-1)/2 over the other side's
-    degrees, bounds its projection's edge count and must not exceed
-    ``graph.PROJECTION_EDGE_CAP``. The user and item projections are built
-    once and reused for both the clustering coefficients and the
-    assortativities.
+    The user and item projections are built once, the user side's first,
+    and reused for both the clustering coefficients and the
+    assortativities; ``graph.project`` refuses one past its size cap.
     """
-    for partition, opp_deg, opp_ids in (
-            ("user", g.item_degrees, g.item_ids),
-            ("item", g.user_degrees, g.user_ids)):
-        wedges = int((opp_deg * (opp_deg - 1) // 2).sum())
-        if wedges > graph.PROJECTION_EDGE_CAP:
-            hub = int(np.argmax(opp_deg))
-            raise ProjectionCapError(
-                f"projection on {partition!r} side needs up to {wedges} "
-                f"edges, over the cap {graph.PROJECTION_EDGE_CAP}; hub node "
-                f"{opp_ids[hub]!r} has degree {int(opp_deg[hub])}")
     proj_u = project(g, "user")
     proj_i = project(g, "item")
     return np.array([

@@ -7,6 +7,8 @@ so no process imports ``scipy`` or ``scipy.sparse``: their package init
 and ``email``) costs about 17 MB and 0.2 s, and nothing here needs it.
 Every product, conversion and scaling runs the kernel that scipy's own
 method runs, in the same order, so each result equals scipy's bit for bit.
+(row, col, value) triples are multiplied as they stand, by the COO kernel
+(``coo_matmul_add``), so no caller converts them to a ``CSR``.
 
 Index arrays are int64, the dtype of ``BipartiteGraph``'s arrays, so a
 graph's CSR shares them without a copy.
@@ -128,16 +130,18 @@ class CSR:
                                        self.data, column_factors)
 
     def strict_upper(self):
-        """The entries above the diagonal, each row's columns ascending:
-        scipy's ``triu(A, 1, format="csr")`` with sorted indices."""
+        """The entries above the diagonal of a symmetric matrix, each row's
+        columns ascending: scipy's ``triu(A, 1, format="csr")`` with sorted
+        indices. By symmetry it is the transpose of the strict lower
+        triangle, which csr_tocsc lists in that order without a sort."""
         M = self.shape[0]
         rows = np.repeat(np.arange(M, dtype=INDEX), np.diff(self.indptr))
-        upper = self.indices > rows
+        lower = self.indices < rows
         indptr = np.zeros(M + 1, INDEX)
-        np.cumsum(np.bincount(rows[upper], minlength=M), out=indptr[1:])
-        out = CSR(indptr, self.indices[upper], self.data[upper], self.shape)
-        _sparsetools.csr_sort_indices(M, out.indptr, out.indices, out.data)
-        return out
+        np.cumsum(np.bincount(rows[lower], minlength=M), out=indptr[1:])
+        indices, data = self.indices[lower], self.data[lower]
+        del rows, lower  # before the transpose allocates its copy
+        return CSR(indptr, indices, data, self.shape).T
 
 
 def _matmat(A, B):
@@ -156,30 +160,6 @@ def _matmat(A, B):
     return CSR(indptr, indices[:indptr[-1]], data[:indptr[-1]], (M, N))
 
 
-def from_coo(rows, cols, values, shape):
-    """The CSR of the (rows, cols, values) triples in scipy's canonical form:
-    each row's columns ascending, duplicates summed. The kernels are those
-    ``scipy.sparse.csr_matrix((values, (rows, cols)))`` runs: coo_tocsr,
-    csr_sort_indices unless the rows are sorted already, then
-    csr_sum_duplicates."""
-    M, N = shape
-    rows, cols = np.asarray(rows, INDEX), np.asarray(cols, INDEX)
-    nnz = len(values)
-    if not len(rows) == len(cols) == nnz:
-        raise ValueError("from_coo needs as many rows and cols as values")
-    _check_range(rows, M)
-    _check_range(cols, N)
-    indptr = np.empty(M + 1, INDEX)
-    indices = np.empty(nnz, INDEX)
-    data = np.empty(nnz, values.dtype)
-    _sparsetools.coo_tocsr(M, N, nnz, rows, cols, values,
-                           indptr, indices, data)
-    if not _sparsetools.csr_has_sorted_indices(M, indptr, indices):
-        _sparsetools.csr_sort_indices(M, indptr, indices, data)
-    _sparsetools.csr_sum_duplicates(M, N, indptr, indices, data)
-    return CSR(indptr, indices[:indptr[-1]], data[:indptr[-1]], shape)
-
-
 def spmm(A, X, out):
     """A @ X for a CSR A and a dense X, written into ``out``.
 
@@ -191,19 +171,27 @@ def spmm(A, X, out):
     dtype. Returns ``out``.
     """
     M, N = A.shape
-    if X.ndim != 2 or X.shape[0] != N or out.shape != (M, X.shape[1]):
-        raise ValueError(f"spmm shapes: {A.shape} @ {X.shape} -> {out.shape}")
-    if not (X.flags.c_contiguous and out.flags.c_contiguous):
-        raise ValueError("spmm needs C-contiguous X and out")
-    if not X.dtype == out.dtype == A.dtype:
-        raise ValueError(
-            f"spmm dtypes: {A.dtype} @ {X.dtype} -> {out.dtype}")
-    if np.may_share_memory(X, out):
-        raise ValueError("spmm's out overlaps X")
+    _check_product("spmm", A.shape, A.dtype, X, out)
     out.fill(0)
     _sparsetools.csr_matvecs(M, N, X.shape[1], A.indptr, A.indices, A.data,
                              X.ravel(), out.ravel())
     return out
+
+
+def coo_matmul_add(rows, cols, values, X, out):
+    """out[rows[t]] += values[t] * X[cols[t]] for every t, in order and in
+    place: the kernel (coo_matmat_dense) that scipy's ``C @ X`` runs, after
+    zeroing its result, for the COO matrix C of the same triples. X and
+    out are C-contiguous, do not overlap, and have the values' dtype."""
+    rows, cols = np.asarray(rows, INDEX), np.asarray(cols, INDEX)
+    if not len(rows) == len(cols) == len(values):
+        raise ValueError("coo_matmul_add needs as many rows and cols as "
+                         "values")
+    _check_product("coo_matmul_add", (len(out), len(X)), values.dtype, X, out)
+    _check_range(rows, len(out))
+    _check_range(cols, len(X))
+    _sparsetools.coo_matmat_dense(len(values), X.shape[1], rows, cols, values,
+                                  X.ravel(), out.ravel())
 
 
 def scatter_add(out, index, values):
@@ -219,6 +207,21 @@ def scatter_add(out, index, values):
     _check_range(index, out.size)
     _sparsetools.coo_todense_nd(np.ones(1, INDEX), len(index), 1, index,
                                 values.reshape(-1), out.reshape(-1), 0)
+
+
+def _check_product(name, shape, dtype, X, out):
+    """Raise unless ``out`` can take the product of a ``shape`` matrix of
+    ``dtype`` and X in place: both 2-D, C-contiguous and of that dtype,
+    their shapes agreeing, and out not overlapping X."""
+    M, N = shape
+    if X.ndim != 2 or X.shape[0] != N or out.shape != (M, X.shape[1]):
+        raise ValueError(f"{name} shapes: {shape} @ {X.shape} -> {out.shape}")
+    if not (X.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError(f"{name} needs C-contiguous X and out")
+    if not X.dtype == out.dtype == dtype:
+        raise ValueError(f"{name} dtypes: {dtype} @ {X.dtype} -> {out.dtype}")
+    if np.may_share_memory(X, out):
+        raise ValueError(f"{name}'s out overlaps X")
 
 
 def _check_range(index, size):

@@ -248,14 +248,27 @@ def project(g, partition):
 
     Weights are exact co-occurrence counts (off-diagonal entries of
     R.R^T or R^T.R), pairs sorted by (v, w); degrees count distinct
-    co-neighbors. Nodes of degree 0 stay, with no pairs. The size is not
-    bounded here; ``compute_vector`` checks ``PROJECTION_EDGE_CAP``.
+    co-neighbors. Nodes of degree 0 stay, with no pairs.
+
+    The side's wedge count, the sum of d(d-1)/2 over the other side's
+    degrees, bounds the pair count; past ``PROJECTION_EDGE_CAP`` this
+    raises ``ProjectionCapError``, naming the other side's largest hub,
+    before any product is formed.
     """
     if partition not in ("user", "item"):
         raise ValueError(f"unknown partition {partition!r}")
     R = g.to_sparse()
+    hubs, hub_ids = g.item_degrees, g.item_ids
     if partition == "item":
         R = R.T
+        hubs, hub_ids = g.user_degrees, g.user_ids
+    wedges = int((hubs * (hubs - 1) // 2).sum())
+    if wedges > PROJECTION_EDGE_CAP:
+        hub = int(np.argmax(hubs))
+        raise ProjectionCapError(
+            f"projection on {partition!r} side needs up to {wedges} "
+            f"edges, over the cap {PROJECTION_EDGE_CAP}; hub node "
+            f"{hub_ids[hub]!r} has degree {int(hubs[hub])}")
     # the upper triangle's rows, each sorted by column, list the pairs in
     # (v, w) order
     P = (R @ R.T).strict_upper()

@@ -5,9 +5,11 @@ Every model's loss is a sum of sigmoid terms over sampled node pairs, so a
 model supplies only the map from its parameters P to node embeddings E,
 the adjoint of that map, and a batch's loss and gradient in E. LightGCN,
 DGCF and SVD-GCN list the batch's pairs with each pair's loss slope and
-``pair_gradient`` turns them into that gradient; UltraGCN scores and
-scatters its pairs on one dense user x item block. Every sparse product
-is ``topocf.csr``'s ``spmm`` on a ``CSR``, which writes into a given table.
+``pair_gradient`` multiplies those (row, col, slope) triples into that
+gradient as they stand, by ``topocf.csr``'s COO kernel, so a training step
+builds no sparse matrix; UltraGCN scores and scatters its pairs on one
+dense user x item block. Propagation is ``topocf.csr``'s ``spmm`` on
+operators built once per model. Every product writes into a given table.
 
 A training step allocates no table of its size: every node x dim array it
 makes (propagation layers, gathered batch rows, the pair gradient) is
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..csr import CSR, spmm
+from ..csr import coo_matmul_add, spmm
 from ..evaluation import evaluate
 
 
@@ -240,29 +242,22 @@ def bpr_pairs(users, pos, negs, E, num_users, gathers):
     return loss, [(users, items, coeff), (users, others, -coeff)]
 
 
-def pair_matrix(rows, cols, coeffs, n):
-    """The n x n CSR matrix with coeffs at (rows, cols), each row listing
-    its entries in input order, duplicates kept: ``spmm`` on it sums in
-    the order ``C @ X`` does for the COO matrix C of the same triples."""
-    order = np.argsort(rows, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return CSR(indptr, cols[order], coeffs[order], (n, n))
-
-
 def pair_gradient(terms, E, tables):
     """(C + C^T) @ E for the sparse n x n matrix C with C[rows, cols] =
     coeffs over every ``(rows, cols, coeffs)`` in ``terms``, duplicate pairs
     adding up: the gradient in E of a loss whose slope in
     E[rows[t]] . E[cols[t]] is coeffs[t].
 
-    ``tables`` are two E-shaped arrays that receive C @ E and C^T @ E; their
-    sum overwrites the first, which is returned.
+    ``tables`` are two E-shaped arrays that receive C @ E and C^T @ E, each
+    summed term by term in input order, as scipy's products with the COO
+    matrix C sum them; their sum overwrites the first, which is returned.
     """
-    rows, cols, coeffs = (np.concatenate(t) for t in zip(*terms))
     CE, CtE = tables
-    spmm(pair_matrix(rows, cols, coeffs, len(E)), E, CE)
-    spmm(pair_matrix(cols, rows, coeffs, len(E)), E, CtE)
+    CE.fill(0)
+    CtE.fill(0)
+    for rows, cols, coeffs in terms:
+        coo_matmul_add(rows, cols, coeffs, E, CE)
+        coo_matmul_add(cols, rows, coeffs, E, CtE)
     return np.add(CE, CtE, out=CE)
 
 

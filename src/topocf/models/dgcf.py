@@ -59,8 +59,7 @@ class DGCFPropagator(PropagationModel):
         edges = split.train.edge_array()
         K = self.intents = cfg.intents
         n = self.num_users + self.num_items
-        A = normalized_operator(edges, np.ones(len(edges)),
-                                self.num_users, self.num_items)
+        A = normalized_operator(split.train)
         degrees = np.repeat(np.diff(A.indptr), K)
         indptr = np.append(0, np.cumsum(degrees))
         # per operator value: its row and column, the value of A it repeats

@@ -4,21 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..csr import from_coo
+from ..csr import CSR
 from .base import PropagationModel
 
 
-def normalized_operator(edges, weights, num_users, num_items):
-    """Symmetric operator over combined (users then items) node indices,
-    with each edge weight divided by sqrt of both endpoints' weighted
-    degrees. Zero-degree rows stay zero."""
-    n = num_users + num_items
-    rows = np.concatenate([edges[:, 0], num_users + edges[:, 1]])
-    cols = np.concatenate([num_users + edges[:, 1], edges[:, 0]])
-    data = np.concatenate([weights, weights]).astype(np.float64)
-    inv_sqrt = inverse_sqrt(np.bincount(rows, weights=data, minlength=n))
-    vals = data * inv_sqrt[rows] * inv_sqrt[cols]
-    return from_coo(rows, cols, vals, (n, n))
+def normalized_operator(g):
+    """LightGCN's operator over combined (users then items) node indices:
+    the block matrix [[0, R~], [R~^T, 0]] for the train graph ``g``, whose
+    R~ holds 1 / sqrt(d_u * d_i) at each edge (u, i). Zero-degree rows stay
+    zero. Its user rows are R~'s rows and its item rows those of R~'s
+    transpose, so each row lists its columns ascending."""
+    U = g.num_users
+    R = g.to_sparse(np.repeat(inverse_sqrt(g.user_degrees), g.user_degrees)
+                    * inverse_sqrt(g.item_degrees)[g.indices])
+    indptr = np.concatenate([R.indptr, R.nnz + R.T.indptr[1:]])
+    indices = np.concatenate([U + R.indices, R.T.indices])
+    n = U + g.num_items
+    return CSR(indptr, indices, np.concatenate([R.data, R.T.data]), (n, n))
 
 
 def inverse_sqrt(deg, out=None, positive=None):
@@ -37,9 +39,7 @@ class LightGCNPropagator(PropagationModel):
 
     def __init__(self, split, cfg):
         super().__init__(split, cfg)
-        edges = split.train.edge_array()
-        self.A = normalized_operator(edges, np.ones(len(edges)),
-                                     self.num_users, self.num_items)
+        self.A = normalized_operator(split.train)
 
     def layer_operator(self, layer, X, Y):
         return self.A

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..csr import scatter_add
 from ..graph import project
-from .base import EmbeddingModel
+from .base import EmbeddingModel, take_rows
 
 
 def beta_factors(deg_u, deg_i):
@@ -113,8 +113,7 @@ class UltraGCN(EmbeddingModel):
                   for key in ("Eu", "Gu"))
         G = self.table("G", E.shape)
         Ei = E[self.num_users:]
-        # every index is in range; "clip" lets take write to out unbuffered
-        np.take(E, rows, axis=0, out=Eu, mode="clip")
+        take_rows(E, rows, Eu)
         np.matmul(Eu, Ei.T, out=S)
 
         # pair weights: beta(u, i) / (B * N), beta(u, i) / B, lambda omega / B

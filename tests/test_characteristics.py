@@ -18,6 +18,9 @@ from topocf.characteristics import (SHORTHAND_NAMES,
                                     write_degree_histogram)
 from topocf import graph
 from topocf.graph import ProjectionCapError, project
+from topocf.models.base import default_config
+from topocf.models.split import Split
+from topocf.models.svdgcn import SvdGcn
 from topocf.synthetic import heavy_tailed_graph
 
 from conftest import adjacency, make_graph, random_bipartite
@@ -324,16 +327,28 @@ def test_compute_vector_undefined_fields():
 
 
 def test_projection_cap_names_hub(monkeypatch):
+    """project refuses a side past the cap before any product, for the
+    characteristics and for SVD-GCN on the train graph alike."""
     # star: one item shared by 6 users -> 15 wedges on the user side, 0 on
     # the item side
     g = make_graph([(u, 0) for u in range(6)])
+    split = Split(graph=g, train_edges=g.edge_array(),
+                  valid_edges=np.zeros((0, 2), np.int64),
+                  test_edges=np.zeros((0, 2), np.int64))
+    cfg = default_config("svdgcn")
     monkeypatch.setattr(graph, "PROJECTION_EDGE_CAP", 10)
-    with pytest.raises(ProjectionCapError, match="'i0'"):
-        compute_vector(g)
+    for build in (compute_vector, lambda g: project(g, "user"),
+                  lambda g: SvdGcn(split, cfg)):
+        with pytest.raises(ProjectionCapError,
+                           match="'user' side needs up to 15 .* 'i0' has "
+                                 "degree 6"):
+            build(g)
+    assert project(g, "item").num_edges == 0
     monkeypatch.setattr(graph, "PROJECTION_EDGE_CAP", 15)
     row = compute_vector(g)
     # each of the 15 user pairs shares its only item: Jaccard 1, log 0
     assert row[SHORTHAND_NAMES.index("AvgClustC-U_log")] == 0.0
+    assert len(SvdGcn(split, cfg).user_pairs) == 15
 
 
 def test_pearson_matrix_against_two_pass_oracle(rng):

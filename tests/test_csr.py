@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from topocf import csr
-from topocf.csr import CSR, from_coo, scatter_add
+from topocf.csr import CSR, coo_matmul_add, scatter_add
 from topocf.graph import project
 
 from conftest import from_scipy, make_graph, random_bipartite
@@ -43,19 +43,27 @@ def test_transpose_matches_scipy(rng):
         assert got.T is got.T  # built once
 
 
-def test_from_coo_matches_scipy(rng):
-    """Unsorted triples with repeated pairs sum as scipy sums them; rows
-    already in order skip the sort, as in scipy."""
+def test_coo_matmul_add_matches_scipy(rng):
+    """Triples with repeated pairs, and none, sum as scipy's COO product
+    sums them, added one by one to what ``out`` held: scipy's product whose
+    first m triples copy that start into its zeroed result."""
     for trial in range(30):
         m, n = int(rng.integers(1, 20)), int(rng.integers(1, 20))
-        k = int(rng.integers(0, 80))
+        k = int(rng.integers(0, 80)) if trial else 0
         rows, cols = rng.integers(m, size=k), rng.integers(n, size=k)
-        if trial % 3 == 0:  # sorted rows, duplicates kept
-            order = np.lexsort((cols, rows))
-            rows, cols = rows[order], cols[order]
+        rows[k // 2:] = rows[:k - k // 2]  # repeated pairs
+        cols[k // 2:] = cols[:k - k // 2]
         values = rng.normal(size=k)
-        want = sp.csr_matrix((values, (rows, cols)), shape=(m, n))
-        _assert_same(from_coo(rows, cols, values, (m, n)), want)
+        X = rng.normal(size=(n, int(rng.integers(1, 6))))
+        start = (rng.normal(size=(m, X.shape[1])) if trial % 2
+                 else np.zeros((m, X.shape[1])))
+        out = start.copy()
+        coo_matmul_add(rows, cols, values, X, out)
+        C = sp.coo_matrix((np.append(np.ones(m), values),
+                           (np.append(np.arange(m), rows),
+                            np.append(n + np.arange(m), cols))),
+                          shape=(m, n + m))
+        assert out.tobytes() == (C @ np.vstack([X, start])).tobytes()
 
 
 def test_matmul_matches_scipy_on_dense_operands(rng):
@@ -157,10 +165,15 @@ def test_missing_kernels_raise_import_error_naming_scipy(monkeypatch):
 
 def test_kernels_reject_out_of_range_operands():
     """The kernels do not check bounds, so their callers do."""
+    X, out = np.ones((2, 3)), np.zeros((2, 3))
     with pytest.raises(ValueError):
-        from_coo(np.array([0, 2]), np.array([0, 0]), np.ones(2), (2, 2))
+        coo_matmul_add(np.array([0, 2]), np.array([0, 0]), np.ones(2), X, out)
     with pytest.raises(ValueError):
-        from_coo(np.array([0]), np.array([-1]), np.ones(1), (2, 2))
+        coo_matmul_add(np.array([0]), np.array([-1]), np.ones(1), X, out)
+    with pytest.raises(ValueError):
+        coo_matmul_add(np.array([0]), np.array([0, 1]), np.ones(1), X, out)
+    with pytest.raises(ValueError):
+        coo_matmul_add(np.array([0]), np.array([0]), np.ones(1), X, X)
     with pytest.raises(ValueError):
         scatter_add(np.zeros((2, 2)), np.array([4]), np.ones(1))
     with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import expit, softmax
 
-from topocf.csr import spmm
+from topocf.csr import CSR, spmm
 from topocf.evaluation import EvaluationResult
 from topocf.graph import largest_connected_component
 from topocf.models import base, dgcf, svd
@@ -119,9 +119,23 @@ def test_split_determinism(rng):
 # ---------------------------------------------------------------------------
 # normalized operator and propagation
 
-def test_normalized_operator_k22():
-    edges = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
-    A = to_scipy(normalized_operator(edges, np.ones(4), 2, 2)).toarray()
+def _weighted_operator(edges, weights, num_users, num_items):
+    """The symmetric operator over combined (users then items) node indices
+    with each edge weight divided by sqrt of both endpoints' weighted
+    degrees, built by scipy in its canonical form: LightGCN's operator at
+    unit weights, and one intent's operator of DGCF."""
+    n = num_users + num_items
+    rows = np.concatenate([edges[:, 0], num_users + edges[:, 1]])
+    cols = np.concatenate([num_users + edges[:, 1], edges[:, 0]])
+    data = np.concatenate([weights, weights]).astype(np.float64)
+    deg = np.bincount(rows, weights=data, minlength=n)
+    inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros(n), where=deg > 0)
+    vals = data * inv_sqrt[rows] * inv_sqrt[cols]
+    return from_scipy(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
+
+
+def test_normalized_operator_k22(k22_graph):
+    A = to_scipy(normalized_operator(k22_graph)).toarray()
     # every endpoint has weighted degree 2 -> each entry 1/2
     expected = np.zeros((4, 4))
     expected[:2, 2:] = 0.5
@@ -130,20 +144,34 @@ def test_normalized_operator_k22():
 
 
 def test_normalized_operator_single_edge():
-    A = to_scipy(normalized_operator(np.array([(0, 0)]), np.ones(1),
-                                     2, 1)).toarray()
+    g = make_graph([(0, 0)], num_users=2, num_items=1)
+    A = to_scipy(normalized_operator(g)).toarray()
     assert A[0, 2] == pytest.approx(1.0)
     assert A[2, 0] == pytest.approx(1.0)
     assert A[1].sum() == 0  # isolated user row stays zero
 
 
 def test_normalized_operator_is_symmetric(rng):
-    g = _dense_graph(rng)
-    edges = g.edge_array()
-    A = to_scipy(normalized_operator(edges, np.ones(len(edges)),
-                                     g.num_users, g.num_items))
+    A = to_scipy(normalized_operator(_dense_graph(rng)))
     diff = (A - A.T).toarray()
     assert np.abs(diff).max() < 1e-12
+
+
+def test_normalized_operator_matches_scipy_canonical_form():
+    """The block operator equals scipy's CSR of its COO triples bit for
+    bit, on train graphs with users and items of degree 0."""
+    for seed in range(5):
+        split = _split_with_untrained_nodes(seed)
+        g = split.train
+        assert (g.user_degrees == 0).any() and (g.item_degrees == 0).any()
+        edges = g.edge_array()
+        want = _weighted_operator(edges, np.ones(len(edges)), g.num_users,
+                                  g.num_items)
+        got = normalized_operator(g)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            assert (getattr(got, name).tobytes()
+                    == getattr(want, name).tobytes()), name
 
 
 def test_lightgcn_zero_layers_is_identity(rng):
@@ -200,7 +228,7 @@ def _dgcf_per_intent(split, cfg, E0, G):
     chunk = E0.shape[1] // cfg.intents
 
     def build(weights):
-        return [normalized_operator(edges, weights[:, k], num_users, num_items)
+        return [_weighted_operator(edges, weights[:, k], num_users, num_items)
                 for k in range(cfg.intents)]
 
     def apply(ops, X):
@@ -684,6 +712,32 @@ def test_training_step_allocates_less_than_one_table(kind):
         tracemalloc.stop()
     table = (g.num_users + g.num_items) * cfg.embedding_dim * 8
     assert peak - start < table
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_training_step_builds_no_csr(kind, monkeypatch):
+    """After two warm-up steps, a step constructs no CSR: the models build
+    their operators once, and pair gradients multiply their (row, col,
+    slope) triples as they stand."""
+    g = heavy_tailed_graph(num_users=300, num_items=150,
+                           num_interactions=1500, seed=3)
+    split = _split_of(g)
+    cfg = default_config(kind, embedding_dim=8)
+    trainer = Trainer(_MODEL_CLASSES[kind](split, cfg), split, cfg,
+                      np.random.default_rng(0))
+    batch = split.train.edge_array()[:cfg.batch_size]
+    trainer.step(batch)
+    trainer.step(batch)
+    built = []
+    post_init = CSR.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.shape)
+        post_init(self)
+
+    monkeypatch.setattr(CSR, "__post_init__", counting_post_init)
+    trainer.step(batch)
+    assert built == []
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

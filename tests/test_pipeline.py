@@ -334,30 +334,45 @@ def test_bench_trace_spans_name_every_patched_stage(dataset_path, tmp_path,
     assert stages <= {span[0] for span in spans}
 
 
+def _bench_trace_counts(tmp_path, *cli_args):
+    """Run bench/trace_cli.py as the benchmark does, with only ``src/`` on
+    the import path, and return the counts it wrote."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "bench", "trace_cli.py"),
+         str(spans_path), "--out", str(tmp_path / "out"), *cli_args],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with open(spans_path, encoding="utf-8") as fh:
+        return json.load(fh)["counts"]
+
+
 def test_bench_trace_counts_every_model_site(dataset_path, tmp_path):
     # the model-level wrappers of bench/trace_cli.py count calls made inside
     # the models; a site no longer called through its module attribute
     # would read 0 without failing the benchmark
-    script = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
-                          "trace_cli.py")
     kinds = ("lightgcn", "dgcf", "ultragcn", "svdgcn")
     model_lines = [f"model.{kind}.{key}={value}" for kind in kinds
                    for key, value in (("embedding_dim", 8), ("max_epochs", 1),
                                       ("eval_interval", 1))]
-    spans_path = tmp_path / "spans.json"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run(
-        [sys.executable, script, str(spans_path), "--out",
-         str(tmp_path / "out"), "train", f"dataset={dataset_path}",
-         "num_samples=1", "master_seed=3", "models=" + ",".join(kinds),
-         "model.svdgcn.svd_rank=8", *model_lines],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    with open(spans_path, encoding="utf-8") as fh:
-        counts = json.load(fh)["counts"]
+    counts = _bench_trace_counts(
+        tmp_path, "train", f"dataset={dataset_path}", "num_samples=1",
+        "master_seed=3", "models=" + ",".join(kinds),
+        "model.svdgcn.svd_rank=8", *model_lines)
     for name in ("models.dgcf.operator_builds", "models.svd.calls",
                  "models.ultragcn.cooccurrence_topk.calls",
                  "models.sample_negative_items.calls"):
+        assert counts.get(name, 0) > 0, name
+
+
+def test_bench_trace_counts_projections(dataset_path, tmp_path):
+    counts = _bench_trace_counts(tmp_path, "characterize",
+                                 f"dataset={dataset_path}", "num_samples=2",
+                                 "master_seed=3")
+    for name in ("graph.project.calls", "graph.project.pairs",
+                 "characteristics.compute_vector.calls"):
         assert counts.get(name, 0) > 0, name
 
 
