@@ -1,36 +1,50 @@
-"""Experiment configuration: flat key=value files plus override parsing."""
+"""Experiment configuration: flat key=value files plus override parsing.
+
+Each key is a field of ``ExperimentConfig`` or, as ``model.<kind>.<field>``,
+of the kind's model config: parsed by its default's type, bounded by its
+metadata and listed by ``describe_keys``.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
-from .models.base import MODEL_CONFIGS, MODEL_KINDS
-from .sampling import EDGE_DROPOUT, NODE_DROPOUT
+from .models.base import MODEL_CONFIGS, MODEL_KINDS, check_bounds, least
+from .sampling import STRATEGIES
 
 
 class ConfigError(Exception):
     pass
 
 
-DEFAULT_ALPHAS = (0.0, 0.3, 0.7, 1.0)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: str = ""
     master_seed: int = 0
-    num_samples: int = 20
-    mu_min: float = 0.7
+    num_samples: int = least(20, 1)
+    mu_min: float = least(0.7, 0)   # mu_min <= mu_max < 1
     mu_max: float = 0.9
-    strategies: tuple = (NODE_DROPOUT, EDGE_DROPOUT)
-    models: tuple = MODEL_KINDS
+    strategies: tuple = field(default=STRATEGIES,
+                              metadata={"allowed": STRATEGIES})
+    models: tuple = field(default=MODEL_KINDS,
+                          metadata={"allowed": MODEL_KINDS})
     model_configs: dict = field(default_factory=dict)
-    metric_k: int = 20
+    metric_k: int = least(20, 1)
     standardize: bool = True
-    alphas: tuple = DEFAULT_ALPHAS
-    rq2_total: int = 0          # 0 -> use the smaller strategy pool size
+    alphas: tuple = (0.0, 0.3, 0.7, 1.0)    # each in [0, 1]
+    rq2_total: int = least(0, 0)    # 0 -> use the smaller strategy pool size
     out_dir: str = "runs"
-    jobs: int = 1
+    jobs: int = least(1, 1)
+
+    def __post_init__(self):
+        check_bounds(self)
+        if not self.mu_min <= self.mu_max < 1.0:
+            raise ValueError("need 0 <= mu_min <= mu_max < 1")
+        if not all(0.0 <= a <= 1.0 for a in self.alphas):
+            raise ValueError(f"alphas must lie in [0, 1], got {self.alphas}")
+        for kind in self.model_configs:
+            self.config_for(kind)  # rejects what would fail every cell
 
     def config_for(self, kind):
         """The kind's model config with any file/CLI overrides applied."""
@@ -40,71 +54,62 @@ class ExperimentConfig:
             raise ConfigError(f"model.{kind}: {exc}") from None
 
 
-_SCALAR_PARSERS = {
-    "dataset": str,
-    "master_seed": int,
-    "num_samples": int,
-    "mu_min": float,
-    "mu_max": float,
-    "metric_k": int,
-    "rq2_total": int,
-    "out_dir": str,
-    "jobs": int,
-}
+# the experiment keys; model_configs is set as model.<kind>.<field>
+_KEYS = {f.name: f for f in fields(ExperimentConfig)
+         if f.name != "model_configs"}
 
 
-def _parse_bool(raw, key):
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-
-
-def _parse_list(raw, allowed, key):
-    values = tuple(v.strip() for v in raw.split(",") if v.strip())
-    for v in values:
-        if v not in allowed:
-            raise ConfigError(f"{key}: unknown value {v!r} "
-                              f"(allowed: {', '.join(allowed)})")
+def _parse(f, raw):
+    """``raw`` as a value of the config field ``f``, by the type of its
+    default: a bool, int, finite float or str, or for a tuple a non-empty
+    comma-separated list of its element type, each of the field's
+    ``allowed`` values if it has them."""
+    if not isinstance(f.default, tuple):
+        return _parse_value(type(f.default), raw)
+    values = tuple(_parse_value(type(f.default[0]), v.strip())
+                   for v in raw.split(",") if v.strip())
     if not values:
-        raise ConfigError(f"{key}: empty list")
+        raise ValueError("empty list")
+    allowed = f.metadata.get("allowed", values)
+    unknown = [v for v in values if v not in allowed]
+    if unknown:
+        raise ValueError(f"unknown value {unknown[0]!r} "
+                         f"(allowed: {', '.join(allowed)})")
     return values
 
 
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
+def _parse_value(kind, raw):
+    if kind is bool and raw.lower() not in _BOOLS:
+        raise ValueError(f"expected a boolean, got {raw!r}")
+    value = _BOOLS[raw.lower()] if kind is bool else kind(raw)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 def apply_setting(settings, key, raw):
-    """Validate one key=value pair into the mutable settings dict."""
+    """Parse one key=value pair into the mutable settings dict."""
     key = key.strip()
-    raw = raw.strip()
+    if key.startswith("model.") and key.count(".") == 2:
+        _, kind, name = key.split(".")
+        if kind not in MODEL_CONFIGS:
+            raise ConfigError(f"{key}: unknown model kind {kind!r}")
+        own = {f.name: f for f in fields(MODEL_CONFIGS[kind])}
+        if name not in own:
+            raise ConfigError(f"{key}: {kind} has no field {name!r} "
+                              f"(fields: {', '.join(own)})")
+        target = settings.setdefault("model_configs", {}).setdefault(kind, {})
+        f = own[name]
+    elif key in _KEYS:
+        target, f = settings, _KEYS[key]
+    else:
+        raise ConfigError(f"unknown configuration key {key!r}")
     try:
-        if key in _SCALAR_PARSERS:
-            settings[key] = _SCALAR_PARSERS[key](raw)
-        elif key == "standardize":
-            settings[key] = _parse_bool(raw, key)
-        elif key == "strategies":
-            settings[key] = _parse_list(raw, (NODE_DROPOUT, EDGE_DROPOUT), key)
-        elif key == "models":
-            settings[key] = _parse_list(raw, MODEL_KINDS, key)
-        elif key == "alphas":
-            alphas = tuple(float(v) for v in raw.split(",") if v.strip())
-            if not alphas or any(not 0.0 <= a <= 1.0 for a in alphas):
-                raise ConfigError(f"alphas must lie in [0, 1], got {raw!r}")
-            settings[key] = alphas
-        elif key.startswith("model.") and key.count(".") == 2:
-            _, kind, name = key.split(".")
-            if kind not in MODEL_CONFIGS:
-                raise ConfigError(f"{key}: unknown model kind {kind!r}")
-            own = {f.name: f.default for f in fields(MODEL_CONFIGS[kind])}
-            if name not in own:
-                raise ConfigError(f"{key}: {kind} has no field {name!r} "
-                                  f"(fields: {', '.join(own)})")
-            settings.setdefault("model_configs", {}).setdefault(kind, {})[name] \
-                = type(own[name])(raw)
-        else:
-            raise ConfigError(f"unknown configuration key {key!r}")
-    except ConfigError:
-        raise
+        target[f.name] = _parse(f, raw.strip())
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
@@ -129,9 +134,10 @@ def parse_config(lines, overrides=()):
             raise ConfigError(f"override {item!r} is not key=value")
         key, _, raw = item.partition("=")
         apply_setting(settings, key, raw)
-    cfg = ExperimentConfig(**settings)
-    _validate(cfg)
-    return cfg
+    try:
+        return ExperimentConfig(**settings)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_config(path, overrides=()):
@@ -142,28 +148,18 @@ def load_config(path, overrides=()):
         raise ConfigError(f"cannot read config {path}: {exc}") from None
 
 
-def _validate(cfg):
-    if cfg.num_samples < 1:
-        raise ConfigError("num_samples must be >= 1")
-    if not 0.0 <= cfg.mu_min <= cfg.mu_max < 1.0:
-        raise ConfigError("need 0 <= mu_min <= mu_max < 1")
-    if cfg.metric_k < 1:
-        raise ConfigError("metric_k must be >= 1")
-    if cfg.jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-    if cfg.rq2_total < 0:
-        raise ConfigError("rq2_total must be >= 0")
-    for kind in cfg.model_configs:
-        cfg.config_for(kind)  # the model config rejects what fails every cell
+def _shown(value):
+    """A default as a key=value line writes it."""
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
 
 
 def describe_keys():
     """Documented key listing for --help output."""
-    lines = ["Configuration keys (key=value, one per line; '#' comments):"]
-    for key in sorted(_SCALAR_PARSERS):
-        lines.append(f"  {key}")
-    lines += ["  standardize", "  strategies", "  models", "  alphas",
-              "  model.<kind>.<field>, each kind's own (default):"]
+    lines = ["Configuration keys (key=value; '#' comments) and defaults:"]
+    lines += [f"  {name}={_shown(f.default)}" for name, f in _KEYS.items()]
+    lines.append("  model.<kind>.<field>, each kind's own:")
     lines += [f"    model.{kind}.{f.name}={f.default}"
               for kind, cls in MODEL_CONFIGS.items() for f in fields(cls)]
     return "\n".join(lines)

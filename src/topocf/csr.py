@@ -98,23 +98,16 @@ class CSR:
         return CSR(indptr, indices, data, (N, M))
 
     def __matmul__(self, other):
-        """self @ other for a CSR, or for a dense 1-D or 2-D operand of the
-        same dtype, by the kernel scipy's ``@`` runs. A sparse product lists
-        each row's columns in the kernel's order, not sorted."""
+        """self @ other for a CSR, by the kernel scipy's ``@`` runs, or for
+        a dense 1-D or 2-D operand of the same dtype, by ``spmm``: a 1-D
+        operand as one column. A sparse product lists each row's columns in
+        the kernel's order, not sorted."""
         if isinstance(other, CSR):
             return _matmat(self, other)
-        M, N = self.shape
-        other = np.ascontiguousarray(other)
-        if other.ndim == 2:
-            out = np.empty((M, other.shape[1]), self.dtype)
-            return spmm(self, other, out)
-        if other.shape != (N,) or other.dtype != self.dtype:
-            raise ValueError(f"{self.shape} {self.dtype} @ {other.shape} "
-                             f"{other.dtype}")
-        out = np.zeros(M, self.dtype)
-        _sparsetools.csr_matvec(M, N, self.indptr, self.indices, self.data,
-                                other, out)
-        return out
+        X = np.ascontiguousarray(other)
+        if X.ndim == 1:
+            return (self @ X.reshape(-1, 1)).reshape(-1)
+        return spmm(self, X, np.empty((self.shape[0], X.shape[1]), self.dtype))
 
     def scale(self, row_factors, column_factors):
         """Multiply each value by row_factors[its row], then by

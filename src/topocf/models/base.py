@@ -37,6 +37,14 @@ def least(default, bound):
     return field(default=default, metadata={"least": bound})
 
 
+def check_bounds(cfg):
+    """Raise ValueError for a field of ``cfg`` below its ``least`` bound."""
+    for f in fields(cfg):
+        bound, value = f.metadata.get("least"), getattr(cfg, f.name)
+        if bound is not None and not value >= bound:  # NaN fails too
+            raise ValueError(f"{f.name} must be >= {bound}, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """The settings every model kind reads; the subclass of each ``kind``
@@ -51,10 +59,7 @@ class ModelConfig:
     eval_interval: int = least(5, 1)
 
     def __post_init__(self):
-        for f in fields(self):
-            bound, value = f.metadata.get("least"), getattr(self, f.name)
-            if bound is not None and not value >= bound:  # NaN fails too
-                raise ValueError(f"{f.name} must be >= {bound}, got {value}")
+        check_bounds(self)
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got "
                              f"{self.learning_rate}")
@@ -100,11 +105,6 @@ class SvdGcnConfig(ModelConfig):
 MODEL_CONFIGS = {cls.kind: cls for cls in (LightGCNConfig, DGCFConfig,
                                            UltraGCNConfig, SvdGcnConfig)}
 MODEL_KINDS = tuple(MODEL_CONFIGS)
-
-
-def default_config(kind, **overrides):
-    """Desk-scale defaults for a model kind, with ``overrides`` applied."""
-    return MODEL_CONFIGS[kind](**overrides)
 
 
 @dataclass
@@ -268,6 +268,15 @@ def train_loop(trainer, split, cfg):
     The model materialized for the best validation is the one returned;
     with no validation, the last state is materialized.
     """
+    def materialize(epoch):
+        # an epoch's loss misses its last update turning P non-finite; a NaN
+        # or an infinity shows in the min or max, which allocate nothing
+        model = trainer.materialize()
+        for E in (model.user_embeddings, model.item_embeddings):
+            if not (np.isfinite(E.min()) and np.isfinite(E.max())):
+                raise TrainingDivergedError(f"diverged at epoch {epoch}")
+        return model
+
     best_recall = -np.inf
     best = None
     bad_evals = 0
@@ -280,7 +289,7 @@ def train_loop(trainer, split, cfg):
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"diverged at epoch {epoch}")
         if can_validate and epoch % cfg.eval_interval == 0:
-            model = trainer.materialize()
+            model = materialize(epoch)
             result = evaluate(model, split, k=20, phase="valid")
             if result.recall > best_recall + 1e-12:
                 best_recall = result.recall
@@ -292,7 +301,7 @@ def train_loop(trainer, split, cfg):
                     stopped_early = True
                     break
     if best is None:
-        best = trainer.materialize()
+        best = materialize(epochs_trained)
     best.epochs_trained = epochs_trained
     best.stopped_early = stopped_early
     return best
@@ -380,6 +389,16 @@ class EmbeddingModel:
             buf = self.tables[key] = np.empty(shape, dtype)
         return buf[:shape[0]]
 
+    def propagation_tables(self, shape):
+        """The model's three node x dim buffers, ``shape`` each."""
+        return [self.table(i, shape) for i in range(3)]
+
+    def pair_tables(self, E):
+        """The two of ``propagation_tables`` that do not hold E."""
+        tables = self.propagation_tables(E.shape)
+        first = spare(tables, E)
+        return first, spare(tables, E, first)
+
     def gathers(self, E, rows):
         """Two (rows, dim) buffers for a batch's gathered rows of E: the
         leading rows of ``pair_tables(E)``, which hold nothing until the
@@ -449,15 +468,6 @@ class PropagationModel(EmbeddingModel):
         loss, terms = bpr_pairs(users, pos, negs, E, self.num_users,
                                 self.gathers(E, len(batch)))
         return loss, pair_gradient(terms, E, self.pair_tables(E))
-
-    def propagation_tables(self, shape):
-        """The model's three node x dim buffers, ``shape`` each."""
-        return [self.table(i, shape) for i in range(3)]
-
-    def pair_tables(self, E):
-        tables = self.propagation_tables(E.shape)
-        first = spare(tables, E)
-        return first, spare(tables, E, first)
 
 
 def train_model(split, cfg, rng):

@@ -56,8 +56,8 @@ class SvdGcn(EmbeddingModel):
         return W
 
     def forward(self, W):
-        """E, as a view of a model buffer that is valid until the next
-        ``forward`` or ``backward``."""
+        """E, in the first of ``propagation_tables`` (so ``pair_tables``
+        are the other two), valid until the next ``forward``."""
         return np.matmul(self.F, W, out=self.table(0, (len(self.F),
                                                        W.shape[1])))
 
@@ -90,9 +90,6 @@ class SvdGcn(EmbeddingModel):
             terms += [(sel[:, 0], sel[:, 1], -sigmoid(-s_pos) / n),
                       (sel[:, 0], others, sigmoid(s_neg) / n)]
         return loss, pair_gradient(terms, E, self.pair_tables(E))
-
-    def pair_tables(self, E):
-        return self.table(1, E.shape), self.table(2, E.shape)
 
     def extras(self, P):
         return {"singular_values": self.singular_values.copy(),

@@ -15,8 +15,8 @@ from topocf.characteristics import (SHORTHAND_NAMES, classical_from_counts,
 from topocf.evaluation import evaluate
 from topocf.explain import build_design, fit_ols
 from topocf.graph import largest_connected_component
-from topocf.models.base import (MODEL_KINDS, TrainedModel, default_config,
-                                train_model)
+from topocf.models.base import (MODEL_CONFIGS, MODEL_KINDS, DGCFConfig,
+                                LightGCNConfig, TrainedModel, train_model)
 from topocf.models.dgcf import DGCFPropagator
 from topocf.models.lightgcn import LightGCNPropagator
 from topocf.models.split import Split, split_dataset
@@ -89,7 +89,7 @@ def test_acceptance_1_metric_oracle():
         model = TrainedModel(
             user_embeddings=rng.normal(size=(g.num_users, 4)),
             item_embeddings=rng.normal(size=(g.num_items, 4)),
-            config=default_config("lightgcn"))
+            config=LightGCNConfig())
         k = int(rng.integers(1, 12))
         for phase in ("test", "valid"):
             got = evaluate(model, split, k=k, phase=phase)
@@ -241,7 +241,7 @@ def test_acceptance_6_model_capability():
          for u in split.test_users]))
     lifts = {}
     for kind in MODEL_KINDS:
-        model = train_model(split, default_config(kind),
+        model = train_model(split, MODEL_CONFIGS[kind](),
                             np.random.default_rng(7))
         result = evaluate(model, split, k=k, phase="test")
         lifts[kind] = result.recall / baseline
@@ -251,18 +251,18 @@ def test_acceptance_6_model_capability():
     small = two_block_graph(num_users=40, num_items=40,
                             interactions_per_user=8, seed=2)
     ssplit = split_dataset(small, np.random.default_rng(3))
-    cfg_l = default_config("lightgcn", embedding_dim=16, layers=2,
+    cfg_l = LightGCNConfig(embedding_dim=16, layers=2,
                            max_epochs=6, eval_interval=100)
-    cfg_d = default_config("dgcf", embedding_dim=16, layers=2, intents=1,
-                           routing_iterations=1, max_epochs=6,
-                           eval_interval=100)
+    cfg_d = DGCFConfig(embedding_dim=16, layers=2, intents=1,
+                       routing_iterations=1, max_epochs=6,
+                       eval_interval=100)
     m_l = train_model(ssplit, cfg_l, np.random.default_rng(13))
     m_d = train_model(ssplit, cfg_d, np.random.default_rng(13))
     equiv = (np.allclose(m_l.user_embeddings, m_d.user_embeddings, atol=1e-9)
              and np.allclose(m_l.item_embeddings, m_d.item_embeddings,
                              atol=1e-9))
     E0 = np.random.default_rng(0).normal(size=(80, 8))
-    prop = LightGCNPropagator(ssplit, default_config("lightgcn", layers=0))
+    prop = LightGCNPropagator(ssplit, LightGCNConfig(layers=0))
     identity = np.array_equal(prop.forward(E0), E0)
 
     elapsed = time.perf_counter() - start

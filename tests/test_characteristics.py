@@ -18,7 +18,7 @@ from topocf.characteristics import (SHORTHAND_NAMES,
                                     write_degree_histogram)
 from topocf import graph
 from topocf.graph import ProjectionCapError, project
-from topocf.models.base import default_config
+from topocf.models.base import SvdGcnConfig
 from topocf.models.split import Split
 from topocf.models.svdgcn import SvdGcn
 from topocf.synthetic import heavy_tailed_graph
@@ -335,7 +335,7 @@ def test_projection_cap_names_hub(monkeypatch):
     split = Split(graph=g, train_edges=g.edge_array(),
                   valid_edges=np.zeros((0, 2), np.int64),
                   test_edges=np.zeros((0, 2), np.int64))
-    cfg = default_config("svdgcn")
+    cfg = SvdGcnConfig()
     monkeypatch.setattr(graph, "PROJECTION_EDGE_CAP", 10)
     for build in (compute_vector, lambda g: project(g, "user"),
                   lambda g: SvdGcn(split, cfg)):

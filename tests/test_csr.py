@@ -81,8 +81,10 @@ def test_matmul_matches_scipy_on_dense_operands(rng):
                 assert (mine @ X).tobytes() == (theirs @ X).tobytes()
                 F = np.asfortranarray(X)
                 assert (mine @ F).tobytes() == (theirs @ F).tobytes()
-    with pytest.raises(ValueError):
-        got @ np.ones(got.shape[1] + 1)
+    n = got.shape[1]
+    for bad in (np.ones(n + 1), np.ones(n, np.float32), np.ones((n, 1, 1))):
+        with pytest.raises(ValueError):
+            got @ bad
 
 
 def test_scale_matches_scipy(rng):

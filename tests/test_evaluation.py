@@ -7,7 +7,7 @@ import pytest
 
 from topocf import evaluation
 from topocf.evaluation import evaluate
-from topocf.models.base import TrainedModel, default_config
+from topocf.models.base import LightGCNConfig, TrainedModel
 from topocf.models.split import Split, split_dataset
 
 from conftest import make_graph, random_bipartite, row_items, two_block_graph
@@ -65,7 +65,7 @@ def test_ndcg_ideal_truncated_at_k():
 def _fixed_model(user_vecs, item_vecs):
     return TrainedModel(user_embeddings=np.asarray(user_vecs, dtype=float),
                         item_embeddings=np.asarray(item_vecs, dtype=float),
-                        config=default_config("lightgcn"))
+                        config=LightGCNConfig())
 
 
 def test_evaluate_phase_exclusions():

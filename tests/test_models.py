@@ -14,12 +14,12 @@ from topocf.csr import CSR, spmm
 from topocf.evaluation import EvaluationResult
 from topocf.graph import largest_connected_component
 from topocf.models import base, dgcf, svd
-from topocf.models.base import (MODEL_CONFIGS, MODEL_KINDS, Adam, ModelConfig,
+from topocf.models.base import (MODEL_CONFIGS, MODEL_KINDS, Adam, DGCFConfig,
+                                LightGCNConfig, ModelConfig, SvdGcnConfig,
                                 TrainedModel, Trainer, TrainingDivergedError,
-                                bpr_pairs, default_config,
-                                pair_gradient, sample_negative_items,
-                                sigmoid, softplus, train_loop,
-                                train_model)
+                                UltraGCNConfig, bpr_pairs, pair_gradient,
+                                sample_negative_items, sigmoid, softplus,
+                                train_loop, train_model)
 from topocf.models.dgcf import DGCFPropagator
 from topocf.models.lightgcn import LightGCNPropagator, normalized_operator
 from topocf.models.split import Split, SplitError, split_dataset
@@ -177,7 +177,7 @@ def test_normalized_operator_matches_scipy_canonical_form():
 def test_lightgcn_zero_layers_is_identity(rng):
     g = _dense_graph(rng)
     split = _split_of(g)
-    prop = LightGCNPropagator(split, default_config("lightgcn", layers=0))
+    prop = LightGCNPropagator(split, LightGCNConfig(layers=0))
     E0 = rng.normal(size=(g.num_users + g.num_items, 8))
     np.testing.assert_array_equal(prop.forward(E0), E0)
 
@@ -185,7 +185,7 @@ def test_lightgcn_zero_layers_is_identity(rng):
 def test_lightgcn_layer_norms_stay_bounded(rng):
     g = _dense_graph(rng)
     split = _split_of(g)
-    prop = LightGCNPropagator(split, default_config("lightgcn", layers=4))
+    prop = LightGCNPropagator(split, LightGCNConfig(layers=4))
     X = rng.normal(size=(g.num_users + g.num_items, 8))
     bound = np.abs(X).max() * 1.01
     for _ in range(4):
@@ -196,7 +196,7 @@ def test_lightgcn_layer_norms_stay_bounded(rng):
 def test_lightgcn_adjoint_identity(rng):
     g = _dense_graph(rng)
     split = _split_of(g)
-    prop = LightGCNPropagator(split, default_config("lightgcn", layers=3))
+    prop = LightGCNPropagator(split, LightGCNConfig(layers=3))
     n = g.num_users + g.num_items
     E0 = rng.normal(size=(n, 6))
     G = rng.normal(size=(n, 6))
@@ -208,7 +208,7 @@ def test_lightgcn_adjoint_identity(rng):
 def test_dgcf_adjoint_identity(rng):
     g = _dense_graph(rng)
     split = _split_of(g)
-    cfg = default_config("dgcf", embedding_dim=8, intents=2, layers=2)
+    cfg = DGCFConfig(embedding_dim=8, intents=2, layers=2)
     prop = DGCFPropagator(split, cfg)
     n = g.num_users + g.num_items
     E0 = rng.normal(size=(n, 8))
@@ -285,8 +285,8 @@ def test_dgcf_matches_per_intent_operators(intents, routing_iterations,
     untrained = _split_with_untrained_nodes(seed)
     assert (untrained.train.user_degrees == 0).any()
     assert (untrained.train.item_degrees == 0).any()
-    cfg = default_config("dgcf", embedding_dim=8, intents=intents,
-                         routing_iterations=routing_iterations, layers=layers)
+    cfg = DGCFConfig(embedding_dim=8, intents=intents,
+                     routing_iterations=routing_iterations, layers=layers)
     for split in (_split_of(two_block_graph(12, 10, 4, seed=seed)), untrained):
         g = split.graph
         n = g.num_users + g.num_items
@@ -309,7 +309,7 @@ def test_dgcf_eight_intents_match_per_intent_operators_to_rounding(rng):
     softmax over the intent-major (K, E) scores may differ in the last
     bit."""
     split = _split_of(two_block_graph(12, 10, 4, seed=7))
-    cfg = default_config("dgcf", embedding_dim=16, intents=8, layers=2)
+    cfg = DGCFConfig(embedding_dim=16, intents=8, layers=2)
     n = split.graph.num_users + split.graph.num_items
     E0 = rng.normal(0.0, 0.1, size=(n, 16))
     G = rng.normal(size=(n, 16))
@@ -330,7 +330,7 @@ def test_dgcf_layer_operator_allocates_no_intent_table(rng):
     g = heavy_tailed_graph(num_users=3000, num_items=1500,
                            num_interactions=5000, seed=3)
     split = _split_of(g)
-    cfg = default_config("dgcf")
+    cfg = DGCFConfig()
     prop = DGCFPropagator(split, cfg)
     n = g.num_users + g.num_items
     num_edges = len(split.train.edge_array())
@@ -358,7 +358,7 @@ def test_dgcf_without_layers_reports_uniform_weights():
     g = heavy_tailed_graph(num_users=60, num_items=30, num_interactions=400,
                            seed=2)
     split = _split_of(g)
-    cfg = default_config("dgcf", layers=0, max_epochs=1)
+    cfg = DGCFConfig(layers=0, max_epochs=1)
     model = train_model(split, cfg, np.random.default_rng(0))
     weights = model.extras["intent_weights"]
     shape = (len(split.train.edge_array()), cfg.intents)
@@ -368,8 +368,7 @@ def test_dgcf_without_layers_reports_uniform_weights():
 def test_dgcf_zero_routing_iterations_gives_uniform_weights(rng):
     g = _dense_graph(rng)
     split = _split_of(g)
-    cfg = default_config("dgcf", embedding_dim=8, intents=4,
-                         routing_iterations=0)
+    cfg = DGCFConfig(embedding_dim=8, intents=4, routing_iterations=0)
     prop = DGCFPropagator(split, cfg)
     E0 = rng.normal(size=(g.num_users + g.num_items, 8))
     prop.forward(E0)
@@ -380,8 +379,7 @@ def test_dgcf_requires_divisible_embedding(rng):
     g = _dense_graph(rng)
     split = _split_of(g)
     with pytest.raises(ValueError, match="divisible"):
-        DGCFPropagator(split, default_config("dgcf", embedding_dim=10,
-                                             intents=4))
+        DGCFPropagator(split, DGCFConfig(embedding_dim=10, intents=4))
 
 
 @pytest.mark.parametrize("routing_iterations", [0, 2])
@@ -389,10 +387,10 @@ def test_dgcf_single_intent_matches_lightgcn(rng, routing_iterations):
     g = _dense_graph(rng, nu=15, ni=15)
     split = _split_of(g)
     kw = dict(embedding_dim=16, layers=2, max_epochs=6, eval_interval=100)
-    m_light = train_model(split, default_config("lightgcn", **kw),
+    m_light = train_model(split, LightGCNConfig(**kw),
                           np.random.default_rng(13))
-    m_dgcf = train_model(split, default_config(
-        "dgcf", intents=1, routing_iterations=routing_iterations, **kw),
+    m_dgcf = train_model(split, DGCFConfig(
+        intents=1, routing_iterations=routing_iterations, **kw),
                          np.random.default_rng(13))
     assert np.array_equal(m_light.user_embeddings, m_dgcf.user_embeddings)
     assert np.array_equal(m_light.item_embeddings, m_dgcf.item_embeddings)
@@ -407,7 +405,7 @@ def test_propagation_runs_on_three_shared_tables(kind):
     g = heavy_tailed_graph(num_users=60, num_items=30, num_interactions=400,
                            seed=2)
     split = _split_of(g)
-    cfg = default_config(kind, embedding_dim=16, batch_size=64)
+    cfg = MODEL_CONFIGS[kind](embedding_dim=16, batch_size=64)
     trainer = Trainer(cls(split, cfg), split, cfg, np.random.default_rng(0))
     trainer.step(split.train.edge_array()[:64])
     shape = (g.num_users + g.num_items, cfg.embedding_dim)
@@ -467,7 +465,7 @@ def test_train_loop_returns_best_validation_model(monkeypatch):
     g = two_block_graph(num_users=12, num_items=10, interactions_per_user=4,
                         seed=1)
     split = _split_of(g)
-    cfg = default_config("lightgcn", embedding_dim=4, max_epochs=4,
+    cfg = LightGCNConfig(embedding_dim=4, max_epochs=4,
                          eval_interval=1, patience=10)
     recalls = iter([0.2, 0.5, 0.1, 0.3])
     evaluated = []
@@ -525,7 +523,7 @@ def test_training_diverged_error_on_overflowing_loss(kind):
     own = {"lightgcn": {}, "dgcf": {},
            "ultragcn": {"negatives": 3, "item_topk": 3},
            "svdgcn": {"svd_rank": 3}}
-    cfg = default_config(kind, embedding_dim=4, **own[kind])
+    cfg = MODEL_CONFIGS[kind](embedding_dim=4, **own[kind])
     trainer = Trainer(_MODEL_CLASSES[kind](split, cfg), split, cfg,
                       np.random.default_rng(0))
     trainer.P *= 1e200
@@ -662,7 +660,7 @@ def test_spmm_matches_matmul_on_dgcf_operators(rng):
     g = heavy_tailed_graph(num_users=60, num_items=30, num_interactions=400,
                            seed=2)
     split = _split_of(g)
-    cfg = default_config("dgcf", embedding_dim=16, intents=4)
+    cfg = DGCFConfig(embedding_dim=16, intents=4)
     prop = DGCFPropagator(split, cfg)
     n = g.num_users + g.num_items
     prop.forward(rng.normal(0.0, 0.1, size=(n, 16)))
@@ -695,7 +693,7 @@ def test_training_step_allocates_less_than_one_table(kind):
     g = heavy_tailed_graph(num_users=900, num_items=450,
                            num_interactions=2500, seed=3)
     split = _split_of(g)
-    cfg = default_config(kind)
+    cfg = MODEL_CONFIGS[kind]()
     trainer = Trainer(_MODEL_CLASSES[kind](split, cfg), split, cfg,
                       np.random.default_rng(0))
     edges = split.train.edge_array()
@@ -722,7 +720,7 @@ def test_training_step_builds_no_csr(kind, monkeypatch):
     g = heavy_tailed_graph(num_users=300, num_items=150,
                            num_interactions=1500, seed=3)
     split = _split_of(g)
-    cfg = default_config(kind, embedding_dim=8)
+    cfg = MODEL_CONFIGS[kind](embedding_dim=8)
     trainer = Trainer(_MODEL_CLASSES[kind](split, cfg), split, cfg,
                       np.random.default_rng(0))
     batch = split.train.edge_array()[:cfg.batch_size]
@@ -752,7 +750,7 @@ def test_batch_gradient_matches_finite_differences(kind):
            "dgcf": {"layers": 2, "intents": 2, "routing_iterations": 0},
            "ultragcn": {"negatives": 3, "item_topk": 3},
            "svdgcn": {"svd_rank": 3}}
-    cfg = default_config(kind, embedding_dim=4, **own[kind])
+    cfg = MODEL_CONFIGS[kind](embedding_dim=4, **own[kind])
     model = _MODEL_CLASSES[kind](split, cfg)
     P = model.init_params(np.random.default_rng(0))
     batch = split.train.edge_array()[::3]
@@ -783,7 +781,25 @@ def test_train_loop_divergence_raises():
     g = make_graph([(u, i) for u in range(4) for i in range(4)])
     split = _split_of(g)
     with pytest.raises(TrainingDivergedError, match="epoch 1"):
-        train_loop(BadTrainer(), split, default_config("lightgcn"))
+        train_loop(BadTrainer(), split, LightGCNConfig())
+
+
+@pytest.mark.parametrize("max_epochs, eval_interval", [(2, 1), (1, 5)])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_train_loop_rejects_non_finite_embeddings(kind, max_epochs,
+                                                  eval_interval):
+    """At an infinite learning rate the epoch's one step turns P
+    non-finite after its loss was taken, so the epoch's loss is finite;
+    neither validation nor the model returned without it may see P."""
+    g = heavy_tailed_graph(num_users=12, num_items=10, num_interactions=48,
+                           seed=1)
+    own = {"svdgcn": {"svd_rank": 3}}.get(kind, {})
+    cfg = MODEL_CONFIGS[kind](embedding_dim=4, learning_rate=math.inf,
+                              max_epochs=max_epochs,
+                              eval_interval=eval_interval, **own)
+    with pytest.raises(TrainingDivergedError, match="epoch 1"), \
+            np.errstate(all="ignore"):  # inf - inf in the parameters
+        train_model(_split_of(g), cfg, np.random.default_rng(0))
 
 
 def test_training_is_deterministic(rng):
@@ -792,8 +808,9 @@ def test_training_is_deterministic(rng):
     own = {"lightgcn": {}, "dgcf": {}, "ultragcn": {"negatives": 5},
            "svdgcn": {"svd_rank": 8}}
     for kind in ("lightgcn", "dgcf", "ultragcn", "svdgcn"):
-        cfg = default_config(kind, embedding_dim=16, max_epochs=4,
-                             eval_interval=100, batch_size=64, **own[kind])
+        cfg = MODEL_CONFIGS[kind](embedding_dim=16, max_epochs=4,
+                                  eval_interval=100, batch_size=64,
+                                  **own[kind])
         a = train_model(split, cfg, np.random.default_rng(21))
         b = train_model(split, cfg, np.random.default_rng(21))
         np.testing.assert_array_equal(a.user_embeddings, b.user_embeddings)
@@ -804,7 +821,7 @@ def test_training_loss_decreases(rng):
     g = two_block_graph(num_users=40, num_items=40, interactions_per_user=10,
                         seed=6)
     split = _split_of(g)
-    cfg = default_config("lightgcn", embedding_dim=16)
+    cfg = LightGCNConfig(embedding_dim=16)
     trainer = Trainer(LightGCNPropagator(split, cfg), split, cfg,
                       np.random.default_rng(3))
     losses = [trainer.run_epoch(e) for e in range(1, 31)]
@@ -815,8 +832,8 @@ def test_early_stopping_restores_best(rng):
     g = two_block_graph(num_users=40, num_items=40, interactions_per_user=10,
                         seed=6)
     split = _split_of(g)
-    cfg = default_config("lightgcn", embedding_dim=16, max_epochs=200,
-                        eval_interval=1, patience=3)
+    cfg = LightGCNConfig(embedding_dim=16, max_epochs=200,
+                         eval_interval=1, patience=3)
     model = train_model(split, cfg, np.random.default_rng(5))
     assert model.stopped_early
     assert model.epochs_trained < 200
@@ -839,7 +856,7 @@ def _setting_run(kind, **overrides):
     """What training does on a 12 x 10 graph: the returned embeddings, the
     epochs trained and whether it stopped early. Validation Recall@20 is 1
     at every evaluation with 10 items, so the run stops at the second."""
-    cfg = default_config(kind, **{**_SETTING_BASE, **overrides})
+    cfg = MODEL_CONFIGS[kind](**{**_SETTING_BASE, **overrides})
     key = repr(cfg)
     if key not in _setting_runs:
         g = two_block_graph(num_users=12, num_items=10,
@@ -855,7 +872,7 @@ def _setting_run(kind, **overrides):
     for f in dataclasses.fields(cls)])
 def test_every_model_setting_changes_training(kind, name):
     """A setting that nothing reads would leave training as it was."""
-    assert getattr(default_config(kind, **_SETTING_BASE), name) \
+    assert getattr(MODEL_CONFIGS[kind](**_SETTING_BASE), name) \
         != _OTHER_VALUE[name]
     base_users, base_items, base_epochs, base_stopped = _setting_run(kind)
     users, items, epochs, stopped = _setting_run(
@@ -1019,7 +1036,7 @@ def test_ultragcn_batch_gradient_matches_gather(num_items):
     g = heavy_tailed_graph(num_users=300, num_items=num_items,
                            num_interactions=3000, seed=4)
     split = _split_of(g)
-    cfg = default_config("ultragcn")
+    cfg = UltraGCNConfig()
     model = UltraGCN(split, cfg)
     E = model.forward(model.init_params(np.random.default_rng(1)))
     edges = split.train.edge_array()
@@ -1035,7 +1052,7 @@ def test_ultragcn_item_zero_neighbor_among_padding():
     real item 0 and its other slots are padding that also holds item 0:
     the real slope must survive the padding's zero slopes."""
     split = _train_only_split([{0, 5}, {1, 2, 3}, {2, 3, 4}, {5}, {1, 4}], 6)
-    cfg = default_config("ultragcn", embedding_dim=8, negatives=4)
+    cfg = UltraGCNConfig(embedding_dim=8, negatives=4)
     model = UltraGCN(split, cfg)
     assert list(model.neighbors[5]) == [0] * cfg.item_topk
     assert model.omega[5, 0] > 0 and not model.omega[5, 1:].any()
@@ -1048,7 +1065,7 @@ def test_ultragcn_release_drops_buffers():
     g = heavy_tailed_graph(num_users=60, num_items=30, num_interactions=400,
                            seed=2)
     split = _split_of(g)
-    cfg = default_config("ultragcn", batch_size=64, max_epochs=2,
+    cfg = UltraGCNConfig(batch_size=64, max_epochs=2,
                          eval_interval=1)
     trainer = Trainer(UltraGCN(split, cfg), split, cfg,
                       np.random.default_rng(0))
@@ -1221,7 +1238,7 @@ def test_spectral_bound_on_random_graphs(rng):
 def test_svdgcn_features_without_sharpening(rng):
     g = _dense_graph(rng, nu=15, ni=15)
     split = _split_of(g)
-    cfg = default_config("svdgcn", svd_rank=6, embedding_dim=6, a1=0.0)
+    cfg = SvdGcnConfig(svd_rank=6, embedding_dim=6, a1=0.0)
     trainer = Trainer(SvdGcn(split, cfg), split, cfg, np.random.default_rng(2))
     # with a1=0 the features are the raw singular vectors; an identity
     # transform must return them unchanged
@@ -1239,8 +1256,7 @@ def test_svdgcn_draws_w_before_the_svd(rng):
     """W is the seed's first draw, whatever the solver draws after it; the
     solver's restarts and residual are kept as diagnostics."""
     split = _split_of(_dense_graph(rng, nu=30, ni=25))
-    model = SvdGcn(split, default_config("svdgcn", svd_rank=5,
-                                         embedding_dim=4))
+    model = SvdGcn(split, SvdGcnConfig(svd_rank=5, embedding_dim=4))
     W = model.init_params(np.random.default_rng(3))
     np.testing.assert_array_equal(
         W, base.normal_init(np.random.default_rng(3), 5, 4))
@@ -1254,7 +1270,7 @@ def test_cooccurrence_pairs_symmetry(rng):
     of the train graph on each side, in (v, w) order."""
     g = _dense_graph(rng)
     split = _split_of(g)
-    model = SvdGcn(split, default_config("svdgcn", svd_rank=4))
+    model = SvdGcn(split, SvdGcnConfig(svd_rank=4))
     user_sets = [set() for _ in range(g.num_users)]
     item_sets = [set() for _ in range(g.num_items)]
     for u, i in split.train.edge_array():

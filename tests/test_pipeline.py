@@ -15,9 +15,9 @@ import pytest
 from topocf import graph, pipeline
 from topocf.characteristics import read_characteristics_csv
 from topocf.cli import build_parser, main
-from topocf.config import ConfigError, parse_config
+from topocf.config import ConfigError, ExperimentConfig, parse_config
 from topocf.graph import write_interactions
-from topocf.models.base import MODEL_CONFIGS, MODEL_KINDS, default_config
+from topocf.models.base import MODEL_CONFIGS, MODEL_KINDS
 from topocf.pipeline import RunLedger, metrics_header, run_experiment
 from topocf.synthetic import heavy_tailed_graph
 
@@ -109,6 +109,12 @@ def test_model_field_overrides_reach_config_for():
     "jobs=0",
     "projection_edge_cap=10",
     "just a line without equals",
+    # non-finite floats, each of which fails every train cell
+    "model.svdgcn.a1=nan",
+    "model.svdgcn.a1=inf",
+    "model.ultragcn.item_loss_weight=inf",
+    "model.lightgcn.learning_rate=inf",
+    "model.lightgcn.l2_weight=inf",
 ])
 def test_parse_config_rejects_invalid_input(bad):
     with pytest.raises(ConfigError):
@@ -147,11 +153,21 @@ def test_help_lists_every_settable_model_key_with_its_default():
     assert len(re.findall(r"model\.\w+\.\w+", text)) == len(settable)
     for key, shown in listed.items():
         _, kind, name = key.split(".")
-        assert shown == str(getattr(default_config(kind), name))
+        assert shown == str(getattr(MODEL_CONFIGS[kind](), name))
+    # every experiment key, with a default that parses back to itself
+    keys = [f.name for f in dataclasses.fields(ExperimentConfig)
+            if f.name != "model_configs"]
+    listed = dict(re.findall(r"^  (\w+)=(.*)$", text, re.MULTILINE))
+    assert sorted(listed) == sorted(keys)
+    defaults = parse_config([])
+    for key, shown in listed.items():
+        assert getattr(parse_config([f"{key}={shown}"]), key) \
+            == getattr(defaults, key), key
     # a setting is parsed with its default's type
-    for cls in MODEL_CONFIGS.values():
+    for cls in (ExperimentConfig, *MODEL_CONFIGS.values()):
         for f in dataclasses.fields(cls):
-            assert type(f.default).__name__ == f.type, f.name
+            if f.name != "model_configs":
+                assert type(f.default).__name__ == f.type, f.name
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +456,7 @@ def test_no_command_imports_scipy_package(dataset_path, tmp_path):
     # only for a run with jobs > 1
     train_all = ("import numpy as np\n"
                  "from topocf.evaluation import evaluate\n"
-                 "from topocf.models.base import default_config, train_model\n"
+                 "from topocf.models.base import MODEL_CONFIGS, train_model\n"
                  "from topocf.models.split import split_dataset\n"
                  "from topocf.synthetic import heavy_tailed_graph\n"
                  "g = heavy_tailed_graph(num_users=12, num_items=10, "
@@ -449,7 +465,7 @@ def test_no_command_imports_scipy_package(dataset_path, tmp_path):
                  f"for kind in {MODEL_KINDS!r}:\n"
                  # svd_rank 3 < min(12, 10): a truncated, not a full, SVD
                  "    own = {'svd_rank': 3} if kind == 'svdgcn' else {}\n"
-                 "    model = train_model(split, default_config(kind, "
+                 "    model = train_model(split, MODEL_CONFIGS[kind]("
                  "embedding_dim=4, max_epochs=2, **own), "
                  "np.random.default_rng(0))\n"
                  "    evaluate(model, split, phase='valid')\n"
