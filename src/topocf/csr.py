@@ -29,6 +29,17 @@ import numpy as np
 INDEX = np.int64
 
 
+def scipy_file(*names):
+    """The first of ``names`` (paths relative to the installed scipy
+    package) that is a file there, or None; found without importing
+    ``scipy``."""
+    spec = importlib.util.find_spec("scipy")
+    folders = spec.submodule_search_locations if spec else None
+    paths = [os.path.join(folder, name) for folder in folders or ()
+             for name in names]
+    return next(filter(os.path.isfile, paths), None)
+
+
 def _load_sparsetools():
     """scipy.sparse._sparsetools, loaded from its file without importing
     ``scipy`` or running ``scipy/sparse/__init__.py``. It is registered
@@ -37,12 +48,8 @@ def _load_sparsetools():
     name = "scipy.sparse._sparsetools"
     if name in sys.modules:
         return sys.modules[name]
-    spec = importlib.util.find_spec("scipy")
-    folders = spec.submodule_search_locations if spec else None
-    paths = [os.path.join(folder, "sparse", "_sparsetools" + suffix)
-             for folder in folders or ()
-             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-    path = next(filter(os.path.isfile, paths), None)
+    path = scipy_file(*(os.path.join("sparse", "_sparsetools" + suffix)
+                        for suffix in importlib.machinery.EXTENSION_SUFFIXES))
     if path is None:
         raise ImportError("topocf needs scipy's compiled sparse kernels "
                           "(scipy/sparse/_sparsetools): is scipy installed?",

@@ -16,6 +16,13 @@ makes (propagation layers, gathered batch rows, the pair gradient) is
 written into a buffer that the model allocates at its first step and keeps
 until ``release``. An array allocated and freed at every step goes back to
 the system and is page-faulted in again at the next.
+
+Every parameter, embedding, buffer, operator value and Adam moment is of
+one dtype, ``DTYPE``: float32, the default at which the reference code of
+LightGCN and UltraGCN trains. It halves the memory and the memory traffic
+of every table and product against float64. UltraGCN's degree factors and
+co-occurrence weights and SVD-GCN's truncated SVD are computed in float64
+and cast once.
 """
 
 from __future__ import annotations
@@ -26,6 +33,10 @@ import numpy as np
 
 from ..csr import coo_matmul_add, spmm
 from ..evaluation import evaluate
+
+
+# the dtype of every model's parameters, embeddings, buffers and operators
+DTYPE = np.float32
 
 
 class TrainingDivergedError(Exception):
@@ -117,7 +128,7 @@ class TrainedModel:
     stopped_early: bool = False
 
 
-ADAM_BLOCK = 32768  # float64 elements per array in one block: 256 KiB
+ADAM_BLOCK = 32768  # elements per array in one block: 128 KiB of DTYPE
 
 
 class Adam:
@@ -138,10 +149,10 @@ class Adam:
     def __init__(self, shape, lr, l2=0.0):
         self.lr = lr
         self.l2 = l2
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
+        self.m = np.zeros(shape, DTYPE)
+        self.v = np.zeros(shape, DTYPE)
         self.t = 0
-        self.scratch = np.empty((2, min(self.m.size, ADAM_BLOCK)))
+        self.scratch = np.empty((2, min(self.m.size, ADAM_BLOCK)), DTYPE)
 
     def step(self, param, grad):
         """param -= lr * m_hat / (sqrt(v_hat) + eps), with the operands of
@@ -175,9 +186,10 @@ class Adam:
 
 
 def normal_init(rng, rows, dim):
-    """A (rows x dim) parameter matrix drawn from N(0, 0.1^2), as every
-    model starts."""
-    return rng.normal(0.0, 0.1, size=(rows, dim))
+    """A (rows x dim) ``DTYPE`` parameter matrix drawn from N(0, 0.1^2), as
+    every model starts: drawn in float64, so that the rng stream does not
+    depend on the dtype, and cast once."""
+    return rng.normal(0.0, 0.1, size=(rows, dim)).astype(DTYPE)
 
 
 def sample_negative_items(rng, users, split):
@@ -379,14 +391,14 @@ class EmbeddingModel:
         return normal_init(rng, self.num_users + self.num_items,
                            self.cfg.embedding_dim)
 
-    def table(self, key, shape, dtype=np.float64):
-        """The model's ``dtype`` buffer ``key`` as a (rows, cols) ``shape``
-        array: allocated at its first request, reallocated when a request
-        outgrows its rows or changes its cols, and otherwise the leading
-        rows of the one allocated before."""
+    def table(self, key, shape, dtype=None):
+        """The model's buffer ``key`` of ``dtype`` (``DTYPE`` by default) as
+        a (rows, cols) ``shape`` array: allocated at its first request,
+        reallocated when a request outgrows its rows or changes its cols,
+        and otherwise the leading rows of the one allocated before."""
         buf = self.tables.get(key)
         if buf is None or len(buf) < shape[0] or buf.shape[1:] != shape[1:]:
-            buf = self.tables[key] = np.empty(shape, dtype)
+            buf = self.tables[key] = np.empty(shape, dtype or DTYPE)
         return buf[:shape[0]]
 
     def propagation_tables(self, shape):

@@ -37,6 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..csr import CSR, spmm
+from . import base
 from .base import PropagationModel, take_rows
 from .lightgcn import inverse_sqrt, normalized_operator
 
@@ -76,17 +77,19 @@ class DGCFPropagator(PropagationModel):
         # each train edge's user and item rows of a node x dim table
         self.ends = np.stack([edges[:, 0], self.num_users + edges[:, 1]])
         # the operator times ones sums each row's values
-        self.ones = np.ones((K * n, 1))
+        dtype = base.DTYPE
+        self.ones = np.ones((K * n, 1), dtype)
 
-        self.uniform_op = CSR(indptr, cols, np.empty(K * A.nnz),
+        self.uniform_op = CSR(indptr, cols, np.empty(K * A.nnz, dtype),
                               (K * n, K * n))
         # the routed operators share its index arrays
-        self.routed_ops = [CSR(indptr, cols, np.empty(K * A.nnz),
+        self.routed_ops = [CSR(indptr, cols, np.empty(K * A.nnz, dtype),
                                self.uniform_op.shape)
                            for _ in range(cfg.layers)]
         # every layer's first routing iteration weighs the intents uniformly
-        self.uniform_weights = softmax_intents(np.zeros((K, len(edges))),
-                                               np.empty((K, len(edges))))
+        shape = (K, len(edges))
+        self.uniform_weights = softmax_intents(np.zeros(shape, dtype),
+                                               np.empty(shape, dtype))
         self._route(self.uniform_op, self.uniform_weights)
         self.intent_weights = self.uniform_weights
 

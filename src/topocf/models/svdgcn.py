@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph import project
+from . import base
 from .base import (EmbeddingModel, bpr_pairs, normal_init, pair_gradient,
                    sample_negative_items, sigmoid, softplus, take_rows)
 from .svd import randomized_subspace_svd
@@ -49,7 +50,9 @@ class SvdGcn(EmbeddingModel):
         W = normal_init(rng, self.rank, self.cfg.embedding_dim)
         svd = randomized_subspace_svd(self.Rn, self.rank, rng=rng)
         P, s, Q = svd
-        self.F = np.vstack([P, Q]) * np.exp(self.cfg.a1 * s)
+        # the SVD runs in float64; the features are cast once
+        self.F = (np.vstack([P, Q]) * np.exp(self.cfg.a1 * s)).astype(
+            base.DTYPE)
         self.singular_values = s
         self.svd_restarts = svd.restarts
         self.svd_max_residual = svd.max_residual

@@ -12,6 +12,7 @@ import numpy as np
 
 from ..csr import scatter_add
 from ..graph import project
+from . import base
 from .base import EmbeddingModel, take_rows
 
 
@@ -68,22 +69,26 @@ class UltraGCN(EmbeddingModel):
     so forward and backward are the identity.
 
     A batch's r distinct users (r <= batch size) are scored against every
-    item as one r x I float64 block S = Eu[rows] @ Ei.T. Its positive,
-    negative and item-neighbor pairs read their scores from S, then add
-    their loss slopes into the same block, now D, so the gradient is
-    D @ Ei for those users and D.T @ Eu[rows] for the items. The block is
-    used at every catalogue size, with no switch to a sparse path; it takes
-    r * I * 8 bytes, at most 0.95 MB on the samples of a 12k-edge graph.
+    item as one r x I block S = Eu[rows] @ Ei.T of the models' ``DTYPE``.
+    Its positive, negative and item-neighbor pairs read their scores from
+    S, then add their loss slopes into the same block, now D, so the
+    gradient is D @ Ei for those users and D.T @ Eu[rows] for the items.
+    The block is used at every catalogue size, with no switch to a sparse
+    path; at float32 it takes r * I * 4 bytes, at most 0.48 MB on the
+    samples of a 12k-edge graph.
     It, the gradient and the batch-by-pair work arrays are model buffers,
     sized by the batch, not by r, and reused until ``release``.
     """
 
     def __init__(self, split, cfg):
         super().__init__(split, cfg)
-        self.a, self.r = beta_factors(np.maximum(split.train.user_degrees, 1),
-                                      split.train.item_degrees)
-        self.neighbors, self.omega, self.skipped_items = \
+        # the weights are taken in float64 and cast once
+        self.a, self.r = (x.astype(base.DTYPE) for x in beta_factors(
+            np.maximum(split.train.user_degrees, 1),
+            split.train.item_degrees))
+        self.neighbors, omega, self.skipped_items = \
             item_cooccurrence_topk(split, cfg.item_topk)
+        self.omega = omega.astype(base.DTYPE)
 
     def forward(self, P):
         return P

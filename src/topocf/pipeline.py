@@ -20,10 +20,11 @@ A run lays out its output directory as::
 ``explain`` runs ingest -> sample -> characterize -> train -> explain;
 ``rq2`` adds the alpha sweep and ``run-all`` adds report.md on top, so the
 three share one path. Characterize and train cells are ledgered: a
-``chars:<id>`` cell's input is its sample file's digest, a
-``train:<id>:<model>`` cell's inputs are that digest, the model config and
-k. Every cell derives its randomness from (master_seed, sample_id[,
-model]), so results are byte-identical regardless of parallelism or resume.
+``chars:<id>`` cell's inputs are its sample file's digest and the code
+digest, a ``train:<id>:<model>`` cell's inputs are those, the model config
+and k. Every cell derives its randomness from (master_seed, sample_id[,
+model]), so results are byte-identical regardless of parallelism or resume,
+and a resume never reuses a cell that other code computed.
 """
 
 from __future__ import annotations
@@ -33,11 +34,13 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from . import characteristics as chars
 from . import sampling
+from .csr import scipy_file
 from .evaluation import evaluate
 from .explain import (DesignError, build_design, fit_ols, render_markdown,
                       write_report_csv)
@@ -71,6 +74,29 @@ def file_hash(path):
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):
             h.update(block)
+    return h.hexdigest()
+
+
+@cache
+def code_digest():
+    """What computes a cell: blake2b over the bytes of topocf's modules
+    (``topocf/*.py`` and ``topocf/models/*.py``, each named by its path in
+    the package), of scipy's ``version.py``, read from its file without
+    importing scipy, and numpy's version."""
+    h = hashlib.blake2b(digest_size=16)
+    package = os.path.dirname(os.path.abspath(__file__))
+    files = [(os.path.join(sub, name), os.path.join(package, sub, name))
+             for sub in ("", "models")
+             for name in sorted(os.listdir(os.path.join(package, sub)))
+             if name.endswith(".py")]
+    for name, path in files + [("scipy/version.py",
+                                scipy_file("version.py"))]:
+        h.update(name.encode() + b"\0")
+        if path is not None:
+            with open(path, "rb") as fh:
+                h.update(fh.read())
+        h.update(b"\0")
+    h.update(f"numpy {np.__version__}".encode())
     return h.hexdigest()
 
 
@@ -226,7 +252,7 @@ def characterize_samples(cfg, samples, digests, ledger, result):
     for s in samples:
         sid = s.spec.sample_id
         cells.append((f"chars:{sid}", f"characterize[{sid}]",
-                      {"sample": digests[sid]},
+                      {"sample": digests[sid], "code": code_digest()},
                       os.path.join(out, "chars", f"{sid}.csv"), (sid, s.graph)))
     vectors = dict(_run_ledgered(
         cfg, ledger, result, cells, _characterize_cell,
@@ -259,8 +285,8 @@ def train_samples(cfg, samples, digests, ledger, result):
         for kind in cfg.models:
             model_cfg = cfg.config_for(kind)
             cells.append((f"train:{sid}:{kind}", f"train[{sid},{kind}]",
-                          {"sample": digests[sid], "config": repr(model_cfg),
-                           "k": str(k)},
+                          {"sample": digests[sid], "code": code_digest(),
+                           "config": repr(model_cfg), "k": str(k)},
                           os.path.join(out, "metrics", f"{sid}_{kind}.csv"),
                           (sid, s.graph, kind, model_cfg, s.spec.seed, k)))
     rows = _run_ledgered(

@@ -15,6 +15,7 @@ from topocf.characteristics import (SHORTHAND_NAMES, classical_from_counts,
 from topocf.evaluation import evaluate
 from topocf.explain import build_design, fit_ols
 from topocf.graph import largest_connected_component
+from topocf.models import base
 from topocf.models.base import (MODEL_CONFIGS, MODEL_KINDS, DGCFConfig,
                                 LightGCNConfig, TrainedModel, train_model)
 from topocf.models.dgcf import DGCFPropagator
@@ -261,7 +262,7 @@ def test_acceptance_6_model_capability():
     equiv = (np.allclose(m_l.user_embeddings, m_d.user_embeddings, atol=1e-9)
              and np.allclose(m_l.item_embeddings, m_d.item_embeddings,
                              atol=1e-9))
-    E0 = np.random.default_rng(0).normal(size=(80, 8))
+    E0 = np.random.default_rng(0).normal(size=(80, 8)).astype(base.DTYPE)
     prop = LightGCNPropagator(ssplit, LightGCNConfig(layers=0))
     identity = np.array_equal(prop.forward(E0), E0)
 

@@ -133,6 +133,28 @@ def test_evaluate_blocks_match_oracle(users_per_block, monkeypatch):
         checked += 1
 
 
+def test_evaluate_refuses_scores_that_overflow():
+    """Finite float32 embeddings whose products overflow to +inf, -inf or
+    NaN (inf - inf): ranking such a block would report a recall of
+    nothing, so evaluate refuses it, before the exclusions write -inf."""
+    g = make_graph([(0, j) for j in range(5)])
+    split = Split(graph=g, train_edges=np.array([(0, 0)]),
+                  valid_edges=np.array([(0, 1)]),
+                  test_edges=np.array([(0, 2)]))
+    items = np.full((5, 2), 0.5, np.float32)
+    for overflowing in ([1e30, 0.0], [-1e30, 0.0], [1e30, -1e30]):
+        items[4] = overflowing
+        for phase in ("test", "valid"):
+            with pytest.raises(ValueError, match="non-finite float32"):
+                evaluate(TrainedModel(np.full((1, 2), 1e20, np.float32),
+                                      items, LightGCNConfig()), split,
+                         k=2, phase=phase)
+    # in float64 the same magnitudes rank: item 4's -1e50 comes last
+    items[4] = [-1e30, 0.0]
+    got = evaluate(_fixed_model([[1e20, 1e20]], items), split, k=1)
+    assert got.recall == 1.0
+
+
 def _oracle_cases(model, split, ks):
     for k in ks:
         for phase in ("test", "valid"):

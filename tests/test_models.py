@@ -1,6 +1,7 @@
 """Recommender machinery: splits, propagation, the trainer and its four models, SVD."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -39,6 +40,17 @@ def _dense_graph(rng, nu=20, ni=15, p=0.5):
 
 def _split_of(graph, seed=0):
     return split_dataset(graph, np.random.default_rng(seed))
+
+
+# the exact oracles hold at both; the models run at base.DTYPE
+MODEL_DTYPES = (np.float32, np.float64)
+
+
+@pytest.fixture
+def float64_models(monkeypatch):
+    """The models at float64, for the oracles whose tolerances are set at
+    its precision (finite differences, rtol 1e-10 and finer)."""
+    monkeypatch.setattr(base, "DTYPE", np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +135,17 @@ def _weighted_operator(edges, weights, num_users, num_items):
     """The symmetric operator over combined (users then items) node indices
     with each edge weight divided by sqrt of both endpoints' weighted
     degrees, built by scipy in its canonical form: LightGCN's operator at
-    unit weights, and one intent's operator of DGCF."""
+    unit weights, and one intent's operator of DGCF. It is computed in the
+    weights' dtype, each weighted degree summed in edge order (users by
+    item, items by user), as a CSR row sums its values."""
     n = num_users + num_items
     rows = np.concatenate([edges[:, 0], num_users + edges[:, 1]])
     cols = np.concatenate([num_users + edges[:, 1], edges[:, 0]])
-    data = np.concatenate([weights, weights]).astype(np.float64)
-    deg = np.bincount(rows, weights=data, minlength=n)
-    inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros(n), where=deg > 0)
+    data = np.concatenate([weights, weights])
+    deg = np.zeros(n, data.dtype)
+    np.add.at(deg, rows, data)
+    inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros_like(deg),
+                         where=deg > 0)
     vals = data * inv_sqrt[rows] * inv_sqrt[cols]
     return from_scipy(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
 
@@ -157,18 +173,20 @@ def test_normalized_operator_is_symmetric(rng):
     assert np.abs(diff).max() < 1e-12
 
 
-def test_normalized_operator_matches_scipy_canonical_form():
+def test_normalized_operator_matches_scipy_canonical_form(monkeypatch):
     """The block operator equals scipy's CSR of its COO triples bit for
-    bit, on train graphs with users and items of degree 0."""
-    for seed in range(5):
+    bit, on train graphs with users and items of degree 0, at both
+    dtypes."""
+    for dtype, seed in itertools.product(MODEL_DTYPES, range(5)):
+        monkeypatch.setattr(base, "DTYPE", dtype)
         split = _split_with_untrained_nodes(seed)
         g = split.train
         assert (g.user_degrees == 0).any() and (g.item_degrees == 0).any()
         edges = g.edge_array()
-        want = _weighted_operator(edges, np.ones(len(edges)), g.num_users,
-                                  g.num_items)
+        want = _weighted_operator(edges, np.ones(len(edges), dtype),
+                                  g.num_users, g.num_items)
         got = normalized_operator(g)
-        assert got.shape == want.shape
+        assert got.shape == want.shape and got.dtype == dtype
         for name in ("indptr", "indices", "data"):
             assert (getattr(got, name).tobytes()
                     == getattr(want, name).tobytes()), name
@@ -178,7 +196,7 @@ def test_lightgcn_zero_layers_is_identity(rng):
     g = _dense_graph(rng)
     split = _split_of(g)
     prop = LightGCNPropagator(split, LightGCNConfig(layers=0))
-    E0 = rng.normal(size=(g.num_users + g.num_items, 8))
+    E0 = rng.normal(size=(g.num_users + g.num_items, 8)).astype(base.DTYPE)
     np.testing.assert_array_equal(prop.forward(E0), E0)
 
 
@@ -186,14 +204,14 @@ def test_lightgcn_layer_norms_stay_bounded(rng):
     g = _dense_graph(rng)
     split = _split_of(g)
     prop = LightGCNPropagator(split, LightGCNConfig(layers=4))
-    X = rng.normal(size=(g.num_users + g.num_items, 8))
+    X = rng.normal(size=(g.num_users + g.num_items, 8)).astype(base.DTYPE)
     bound = np.abs(X).max() * 1.01
     for _ in range(4):
         X = prop.A @ X
         assert np.abs(X).max() <= bound
 
 
-def test_lightgcn_adjoint_identity(rng):
+def test_lightgcn_adjoint_identity(rng, float64_models):
     g = _dense_graph(rng)
     split = _split_of(g)
     prop = LightGCNPropagator(split, LightGCNConfig(layers=3))
@@ -205,7 +223,7 @@ def test_lightgcn_adjoint_identity(rng):
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
-def test_dgcf_adjoint_identity(rng):
+def test_dgcf_adjoint_identity(rng, float64_models):
     g = _dense_graph(rng)
     split = _split_of(g)
     cfg = DGCFConfig(embedding_dim=8, intents=2, layers=2)
@@ -221,8 +239,9 @@ def test_dgcf_adjoint_identity(rng):
 
 def _dgcf_per_intent(split, cfg, E0, G):
     """DGCF with K separate per-intent operators, rebuilt at every routing
-    iteration: the reference the interleaved-intent propagator must match bit
-    for bit. Returns (forward output, intent weights, backward of G)."""
+    iteration, in the dtype of E0 and G: the reference the interleaved-intent
+    propagator must match bit for bit. Returns (forward output, intent
+    weights, backward of G)."""
     edges = split.train.edge_array()
     num_users, num_items = split.graph.num_users, split.graph.num_items
     chunk = E0.shape[1] // cfg.intents
@@ -244,7 +263,7 @@ def _dgcf_per_intent(split, cfg, E0, G):
     layer_ops = []
     weights = None
     for _ in range(cfg.layers):
-        scores = np.zeros((len(edges), cfg.intents))
+        scores = np.zeros((len(edges), cfg.intents), E0.dtype)
         for _ in range(cfg.routing_iterations):
             weights = softmax(scores, axis=1)
             for k, op in enumerate(build(weights)):
@@ -278,8 +297,8 @@ def _split_with_untrained_nodes(seed):
 @pytest.mark.parametrize("layers", [1, 3])
 def test_dgcf_matches_per_intent_operators(intents, routing_iterations,
                                            layers, monkeypatch):
-    """Also with the affinity gathered 3 edges at a time: the two-block
-    split's 34 train edges end in a ragged block."""
+    """At both dtypes, and also with the affinity gathered 3 edges at a
+    time: the two-block split's 34 train edges end in a ragged block."""
     seed = 100 * intents + 10 * routing_iterations + layers
     rng = np.random.default_rng(seed)
     untrained = _split_with_untrained_nodes(seed)
@@ -290,21 +309,26 @@ def test_dgcf_matches_per_intent_operators(intents, routing_iterations,
     for split in (_split_of(two_block_graph(12, 10, 4, seed=seed)), untrained):
         g = split.graph
         n = g.num_users + g.num_items
-        E0 = rng.normal(0.0, 0.1, size=(n, 8))
-        G = rng.normal(size=(n, 8))
-        out_ref, weights_ref, back_ref = _dgcf_per_intent(split, cfg, E0, G)
-        for block in (dgcf.AFFINITY_BLOCK, 3):
+        draws = rng.normal(0.0, 0.1, size=(n, 8)), rng.normal(size=(n, 8))
+        for dtype, block in itertools.product(MODEL_DTYPES,
+                                              (dgcf.AFFINITY_BLOCK, 3)):
+            monkeypatch.setattr(base, "DTYPE", dtype)
             monkeypatch.setattr(dgcf, "AFFINITY_BLOCK", block)
+            E0, G = (x.astype(dtype) for x in draws)
+            out_ref, weights_ref, back_ref = _dgcf_per_intent(split, cfg, E0,
+                                                              G)
             prop = DGCFPropagator(split, cfg)
             out = prop.forward(E0).copy()
             back = prop.backward(G)
+            assert out.dtype == back.dtype == out_ref.dtype == dtype
             assert np.array_equal(out, out_ref)
             assert np.array_equal(prop.extras(E0)["intent_weights"],
                                   weights_ref)
             assert np.array_equal(back, back_ref)
 
 
-def test_dgcf_eight_intents_match_per_intent_operators_to_rounding(rng):
+def test_dgcf_eight_intents_match_per_intent_operators_to_rounding(
+        rng, float64_models):
     """From 8 intents on, numpy sums an (E, K) row pairwise, and the
     softmax over the intent-major (K, E) scores may differ in the last
     bit."""
@@ -335,7 +359,7 @@ def test_dgcf_layer_operator_allocates_no_intent_table(rng):
     n = g.num_users + g.num_items
     num_edges = len(split.train.edge_array())
     assert num_edges > dgcf.AFFINITY_BLOCK
-    X = rng.normal(0.0, 0.1, size=(n, cfg.embedding_dim))
+    X = rng.normal(0.0, 0.1, size=(n, cfg.embedding_dim)).astype(base.DTYPE)
     Y = np.empty_like(X)
     prop.layer_operator(0, X, Y)
     tracemalloc.start()
@@ -346,7 +370,8 @@ def test_dgcf_layer_operator_allocates_no_intent_table(rng):
     finally:
         tracemalloc.stop()
     K = cfg.intents
-    assert peak - start < 8 * min(K * n, num_edges * cfg.embedding_dim // K)
+    assert peak - start < X.itemsize * min(K * n,
+                                           num_edges * cfg.embedding_dim // K)
     for op in prop.routed_ops:
         assert np.shares_memory(op.indices, prop.uniform_op.indices)
         assert np.shares_memory(op.indptr, prop.uniform_op.indptr)
@@ -370,7 +395,7 @@ def test_dgcf_zero_routing_iterations_gives_uniform_weights(rng):
     split = _split_of(g)
     cfg = DGCFConfig(embedding_dim=8, intents=4, routing_iterations=0)
     prop = DGCFPropagator(split, cfg)
-    E0 = rng.normal(size=(g.num_users + g.num_items, 8))
+    E0 = rng.normal(size=(g.num_users + g.num_items, 8)).astype(base.DTYPE)
     prop.forward(E0)
     np.testing.assert_allclose(prop.extras(E0)["intent_weights"], 0.25)
 
@@ -383,17 +408,23 @@ def test_dgcf_requires_divisible_embedding(rng):
 
 
 @pytest.mark.parametrize("routing_iterations", [0, 2])
-def test_dgcf_single_intent_matches_lightgcn(rng, routing_iterations):
+def test_dgcf_single_intent_matches_lightgcn(rng, routing_iterations,
+                                             monkeypatch):
     g = _dense_graph(rng, nu=15, ni=15)
     split = _split_of(g)
     kw = dict(embedding_dim=16, layers=2, max_epochs=6, eval_interval=100)
-    m_light = train_model(split, LightGCNConfig(**kw),
-                          np.random.default_rng(13))
-    m_dgcf = train_model(split, DGCFConfig(
-        intents=1, routing_iterations=routing_iterations, **kw),
-                         np.random.default_rng(13))
-    assert np.array_equal(m_light.user_embeddings, m_dgcf.user_embeddings)
-    assert np.array_equal(m_light.item_embeddings, m_dgcf.item_embeddings)
+    for dtype in MODEL_DTYPES:
+        monkeypatch.setattr(base, "DTYPE", dtype)
+        m_light = train_model(split, LightGCNConfig(**kw),
+                              np.random.default_rng(13))
+        m_dgcf = train_model(split, DGCFConfig(
+            intents=1, routing_iterations=routing_iterations, **kw),
+                             np.random.default_rng(13))
+        assert m_light.user_embeddings.dtype == dtype
+        assert np.array_equal(m_light.user_embeddings,
+                              m_dgcf.user_embeddings)
+        assert np.array_equal(m_light.item_embeddings,
+                              m_dgcf.item_embeddings)
 
 
 @pytest.mark.parametrize("kind", ["lightgcn", "dgcf"])
@@ -436,20 +467,24 @@ def _adam_step_allocating(opt, param, grad):
     param -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
 
 
-def test_adam_in_place_matches_allocating_steps(rng):
-    """The L2 term enters as ``grad + l2 * param``, added before the step.
-    The second shape spans three full blocks and a ragged fourth, and the
-    step's scratch is two blocks, not two tables."""
-    for shape in ((37, 8), (3 * base.ADAM_BLOCK // 64 + 7, 64)):
+def test_adam_in_place_matches_allocating_steps(rng, monkeypatch):
+    """At both dtypes. The L2 term enters as ``grad + l2 * param``, added
+    before the step. The second shape spans three full blocks and a ragged
+    fourth, and the step's scratch is two blocks, not two tables."""
+    for dtype, shape in itertools.product(
+            MODEL_DTYPES, ((37, 8), (3 * base.ADAM_BLOCK // 64 + 7, 64))):
+        monkeypatch.setattr(base, "DTYPE", dtype)
         for l2 in (0.0, 1e-4, 0.7):
             opt, ref = Adam(shape, lr=1e-2, l2=l2), Adam(shape, lr=1e-2)
             assert opt.scratch.shape == (2, min(math.prod(shape),
                                                 base.ADAM_BLOCK))
-            param = rng.normal(size=shape)
+            assert opt.m.dtype == opt.v.dtype == opt.scratch.dtype == dtype
+            param = rng.normal(size=shape).astype(dtype)
             param_ref = param.copy()
             for _ in range(30):
                 grad = (rng.normal(size=shape)
-                        * rng.choice([1e-12, 1.0, 1e6], size=shape))
+                        * rng.choice([1e-12, 1.0, 1e6], size=shape)
+                        ).astype(dtype)
                 opt.step(param, grad.copy())
                 _adam_step_allocating(ref, param_ref, grad + l2 * param_ref)
                 assert param.tobytes() == param_ref.tobytes()
@@ -526,7 +561,8 @@ def test_training_diverged_error_on_overflowing_loss(kind):
     cfg = MODEL_CONFIGS[kind](embedding_dim=4, **own[kind])
     trainer = Trainer(_MODEL_CLASSES[kind](split, cfg), split, cfg,
                       np.random.default_rng(0))
-    trainer.P *= 1e200
+    # finite in the model dtype, but its scores overflow
+    trainer.P *= np.finfo(trainer.P.dtype).max ** 0.75
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(TrainingDivergedError, match="epoch 1"):
         train_loop(trainer, split, cfg)
@@ -630,7 +666,7 @@ def test_pair_gradient_matches_add_at(rng):
 
 def _assert_spmm_matches_matmul(A, X):
     """spmm on the CSR of scipy's A against scipy's A @ X."""
-    out = np.full((A.shape[0], X.shape[1]), np.nan)
+    out = np.full((A.shape[0], X.shape[1]), np.nan, X.dtype)
     got = spmm(from_scipy(A), X, out)
     assert got is out
     assert out.tobytes() == (A @ X).tobytes()
@@ -663,9 +699,10 @@ def test_spmm_matches_matmul_on_dgcf_operators(rng):
     cfg = DGCFConfig(embedding_dim=16, intents=4)
     prop = DGCFPropagator(split, cfg)
     n = g.num_users + g.num_items
-    prop.forward(rng.normal(0.0, 0.1, size=(n, 16)))
+    prop.forward(rng.normal(0.0, 0.1, size=(n, 16)).astype(base.DTYPE))
     for op in [prop.uniform_op, *prop.layer_ops]:
-        _assert_spmm_matches_matmul(to_scipy(op), rng.normal(size=(4 * n, 4)))
+        _assert_spmm_matches_matmul(
+            to_scipy(op), rng.normal(size=(4 * n, 4)).astype(op.dtype))
 
 
 def test_spmm_rejects_bad_operands(rng):
@@ -689,7 +726,8 @@ _MODEL_CLASSES = {"lightgcn": LightGCNPropagator, "dgcf": DGCFPropagator,
 @pytest.mark.parametrize("kind", ["lightgcn", "dgcf", "svdgcn"])
 def test_training_step_allocates_less_than_one_table(kind):
     """After two warm-up steps, a step's traced allocation peak stays below
-    one node x dim float64 table: its tables are the model's buffers."""
+    one node x dim table of P's dtype: its tables are the model's
+    buffers."""
     g = heavy_tailed_graph(num_users=900, num_items=450,
                            num_interactions=2500, seed=3)
     split = _split_of(g)
@@ -708,8 +746,49 @@ def test_training_step_allocates_less_than_one_table(kind):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    table = (g.num_users + g.num_items) * cfg.embedding_dim * 8
+    table = (g.num_users + g.num_items) * cfg.embedding_dim * trainer.P.itemsize
     assert peak - start < table
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_models_train_in_float32(kind):
+    """After one step, P, E, G, the Adam moments, every float buffer and
+    operator and the trained embeddings are float32; SVD-GCN's singular
+    values stay float64."""
+    assert base.DTYPE == np.float32
+    g = heavy_tailed_graph(num_users=60, num_items=30, num_interactions=400,
+                           seed=2)
+    split = _split_of(g)
+    own = {"ultragcn": {"negatives": 5}, "svdgcn": {"svd_rank": 8}}
+    cfg = MODEL_CONFIGS[kind](embedding_dim=8, batch_size=64,
+                              **own.get(kind, {}))
+    model = _MODEL_CLASSES[kind](split, cfg)
+    trainer = Trainer(model, split, cfg, np.random.default_rng(0))
+    batch = split.train.edge_array()[:64]
+    trainer.step(batch)
+    E = model.forward(trainer.P)
+    _, G = model.batch_gradient(np.random.default_rng(1), batch, split, E)
+    arrays = {"P": trainer.P, "E": E, "G": G, "m": trainer.adam.m,
+              "v": trainer.adam.v, "scratch": trainer.adam.scratch}
+    arrays.update((f"table {key}", T) for key, T in model.tables.items()
+                  if T.dtype.kind == "f")
+    arrays.update({
+        "lightgcn": lambda: {"A": model.A.data},
+        "dgcf": lambda: {"uniform_op": model.uniform_op.data,
+                         "ones": model.ones,
+                         "weights": model.intent_weights,
+                         **{f"routed_op {j}": op.data
+                            for j, op in enumerate(model.routed_ops)}},
+        "ultragcn": lambda: {"a": model.a, "r": model.r,
+                             "omega": model.omega},
+        "svdgcn": lambda: {"F": model.F}}[kind]())
+    trained = trainer.materialize()
+    arrays.update(users=trained.user_embeddings,
+                  items=trained.item_embeddings)
+    assert {name: x.dtype for name, x in arrays.items()} == {
+        name: np.float32 for name in arrays}
+    if kind == "svdgcn":
+        assert trained.extras["singular_values"].dtype == np.float64
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -739,7 +818,7 @@ def test_training_step_builds_no_csr(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_batch_gradient_matches_finite_differences(kind):
+def test_batch_gradient_matches_finite_differences(kind, float64_models):
     """backward(G) for the G of batch_gradient is the gradient in P of the
     batch loss. DGCF routes with zero iterations because its backward pass
     treats the routing weights as constants."""
@@ -1030,7 +1109,7 @@ def _assert_ultragcn_matches_gather(model, split, E, batches):
 
 
 @pytest.mark.parametrize("num_items", [40, 700])
-def test_ultragcn_batch_gradient_matches_gather(num_items):
+def test_ultragcn_batch_gradient_matches_gather(num_items, float64_models):
     """Catalogues smaller and larger than the 300 default negatives; a full
     batch with repeated users, a short last batch, then a full one again."""
     g = heavy_tailed_graph(num_users=300, num_items=num_items,
@@ -1047,7 +1126,7 @@ def test_ultragcn_batch_gradient_matches_gather(num_items):
         edges[-cfg.batch_size:]])
 
 
-def test_ultragcn_item_zero_neighbor_among_padding():
+def test_ultragcn_item_zero_neighbor_among_padding(float64_models):
     """Item 5 co-occurs with item 0 only, so its first neighbor slot is a
     real item 0 and its other slots are padding that also holds item 0:
     the real slope must survive the padding's zero slopes."""

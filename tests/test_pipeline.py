@@ -270,6 +270,82 @@ def test_resume_reruns_only_invalidated_cells(full_run, monkeypatch):
     assert [Path(victim).read_bytes() for victim in victims] == originals
 
 
+def test_resume_reruns_every_cell_that_other_code_computed(dataset_path,
+                                                         tmp_path,
+                                                         monkeypatch):
+    """Every cell's inputs hold the code digest: a resume under the same
+    digest reuses every cell, and one under another digest re-runs every
+    cell (here rewriting the same bytes, as the code is the same)."""
+    cfg = _config(dataset_path, tmp_path, "num_samples=3", "master_seed=3")
+    calls = {"chars": 0, "train": 0}
+
+    def counting(name, cell):
+        def counted(args):
+            calls[name] += 1
+            return cell(args)
+        return counted
+
+    monkeypatch.setattr(pipeline, "_characterize_cell",
+                        counting("chars", pipeline._characterize_cell))
+    monkeypatch.setattr(pipeline, "_train_cell",
+                        counting("train", pipeline._train_cell))
+
+    def resume():
+        calls.update(chars=0, train=0)
+        _, samples, digests, ledger, result = pipeline.start_run(cfg, True)
+        pipeline.characterize_samples(cfg, samples, digests, ledger, result)
+        pipeline.train_samples(cfg, samples, digests, ledger, result)
+        assert result.ok, result.failures
+        return dict(calls)
+
+    assert resume() == {"chars": 3, "train": 6}
+    first = _tree(tmp_path)
+    cells = json.loads(first["ledger.json"])["cells"]
+    assert {cell["inputs"]["code"] for cell in cells.values()} == {
+        pipeline.code_digest()}
+    assert resume() == {"chars": 0, "train": 0}
+    monkeypatch.setattr(pipeline, "code_digest", lambda: "other code")
+    assert resume() == {"chars": 3, "train": 6}
+    assert resume() == {"chars": 0, "train": 0}
+    again = _tree(tmp_path)
+    assert again.pop("ledger.json") != first.pop("ledger.json")
+    assert again == first
+
+
+def test_code_digest_follows_the_package_sources(tmp_path, monkeypatch):
+    """The digest reads every module of the package, models included, and
+    names each by its path in the package, so a copy of the same sources
+    elsewhere has the same digest and an edited copy another."""
+    package = Path(pipeline.__file__).parent
+    copy = tmp_path / "topocf"
+    for source in [*package.glob("*.py"), *package.glob("models/*.py")]:
+        target = copy / source.relative_to(package)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(source.read_bytes())
+
+    def digest_of(root):
+        monkeypatch.setattr(pipeline, "__file__", str(root / "pipeline.py"))
+        return pipeline.code_digest.__wrapped__()
+
+    assert digest_of(copy) == pipeline.code_digest()
+    with open(copy / "models" / "base.py", "a", encoding="utf-8") as fh:
+        fh.write("\n")
+    assert digest_of(copy) != pipeline.code_digest()
+
+
+def test_train_cell_with_overflowing_scores_fails_with_a_reason():
+    """A huge but finite learning rate leaves finite embeddings whose
+    scores overflow float32: the cell fails and says why, where it used to
+    report a recall ranked from infinite scores."""
+    g = heavy_tailed_graph(num_users=12, num_items=10, num_interactions=48,
+                           seed=1)
+    cfg = MODEL_CONFIGS["lightgcn"](embedding_dim=4, learning_rate=1e30,
+                                    max_epochs=1)
+    row, error = pipeline._train_cell((0, g, "lightgcn", cfg, 7, 20))
+    assert row is None
+    assert error.startswith("ValueError: non-finite float32 scores")
+
+
 def _tree(out):
     """Every file under ``out``: relative path -> bytes."""
     tree = {}
