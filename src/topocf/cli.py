@@ -1,4 +1,9 @@
-"""Command-line entry point for the topology-performance experiments."""
+"""Command-line entry point for the topology-performance experiments.
+
+It parses arguments, dispatches each command to ``pipeline`` and maps
+exceptions to exit codes; every stage, log line and summary is the
+pipeline's.
+"""
 
 from __future__ import annotations
 
@@ -20,9 +25,7 @@ def build_parser():
         epilog=describe_keys(),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", help="key=value configuration file")
-    parser.add_argument("--seed", type=int, help="override master_seed")
-    parser.add_argument("--out", help="override output directory "
-                        "(or set TOPOCF_OUT)")
+    parser.add_argument("--out", help="override output directory")
     parser.add_argument("--jobs", type=int, help="parallel worker processes")
     parser.add_argument("--resume", action="store_true",
                         help="reuse completed cells recorded in the ledger")
@@ -31,7 +34,6 @@ def build_parser():
         "sample": "generate the sub-dataset pool and manifest",
         "characterize": "compute per-sample characteristic vectors",
         "train": "train and evaluate every (sample, model) cell",
-        "evaluate": "print aggregate metrics per model",
         "explain": "fit the per-model explanatory regressions",
         "rq2": "run the alpha-sweep over mixed sample pools",
         "report": "assemble existing outputs into report.md",
@@ -45,12 +47,9 @@ def build_parser():
 
 
 def _load_config(args):
-    overrides = list(getattr(args, "overrides", []))
-    if args.seed is not None:
-        overrides.append(f"master_seed={args.seed}")
-    out = args.out or os.environ.get("TOPOCF_OUT")
-    if out:
-        overrides.append(f"out_dir={out}")
+    overrides = list(args.overrides)
+    if args.out:
+        overrides.append(f"out_dir={args.out}")
     if args.jobs is not None:
         overrides.append(f"jobs={args.jobs}")
     if args.config:
@@ -61,12 +60,7 @@ def _load_config(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _dispatch(args.command, cfg, args.resume)
+        return _dispatch(args.command, _load_config(args), args.resume)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -78,8 +72,7 @@ def main(argv=None):
 
 def _dispatch(command, cfg, resume):
     if command == "report":
-        path = pipeline.emit_report(cfg)
-        print(path)
+        print(pipeline.emit_report(cfg))
         return 0
 
     if command == "sample":
@@ -88,40 +81,19 @@ def _dispatch(command, cfg, resume):
               f"{os.path.join(cfg.out_dir, 'samples')}")
         return 0
 
-    if command == "characterize":
+    if command in ("characterize", "train"):
         _, samples, digests, ledger, result = pipeline.start_run(cfg, resume)
-        pipeline.characterize_samples(cfg, samples, digests, ledger, result)
+        stage = (pipeline.characterize_samples if command == "characterize"
+                 else pipeline.train_samples)
+        stage(cfg, samples, digests, ledger, result)
         return _finish(result)
 
-    if command in ("train", "evaluate"):
-        _, samples, digests, ledger, result = pipeline.start_run(cfg, resume)
-        rows = pipeline.train_samples(cfg, samples, digests, ledger, result)
-        if command == "evaluate":
-            _print_metric_summary(rows, cfg)
-        return _finish(result)
-
-    if command in ("explain", "rq2", "run-all"):
-        result, samples, vectors, rows = pipeline.run_experiment(
-            cfg, resume=resume)
-        if command != "explain":
-            pipeline.rq2_sweep(cfg, samples, vectors, rows, result)
-        if command == "run-all":
-            pipeline.emit_report(cfg)
-        return _finish(result)
-
-    raise ConfigError(f"unknown command {command!r}")
-
-
-def _print_metric_summary(rows, cfg):
-    by_model = {}
-    for sid, kind, recall, ndcg, *_ in rows:
-        by_model.setdefault(kind, []).append((recall, ndcg))
-    for kind in sorted(by_model):
-        vals = by_model[kind]
-        recall = sum(v[0] for v in vals) / len(vals)
-        ndcg = sum(v[1] for v in vals) / len(vals)
-        print(f"{kind}: mean recall@{cfg.metric_k}={recall:.4f} "
-              f"mean ndcg@{cfg.metric_k}={ndcg:.4f} over {len(vals)} samples")
+    result, samples, vectors, rows = pipeline.run_experiment(cfg, resume)
+    if command != "explain":
+        pipeline.rq2_sweep(cfg, samples, vectors, rows, result)
+    if command == "run-all":
+        pipeline.emit_report(cfg)
+    return _finish(result)
 
 
 def _finish(result):

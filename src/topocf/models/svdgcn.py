@@ -37,10 +37,10 @@ class SvdGcn(EmbeddingModel):
         super().__init__(split, cfg)
         g = split.train
         self.rank = min(cfg.svd_rank, g.num_users, g.num_items)
-        # distinct co-occurring pairs (v, w), v < w, in (v, w) order
+        # distinct co-occurring pairs (v[t], w[t]), v < w, in (v, w) order
         users, items = project(g, "user"), project(g, "item")
-        self.user_pairs = np.column_stack([users.v, users.w])
-        self.item_pairs = np.column_stack([items.v, items.w])
+        self.user_pairs = (users.v, users.w)
+        self.item_pairs = (items.v, items.w)
         self.Rn = normalized_interactions(g, cfg.a2)
 
     def init_params(self, rng):
@@ -76,22 +76,23 @@ class SvdGcn(EmbeddingModel):
         n = len(batch)
         gathers = self.gathers(E, n)
         loss, terms = bpr_pairs(users, pos, negs, E, self.num_users, gathers)
-        for pairs, offset, size in ((self.user_pairs, 0, self.num_users),
-                                    (self.item_pairs, self.num_users,
-                                     self.num_items)):
-            if len(pairs) == 0:
+        for (v, w), offset, size in ((self.user_pairs, 0, self.num_users),
+                                     (self.item_pairs, self.num_users,
+                                      self.num_items)):
+            if len(v) == 0:
                 continue
-            sel = offset + pairs[rng.integers(len(pairs), size=n)]
+            draw = rng.integers(len(v), size=n)
+            a, b = offset + v[draw], offset + w[draw]
             others = offset + rng.integers(size, size=n)
             ea, eb = (take_rows(E, index, out) for index, out in
-                      zip((sel[:, 0], sel[:, 1]), gathers))
+                      zip((a, b), gathers))
             s_pos = np.multiply(ea, eb, out=eb).sum(axis=1)
             en = take_rows(E, others, eb)
             s_neg = np.multiply(ea, en, out=en).sum(axis=1)
             loss += (float(softplus(-s_pos).sum()) / n
                      + float(softplus(s_neg).sum()) / n)
-            terms += [(sel[:, 0], sel[:, 1], -sigmoid(-s_pos) / n),
-                      (sel[:, 0], others, sigmoid(s_neg) / n)]
+            terms += [(a, b, -sigmoid(-s_pos) / n),
+                      (a, others, sigmoid(s_neg) / n)]
         return loss, pair_gradient(terms, E, self.pair_tables(E))
 
     def extras(self, P):

@@ -44,17 +44,21 @@ def item_cooccurrence_topk(split, k):
     row = np.concatenate([proj.v, proj.w])
     col = np.concatenate([proj.w, proj.v])
     dat = np.concatenate([proj.weight, proj.weight])
+    per_row = proj.degrees
+    del proj  # its pair arrays, before the sort allocates
     deg_u = g.user_degrees
     sigma = np.bincount(g.indices, weights=np.repeat(deg_u, deg_u),
                         minlength=g.num_items)
     denom = sigma - g.item_degrees
 
+    # row i holds per_row[i] entries, its projection degree, so in sorted
+    # order they start at the sum of the degrees before it
     order = np.lexsort((col, -dat, row))
-    row, col, dat = row[order], col[order], dat[order]
-    per_row = np.bincount(row, minlength=g.num_items)
-    rank = np.arange(len(row)) - (np.cumsum(per_row) - per_row)[row]
+    rank = np.arange(len(order)) - np.repeat(np.cumsum(per_row) - per_row,
+                                             per_row)
     keep = rank < k
-    row, col, dat, rank = row[keep], col[keep], dat[keep], rank[keep]
+    kept, rank = order[keep], rank[keep]
+    row, col, dat = row[kept], col[kept], dat[kept]
 
     neighbors = np.zeros((g.num_items, k), dtype=np.int64)
     omega = np.zeros((g.num_items, k))

@@ -19,7 +19,9 @@ A run lays out its output directory as::
 
 ``explain`` runs ingest -> sample -> characterize -> train -> explain;
 ``rq2`` adds the alpha sweep and ``run-all`` adds report.md on top, so the
-three share one path. Characterize and train cells are ledgered: a
+three share one path. ``train`` logs each model's mean recall@k and
+nDCG@k over its completed cells, so ``--resume train`` over a finished run
+reports them without training. Characterize and train cells are ledgered: a
 ``chars:<id>`` cell's inputs are its sample file's digest and the code
 digest, a ``train:<id>:<model>`` cell's inputs are those, the model config
 and k. Every cell derives its randomness from (master_seed, sample_id[,
@@ -276,7 +278,8 @@ def _read_metric_row(path, k):
 
 def train_samples(cfg, samples, digests, ledger, result):
     """Per-(sample, model) training and evaluation cells, aggregated into
-    ``metrics.csv``."""
+    ``metrics.csv``; each model's mean recall and nDCG over its completed
+    rows is logged."""
     out, k = cfg.out_dir, cfg.metric_k
     os.makedirs(os.path.join(out, "metrics"), exist_ok=True)
     cells = []
@@ -295,6 +298,13 @@ def train_samples(cfg, samples, digests, ledger, result):
         lambda rows, path: write_metrics_csv(rows, path, k),
         lambda row: f" (recall@{k}={row[2]:.4f}, {row[4]} epochs)")
     write_metrics_csv(rows, os.path.join(out, "metrics.csv"), k)
+    for kind in cfg.models:
+        done = [row for row in rows if row[1] == kind]
+        if done:
+            recall = sum(row[2] for row in done) / len(done)
+            ndcg = sum(row[3] for row in done) / len(done)
+            _log(f"train[{kind}]: mean recall@{k}={recall:.4f} "
+                 f"ndcg@{k}={ndcg:.4f} over {len(done)} samples")
     return rows
 
 

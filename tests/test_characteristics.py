@@ -348,7 +348,7 @@ def test_projection_cap_names_hub(monkeypatch):
     row = compute_vector(g)
     # each of the 15 user pairs shares its only item: Jaccard 1, log 0
     assert row[SHORTHAND_NAMES.index("AvgClustC-U_log")] == 0.0
-    assert len(SvdGcn(split, cfg).user_pairs) == 15
+    assert len(SvdGcn(split, cfg).user_pairs[0]) == 15
 
 
 def test_pearson_matrix_against_two_pass_oracle(rng):

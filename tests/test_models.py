@@ -1355,8 +1355,9 @@ def test_cooccurrence_pairs_symmetry(rng):
     for u, i in split.train.edge_array():
         user_sets[u].add(int(i))
         item_sets[i].add(int(u))
-    for pairs, sets in ((model.user_pairs, user_sets),
-                        (model.item_pairs, item_sets)):
+    for (first, second), sets in ((model.user_pairs, user_sets),
+                                  (model.item_pairs, item_sets)):
+        pairs = np.column_stack([first, second])
         expected = {(v, w) for v in range(len(sets))
                     for w in range(v + 1, len(sets)) if sets[v] & sets[w]}
         assert len(expected) > 0

@@ -1,5 +1,6 @@
 """Configuration parsing, orchestration, resume, parallelism, and the CLI."""
 
+import csv
 import dataclasses
 import importlib.util
 import json
@@ -583,11 +584,10 @@ def test_cli_missing_dataset_exits_two(tmp_path):
     assert code == 2
 
 
-def test_cli_sample_uses_env_output_dir(dataset_path, tmp_path, monkeypatch,
-                                        capsys):
-    out = tmp_path / "env_out"
-    monkeypatch.setenv("TOPOCF_OUT", str(out))
-    code = main(["sample", f"dataset={dataset_path}", "num_samples=4"])
+def test_cli_sample_writes_to_out_flag_dir(dataset_path, tmp_path, capsys):
+    out = tmp_path / "flag_out"
+    code = main(["--out", str(out), "sample", f"dataset={dataset_path}",
+                 "num_samples=4"])
     assert code == 0
     assert len(os.listdir(out / "samples")) == 4
     assert "wrote 4 samples" in capsys.readouterr().out
@@ -602,13 +602,46 @@ def test_cli_explain_reports_partial_failure(dataset_path, tmp_path, capsys):
     assert "cell(s) failed" in capsys.readouterr().err
 
 
-def test_cli_evaluate_prints_summary(dataset_path, tmp_path, capsys):
-    args = ["evaluate", f"dataset={dataset_path}", f"out_dir={tmp_path}/out",
-            "num_samples=3", *FAST_MODEL_LINES, "models=lightgcn"]
-    assert main(args) == 0
-    out = capsys.readouterr().out
-    assert "lightgcn: mean recall@20=" in out
-    assert "over 3 samples" in out
+def test_cli_train_logs_one_mean_line_per_model(dataset_path, tmp_path,
+                                                capsys):
+    args = ["train", f"dataset={dataset_path}", f"out_dir={tmp_path}/out",
+            "num_samples=3", *FAST_MODEL_LINES, "models=lightgcn,ultragcn"]
+    for resume in ([], ["--resume"]):
+        assert main(resume + args) == 0
+        err = capsys.readouterr().err
+        means = re.findall(r"^train\[(\w+)\]: mean recall@20=([\d.]+) "
+                           r"ndcg@20=([\d.]+) over (\d+) samples$", err,
+                           re.MULTILINE)
+        assert [m[0] for m in means] == ["lightgcn", "ultragcn"]
+        with open(tmp_path / "out" / "metrics.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        for kind, recall, ndcg, count in means:
+            mine = [r for r in rows if r["model"] == kind]
+            assert int(count) == len(mine) == 3
+            for metric, shown in (("recall@20", recall), ("ndcg@20", ndcg)):
+                mean = sum(float(r[metric]) for r in mine) / len(mine)
+                assert shown == f"{mean:.4f}"
+    assert "reused" in err
+
+
+def test_cli_lists_four_flags_and_seven_commands():
+    text = build_parser().format_help()
+    flags = sorted(set(re.findall(r"--[a-z]+", text)) - {"--help"})
+    assert flags == ["--config", "--jobs", "--out", "--resume"]
+    commands = re.search(r"\{([\w,-]+)\}", text).group(1).split(",")
+    assert commands == ["sample", "characterize", "train", "explain", "rq2",
+                        "report", "run-all"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "3", "sample"],
+    ["evaluate"],
+])
+def test_cli_removed_spellings_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: topocf" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, trigger", [
