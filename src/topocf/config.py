@@ -31,7 +31,6 @@ class ExperimentConfig:
                           metadata={"allowed": MODEL_KINDS})
     model_configs: dict = field(default_factory=dict)
     metric_k: int = least(20, 1)
-    standardize: bool = True
     alphas: tuple = (0.0, 0.3, 0.7, 1.0)    # each in [0, 1]
     rq2_total: int = least(0, 0)    # 0 -> use the smaller strategy pool size
     out_dir: str = "runs"
@@ -61,9 +60,9 @@ _KEYS = {f.name: f for f in fields(ExperimentConfig)
 
 def _parse(f, raw):
     """``raw`` as a value of the config field ``f``, by the type of its
-    default: a bool, int, finite float or str, or for a tuple a non-empty
-    comma-separated list of its element type, each of the field's
-    ``allowed`` values if it has them."""
+    default: an int, finite float or str, or for a tuple a non-empty
+    comma-separated list of distinct values of its element type, each of
+    the field's ``allowed`` values if it has them."""
     if not isinstance(f.default, tuple):
         return _parse_value(type(f.default), raw)
     values = tuple(_parse_value(type(f.default[0]), v.strip())
@@ -75,17 +74,14 @@ def _parse(f, raw):
     if unknown:
         raise ValueError(f"unknown value {unknown[0]!r} "
                          f"(allowed: {', '.join(allowed)})")
+    repeated = [v for j, v in enumerate(values) if v in values[:j]]
+    if repeated:
+        raise ValueError(f"repeated value {repeated[0]!r}")
     return values
 
 
-_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
-          **dict.fromkeys(("0", "false", "no", "off"), False)}
-
-
 def _parse_value(kind, raw):
-    if kind is bool and raw.lower() not in _BOOLS:
-        raise ValueError(f"expected a boolean, got {raw!r}")
-    value = _BOOLS[raw.lower()] if kind is bool else kind(raw)
+    value = kind(raw)
     if kind is float and not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {raw!r}")
     return value

@@ -25,7 +25,6 @@ BLOCK_BYTES = 2 ** 20
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    k: int
     recall: float
     ndcg: float
     num_users: int
@@ -98,5 +97,5 @@ def evaluate(model, split, k=20, phase="test"):
         dcgs.append(np.cumsum(hits * discount, axis=1)[:, -1])
     recall = np.concatenate(recalls) / sizes
     ndcg = np.concatenate(dcgs) / ideal[np.minimum(k, sizes) - 1]
-    return EvaluationResult(k=k, recall=float(np.mean(recall)),
+    return EvaluationResult(recall=float(np.mean(recall)),
                             ndcg=float(np.mean(ndcg)), num_users=len(users))

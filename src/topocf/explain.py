@@ -65,14 +65,13 @@ class RegressionReport:
                 for j, name in enumerate(("Constant", *self.column_names))]
 
 
-def build_design(vectors, metrics, standardize=True,
-                 column_names=SHORTHAND_NAMES):
+def build_design(vectors, metrics, column_names=SHORTHAND_NAMES):
     """Assemble (DesignMatrix, y) from per-sample characteristic vectors and
     a {sample_id: metric} mapping.
 
     ``vectors`` maps sample_id to a sequence ordered like ``column_names``.
     Rows with any non-finite characteristic (or no metric) are dropped and
-    logged by id; with ``standardize`` each retained column is z-scored.
+    logged by id; each retained column is z-scored (population SD).
     """
     names = tuple(column_names)
     rows, ys, dropped = [], [], []
@@ -96,8 +95,7 @@ def build_design(vectors, metrics, standardize=True,
     if len(flat):
         raise DesignError("zero-variance column(s): "
                           + ", ".join(names[j] for j in flat))
-    if standardize:
-        X = (X - X.mean(axis=0)) / stds
+    X = (X - X.mean(axis=0)) / stds
     design = DesignMatrix(values=X, column_names=names,
                           dropped_ids=tuple(dropped))
     return design, np.array(ys)

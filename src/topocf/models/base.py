@@ -122,7 +122,6 @@ MODEL_KINDS = tuple(MODEL_CONFIGS)
 class TrainedModel:
     user_embeddings: np.ndarray
     item_embeddings: np.ndarray
-    config: ModelConfig
     extras: dict = field(default_factory=dict)
     epochs_trained: int = 0
     stopped_early: bool = False
@@ -370,7 +369,6 @@ class Trainer:
         num_users = self.split.graph.num_users
         model = TrainedModel(user_embeddings=E[:num_users].copy(),
                              item_embeddings=E[num_users:].copy(),
-                             config=self.cfg,
                              extras=self.model.extras(self.P))
         self.model.release()
         return model

@@ -45,15 +45,15 @@ class Triplets(tuple):
         return self
 
 
-def randomized_subspace_svd(A, k, rng=None):
+def randomized_subspace_svd(A, k, rng):
     """Top-k singular triplets (U, s, V) of a sparse or dense matrix, with s
     in descending order and each pair's sign fixed so that the largest-|.|
     entry of its right vector V[:, i] is positive.
 
-    The start vector and every fresh direction come from ``rng``, so equal
-    seeds give identical triplets. The Ritz vectors of X^T X are
-    orthonormalized by QR, and a dense SVD of X times them gives the
-    triplets. The name predates Lanczos; ``models.svdgcn`` and
+    The start vector and every fresh direction come from ``rng`` (a
+    Generator or a seed), so equal seeds give identical triplets. The Ritz
+    vectors of X^T X are orthonormalized by QR, and a dense SVD of X times
+    them gives the triplets. The name predates Lanczos; ``models.svdgcn`` and
     ``bench/trace_cli.py`` look it up. Raises SvdConvergenceError when the
     restarts run out.
     """

@@ -99,5 +99,4 @@ class SvdGcn(EmbeddingModel):
         return {"singular_values": self.singular_values.copy(),
                 "svd_rank_used": self.rank,
                 "svd_restarts": self.svd_restarts,
-                "svd_max_residual": self.svd_max_residual,
-                "transform": P.copy()}
+                "svd_max_residual": self.svd_max_residual}

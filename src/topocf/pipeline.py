@@ -59,7 +59,6 @@ def metrics_header(k):
 
 @dataclass
 class RunResult:
-    out_dir: str
     failures: list = field(default_factory=list)
 
     @property
@@ -323,7 +322,7 @@ def _regression_table(cfg, result, key, label, vectors, metric_rows, kind,
     failure under ``key`` and return None."""
     metrics = {row[0]: row[2] for row in metric_rows if row[1] == kind}
     try:
-        design, y = build_design(vectors, metrics, standardize=cfg.standardize)
+        design, y = build_design(vectors, metrics)
         report = fit_ols(design, y)
     except DesignError as exc:
         result.failures.append((key, str(exc)))
@@ -386,7 +385,7 @@ def start_run(cfg, resume=False):
 
     samples, digests = prepare_samples(cfg, lcc)
     _log(f"sample: wrote {len(samples)} sub-datasets")
-    return lcc, samples, digests, ledger, RunResult(out_dir=out)
+    return lcc, samples, digests, ledger, RunResult()
 
 
 def run_experiment(cfg, resume=False):

@@ -89,8 +89,7 @@ def test_acceptance_1_metric_oracle():
             continue
         model = TrainedModel(
             user_embeddings=rng.normal(size=(g.num_users, 4)),
-            item_embeddings=rng.normal(size=(g.num_items, 4)),
-            config=LightGCNConfig())
+            item_embeddings=rng.normal(size=(g.num_items, 4)))
         k = int(rng.integers(1, 12))
         for phase in ("test", "valid"):
             got = evaluate(model, split, k=k, phase=phase)
@@ -325,7 +324,7 @@ def test_acceptance_8_mixing_sweep(planted_pool, tmp_path):
     cfg = parse_config([f"out_dir={tmp_path}", "models=lightgcn"])
     metric_rows = [(sid, "lightgcn", y[sid], y[sid], 1, False)
                    for sid in sorted(y)]
-    result = RunResult(out_dir=str(tmp_path))
+    result = RunResult()
     reports = rq2_sweep(cfg, samples, vectors, metric_rows, result)
 
     node_pool = [s for s in samples if s.spec.strategy == NODE_DROPOUT]

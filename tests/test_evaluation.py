@@ -7,7 +7,7 @@ import pytest
 
 from topocf import evaluation
 from topocf.evaluation import evaluate
-from topocf.models.base import LightGCNConfig, TrainedModel
+from topocf.models.base import TrainedModel
 from topocf.models.split import Split, split_dataset
 
 from conftest import make_graph, random_bipartite, row_items, two_block_graph
@@ -64,8 +64,7 @@ def test_ndcg_ideal_truncated_at_k():
 
 def _fixed_model(user_vecs, item_vecs):
     return TrainedModel(user_embeddings=np.asarray(user_vecs, dtype=float),
-                        item_embeddings=np.asarray(item_vecs, dtype=float),
-                        config=LightGCNConfig())
+                        item_embeddings=np.asarray(item_vecs, dtype=float))
 
 
 def test_evaluate_phase_exclusions():
@@ -147,7 +146,7 @@ def test_evaluate_refuses_scores_that_overflow():
         for phase in ("test", "valid"):
             with pytest.raises(ValueError, match="non-finite float32"):
                 evaluate(TrainedModel(np.full((1, 2), 1e20, np.float32),
-                                      items, LightGCNConfig()), split,
+                                      items), split,
                          k=2, phase=phase)
     # in float64 the same magnitudes rank: item 4's -1e50 comes last
     items[4] = [-1e30, 0.0]

@@ -400,6 +400,31 @@ def test_dgcf_zero_routing_iterations_gives_uniform_weights(rng):
     np.testing.assert_allclose(prop.extras(E0)["intent_weights"], 0.25)
 
 
+@pytest.mark.parametrize("routing_iterations", [0, 1, 2])
+def test_dgcf_layer_makes_routing_iterations_plus_one_propagations(
+        rng, monkeypatch, routing_iterations):
+    """DGCF's Algorithm 1 with T = R + 1: per layer, each of the R routing
+    iterations propagates the chunks and then weighs the routed operator's
+    degrees, and ``forward`` propagates once more, for the layer output."""
+    g = _dense_graph(rng)
+    split = _split_of(g)
+    cfg = DGCFConfig(embedding_dim=8, intents=4, layers=3,
+                     routing_iterations=routing_iterations)
+    prop = DGCFPropagator(split, cfg)
+    counts = {"chunks": 0, "degrees": 0}
+
+    def counted(A, X, out):
+        counts["degrees" if X is prop.ones else "chunks"] += 1
+        return spmm(A, X, out)
+
+    for module in (base, dgcf):
+        monkeypatch.setattr(module, "spmm", counted)
+    E0 = rng.normal(size=(g.num_users + g.num_items, 8)).astype(base.DTYPE)
+    prop.forward(E0)
+    assert counts == {"chunks": cfg.layers * (routing_iterations + 1),
+                      "degrees": cfg.layers * routing_iterations}
+
+
 def test_dgcf_requires_divisible_embedding(rng):
     g = _dense_graph(rng)
     split = _split_of(g)
@@ -507,7 +532,7 @@ def test_train_loop_returns_best_validation_model(monkeypatch):
 
     def scripted(model, split, k, phase):
         evaluated.append(model.user_embeddings.copy())
-        return EvaluationResult(k=k, recall=next(recalls), ndcg=0.0,
+        return EvaluationResult(recall=next(recalls), ndcg=0.0,
                                 num_users=1)
 
     monkeypatch.setattr(base, "evaluate", scripted)
@@ -1183,9 +1208,9 @@ def test_randomized_svd_sparse_input(rng):
 def test_randomized_svd_rank_validation(rng):
     A = rng.normal(size=(5, 4))
     with pytest.raises(ValueError):
-        randomized_subspace_svd(A, 0)
+        randomized_subspace_svd(A, 0, rng=rng)
     with pytest.raises(ValueError):
-        randomized_subspace_svd(A, 5)
+        randomized_subspace_svd(A, 5, rng=rng)
 
 
 def test_randomized_svd_full_rank_matches_dense_svd(rng):

@@ -77,12 +77,11 @@ def test_parse_config_defaults():
 def test_parse_config_values_comments_and_overrides():
     cfg = parse_config(
         ["# a comment", "", "num_samples = 8", "mu_min=0.5", "mu_max=0.6",
-         "models=lightgcn", "standardize=false"],
+         "models=lightgcn"],
         overrides=["num_samples=9", "alphas=0,0.5,1"])
     assert cfg.num_samples == 9
     assert cfg.mu_min == 0.5
     assert cfg.models == ("lightgcn",)
-    assert cfg.standardize is False
     assert cfg.alphas == (0.0, 0.5, 1.0)
 
 
@@ -103,8 +102,13 @@ def test_model_field_overrides_reach_config_for():
     "mu_min=0.9\nmu_max=0.5",
     "mu_max=1.0",
     "standardize=maybe",
+    "standardize=false",
     "models=lightgcn,foo",
     "alphas=0,2",
+    # a repeated value would train, weigh or report its cells twice
+    "models=lightgcn,lightgcn",
+    "strategies=node_dropout,edge_dropout,node_dropout",
+    "alphas=0,0.3,0.30",
     "model.foo.layers=1",
     "model.lightgcn.not_a_field=1",
     "jobs=0",
@@ -574,8 +578,31 @@ def test_no_command_imports_scipy_package(dataset_path, tmp_path):
         assert out.strip() == "[]", setup
 
 
+def test_importing_a_module_loads_only_what_it_imports():
+    """The package root imports nothing, so ``import topocf.synthetic`` (as
+    bench/gen_input.py runs it) loads the graph layer alone."""
+    absent = ("topocf.explain", "topocf.characteristics", "topocf.sampling",
+              "topocf.pipeline")
+    code = ("import sys\nimport topocf.synthetic\n"
+            f"print(sorted(m for m in {absent!r} if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_cli_rejects_unknown_key():
     assert main(["sample", "bogus_key=1"]) == 2
+
+
+def test_cli_rejects_a_repeated_list_value(dataset_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["train", f"dataset={dataset_path}", f"out_dir={out}",
+            "num_samples=2", "models=lightgcn,lightgcn"]
+    assert main(args) == 2
+    assert ("configuration error: models: repeated value 'lightgcn'"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_cli_missing_dataset_exits_two(tmp_path):
