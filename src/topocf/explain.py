@@ -24,7 +24,7 @@ class DesignError(Exception):
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Filtered, optionally z-scored predictor matrix."""
+    """Filtered predictor matrix, each column z-scored (population SD)."""
 
     values: np.ndarray          # M x C, finite
     column_names: tuple

@@ -12,6 +12,14 @@ import numpy as np
 
 from .csr import CSR
 
+# SPACE[c] is True when str.split() splits on code point c; the last entry
+# is False, and a lookup clipped to it reads every code point above U+3000,
+# the last whitespace, as not space. A lookup here loads neither numpy.char
+# nor numpy.strings.
+SPACE = np.zeros(0x3002, bool)
+SPACE[[*range(0x09, 0x0E), *range(0x1C, 0x21), 0x85, 0xA0, 0x1680,
+       *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000]] = True
+
 
 PROJECTION_EDGE_CAP = 50_000_000
 
@@ -128,7 +136,7 @@ def ingest_and_build(source):
     code = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
                          dtype=np.uint32)
     # str.split()'s whitespace, one code point at a time
-    space = np.char.isspace(code.view("<U1"))
+    space = np.take(SPACE, code, mode="clip")
     starts = np.flatnonzero(~space & np.append(True, space)[:-1])
     count = np.bincount(np.searchsorted(ends, starts), minlength=len(ends))
     first = np.cumsum(count) - count

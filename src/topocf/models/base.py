@@ -21,8 +21,10 @@ Every parameter, embedding, buffer, operator value and Adam moment is of
 one dtype, ``DTYPE``: float32, the default at which the reference code of
 LightGCN and UltraGCN trains. It halves the memory and the memory traffic
 of every table and product against float64. UltraGCN's degree factors and
-co-occurrence weights and SVD-GCN's truncated SVD are computed in float64
-and cast once.
+co-occurrence weights are computed in float64 and cast once. The initial
+parameters (in blocks of rows) and SVD-GCN's features (users, then items)
+are computed in float64 too, but cast as they are written into their
+``DTYPE`` table, so that no float64 copy of a node x dim table is built.
 """
 
 from __future__ import annotations
@@ -187,8 +189,15 @@ class Adam:
 def normal_init(rng, rows, dim):
     """A (rows x dim) ``DTYPE`` parameter matrix drawn from N(0, 0.1^2), as
     every model starts: drawn in float64, so that the rng stream does not
-    depend on the dtype, and cast once."""
-    return rng.normal(0.0, 0.1, size=(rows, dim)).astype(DTYPE)
+    depend on the dtype, and cast into the table in blocks of whole rows, at
+    most ``ADAM_BLOCK`` values each. The generator draws one value at a
+    time, so the blocks change neither the values nor the stream."""
+    P = np.empty((rows, dim), DTYPE)
+    step = max(1, ADAM_BLOCK // dim)
+    for start in range(0, rows, step):
+        block = P[start:start + step]
+        block[...] = rng.normal(0.0, 0.1, size=block.shape)
+    return P
 
 
 def sample_negative_items(rng, users, split):

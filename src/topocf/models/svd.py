@@ -9,9 +9,11 @@ interactions of a split graph repeat singular values many times over
 one Krylov sequence holds one copy of each, so random probes of the
 space the basis leaves out look for the copies it lacks. Nothing here
 imports ``scipy.linalg`` or ``scipy.sparse.linalg``, which would add
-about 28 MB to every process that trains SVD-GCN. A sparse input needs
-only ``shape``, ``T`` and ``@``: SVD-GCN's ``topocf.csr.CSR`` builds its
-transpose once, at the first step, not at every one.
+about 28 MB to every process that trains SVD-GCN, or ``numpy.ma`` (1.3
+MB), which ``np.unique`` without flags loads, and ``np.setdiff1d`` with
+it. A sparse input needs only ``shape``, ``T`` and ``@``: SVD-GCN's
+``topocf.csr.CSR`` builds its transpose once, at the first step, not at
+every one.
 """
 
 from __future__ import annotations
@@ -118,7 +120,9 @@ def _lanczos(X, k, rng):
         values = np.concatenate([locked, theta[lock]])
         rank = np.argsort(-values, kind="stable")
         locked = values[rank[:k]]
-        unlocked = np.setdiff1d(np.arange(m - p), lock)
+        free = np.ones(m - p, bool)
+        free[lock] = False
+        unlocked = np.flatnonzero(free)
         # the top k are locked when nothing unlocked is above the k-th: the
         # largest unlocked Ritz pair has converged below it or ties with it
         done = len(locked) == k and (len(unlocked) == 0 or (

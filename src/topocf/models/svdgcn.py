@@ -50,9 +50,12 @@ class SvdGcn(EmbeddingModel):
         W = normal_init(rng, self.rank, self.cfg.embedding_dim)
         svd = randomized_subspace_svd(self.Rn, self.rank, rng=rng)
         P, s, Q = svd
-        # the SVD runs in float64; the features are cast once
-        self.F = (np.vstack([P, Q]) * np.exp(self.cfg.a1 * s)).astype(
-            base.DTYPE)
+        # the SVD runs in float64; each product is cast as it is written,
+        # so no float64 copy of F is built
+        scale = np.exp(self.cfg.a1 * s)
+        self.F = np.empty((len(P) + len(Q), len(s)), base.DTYPE)
+        np.multiply(P, scale, out=self.F[:len(P)])
+        np.multiply(Q, scale, out=self.F[len(P):])
         self.singular_values = s
         self.svd_restarts = svd.restarts
         self.svd_max_residual = svd.max_residual

@@ -519,6 +519,25 @@ def test_adam_in_place_matches_allocating_steps(rng, monkeypatch):
                 opt.step(param, np.asfortranarray(grad))
 
 
+@pytest.mark.parametrize("dtype", MODEL_DTYPES)
+def test_normal_init_matches_one_float64_draw(dtype, monkeypatch):
+    """Drawn a block of rows at a time into the table, the parameters equal
+    one float64 draw cast to DTYPE byte for byte, and the generator ends
+    in the same state: at row counts around a block edge, and at a dim
+    that does not divide ADAM_BLOCK or exceeds it."""
+    monkeypatch.setattr(base, "DTYPE", dtype)
+    edge = base.ADAM_BLOCK // 64
+    for rows, dim in [(0, 64), (1, 64), (edge - 1, 64), (edge, 64),
+                      (edge + 1, 64), (2 * edge + 1, 64), (1000, 48),
+                      (3, base.ADAM_BLOCK + 1)]:
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        P = base.normal_init(rng, rows, dim)
+        expected = ref.normal(0.0, 0.1, size=(rows, dim)).astype(dtype)
+        assert P.dtype == dtype and P.shape == (rows, dim)
+        assert P.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_train_loop_returns_best_validation_model(monkeypatch):
     """The model materialized at the best validation is returned, not the
     state after a later, worse one."""
@@ -1367,6 +1386,22 @@ def test_svdgcn_draws_w_before_the_svd(rng):
     extras = model.extras(W)
     assert extras["svd_restarts"] >= 0
     assert 0.0 <= extras["svd_max_residual"] <= svd.TOL
+
+
+def test_svdgcn_features_match_one_float64_product(rng):
+    """F, written a partition at a time, equals the float64 product of the
+    stacked singular vectors and exp(a1 * s), cast once, byte for byte."""
+    split = _split_of(_dense_graph(rng, nu=30, ni=25))
+    cfg = SvdGcnConfig(svd_rank=5, embedding_dim=4, a1=1.7)
+    model = SvdGcn(split, cfg)
+    model.init_params(np.random.default_rng(3))
+    ref = np.random.default_rng(3)
+    base.normal_init(ref, 5, 4)
+    P, s, Q = randomized_subspace_svd(model.Rn, 5, rng=ref)
+    expected = (np.vstack([P, Q]) * np.exp(cfg.a1 * s)).astype(base.DTYPE)
+    assert model.F.dtype == expected.dtype
+    assert model.F.shape == expected.shape
+    assert model.F.tobytes() == expected.tobytes()
 
 
 def test_cooccurrence_pairs_symmetry(rng):

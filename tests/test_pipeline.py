@@ -534,7 +534,10 @@ def test_no_command_imports_scipy_package(dataset_path, tmp_path):
     # too, and no model needs them: SVD-GCN's truncated SVD is numpy only.
     # scipy.special (+26 MB and 0.2-0.3 s after numpy alone) is not needed
     # either: explain computes its p-values itself. multiprocessing is
-    # only for a run with jobs > 1
+    # only for a run with jobs > 1. numpy.ma (np.unique without flags
+    # loads it, and np.setdiff1d with it) and numpy.char and numpy.strings
+    # (np.char.isspace) are not needed: the Lanczos solver and ingest do
+    # without them
     train_all = ("import numpy as np\n"
                  "from topocf.evaluation import evaluate\n"
                  "from topocf.models.base import MODEL_CONFIGS, train_model\n"
@@ -568,7 +571,8 @@ def test_no_command_imports_scipy_package(dataset_path, tmp_path):
                f"    assert main({args!r}) == 0\n")
     absent = ("scipy", "scipy.sparse", "scipy._lib._array_api", "numpy.f2py",
               "concurrent.futures", "scipy.linalg", "scipy.sparse.csgraph",
-              "scipy.sparse.linalg", "scipy.special", "multiprocessing")
+              "scipy.sparse.linalg", "scipy.special", "multiprocessing",
+              "numpy.ma", "numpy.char", "numpy.strings")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     for setup in ("import topocf.cli\n", train_all, gen_input, run_all):
         code = (f"import os, sys\n{setup}"
