@@ -64,7 +64,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, pipeline.sampling.SamplePoolError,
+    except (FileNotFoundError, IsADirectoryError, pipeline.InputError,
+            pipeline.sampling.SamplePoolError,
             pipeline.sampling.DegenerateSampleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,15 +12,6 @@ import numpy as np
 
 from .csr import CSR
 
-# SPACE[c] is True when str.split() splits on code point c; the last entry
-# is False, and a lookup clipped to it reads every code point above U+3000,
-# the last whitespace, as not space. A lookup here loads neither numpy.char
-# nor numpy.strings.
-SPACE = np.zeros(0x3002, bool)
-SPACE[[*range(0x09, 0x0E), *range(0x1C, 0x21), 0x85, 0xA0, 0x1680,
-       *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000]] = True
-
-
 PROJECTION_EDGE_CAP = 50_000_000
 
 
@@ -125,54 +116,28 @@ def ingest_and_build(source):
     implicit-feedback edge. Users and items are numbered in the order they
     first appear.
     """
-    lines = list(source)
-    text = "\n".join(lines)
-    # where each line ends in text: at its newline, or at the end
-    ends = np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)) + 1)
-    ends -= 1
-    del lines
-    # per line, its token count and the index in text.split() of its first
-    # token, from where tokens start: a non-space after a space or at 0
-    code = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
-                         dtype=np.uint32)
-    # str.split()'s whitespace, one code point at a time
-    space = np.take(SPACE, code, mode="clip")
-    starts = np.flatnonzero(~space & np.append(True, space)[:-1])
-    count = np.bincount(np.searchsorted(ends, starts), minlength=len(ends))
-    first = np.cumsum(count) - count
-    comment = count > 0
-    comment[comment] = code[starts[first[comment]]] == ord("#")
-    bad = np.flatnonzero((count == 1) & ~comment)
-    if len(bad):
-        k = bad[0]
-        stripped = text[ends[k - 1] + 1 if k else 0:ends[k]].strip()
-        raise GraphError(f"malformed interaction at line {k + 1}: "
-                         f"{stripped!r}")
-    first = first[(count >= 2) & ~comment]
-    if not len(first):
+    # each token's index, numbered in order of first appearance, and each
+    # interaction's user and item index
+    user_index, item_index = {}, {}
+    users, items = [], []
+    for lineno, line in enumerate(source, start=1):
+        fields = line.split(None, 2)
+        if fields and fields[0][0] != "#":
+            if len(fields) == 1:
+                raise GraphError(f"malformed interaction at line {lineno}: "
+                                 f"{line.strip()!r}")
+            users.append(user_index.setdefault(fields[0], len(user_index)))
+            items.append(item_index.setdefault(fields[1], len(item_index)))
+    if not users:
         raise GraphError("no interactions")
-    # every token at once is most of the memory this parse takes, so the
-    # arrays before and after it are not kept alongside it
-    del code, space, starts
-    tokens = np.array(text.split(), dtype=object)
-    user_ids, users = first_seen_index(tokens[first])
-    item_ids, items = first_seen_index(tokens[first + 1])
-    del text, tokens
+    user_ids, item_ids = list(user_index), list(item_index)
     # distinct pairs by sorted u*I+i keys; np.unique's hash path is ~40x
     # slower than this sort on 300k int64 keys
-    keys = np.sort(users * len(item_ids) + items)
+    keys = np.sort(np.array(users, np.int64) * len(item_ids)
+                   + np.array(items, np.int64))
     keys = keys[np.append(True, keys[1:] != keys[:-1])]
     edges = np.column_stack([keys // len(item_ids), keys % len(item_ids)])
     return BipartiteGraph.from_edge_array(edges, user_ids, item_ids)
-
-
-def first_seen_index(tokens):
-    """The distinct tokens in order of first appearance, and each token's
-    index among them."""
-    ids = list(dict.fromkeys(tokens))
-    index = dict(zip(ids, range(len(ids))))
-    return ids, np.fromiter(map(index.__getitem__, tokens), np.int64,
-                            len(tokens))
 
 
 def write_interactions(g, path):

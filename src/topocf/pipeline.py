@@ -46,8 +46,8 @@ from .csr import scipy_file
 from .evaluation import evaluate
 from .explain import (DesignError, build_design, fit_ols, render_markdown,
                       write_report_csv)
-from .graph import (ingest_and_build, largest_connected_component,
-                    write_interactions)
+from .graph import (GraphError, ingest_and_build,
+                    largest_connected_component, write_interactions)
 from .models.base import train_model
 from .models.split import split_dataset
 from .seeds import stable_seed
@@ -61,9 +61,10 @@ def metrics_header(k):
 class RunResult:
     failures: list = field(default_factory=list)
 
-    @property
-    def ok(self):
-        return not self.failures
+
+class InputError(Exception):
+    """An input file a run cannot read: the dataset, or the ledger that a
+    resume reuses."""
 
 
 def _log(message):
@@ -108,13 +109,17 @@ class RunLedger:
     an output file is missing or was modified since it was recorded.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, resume):
+        """Start empty, or with ``resume`` from the cells ``path`` holds."""
         self.path = path
         self.base = os.path.dirname(os.path.abspath(path))
         self.cells = {}
-        if os.path.exists(path):
-            with open(path) as fh:
-                self.cells = json.load(fh).get("cells", {})
+        if resume and os.path.exists(path):
+            try:
+                with open(path) as fh:
+                    self.cells = json.load(fh).get("cells", {})
+            except ValueError as exc:  # undecodable bytes or not JSON
+                raise InputError(f"{path}: {exc}") from exc
 
     def save(self):
         tmp = self.path + ".tmp"
@@ -222,8 +227,11 @@ def _run_ledgered(cfg, ledger, result, cells, fn, read, write,
 
 def load_dataset(cfg):
     """Ingest the configured interaction file and keep its LCC."""
-    with open(cfg.dataset, "r", encoding="utf-8") as fh:
-        g = ingest_and_build(fh)
+    try:
+        with open(cfg.dataset, encoding="utf-8") as fh:
+            g = ingest_and_build(fh)
+    except (GraphError, UnicodeDecodeError) as exc:
+        raise InputError(f"{cfg.dataset}: {exc}") from exc
     return largest_connected_component(g)
 
 
@@ -367,7 +375,7 @@ def emit_graph_diagnostics(lcc, vectors, out):
 
 def start_run(cfg, resume=False):
     """Set-up shared by every command that writes outputs: open the ledger
-    (cleared unless resuming), keep the dataset's LCC in ``lcc_edges.tsv``
+    (empty unless resuming), keep the dataset's LCC in ``lcc_edges.tsv``
     and write the sample pool.
 
     Returns (lcc, samples, digests, ledger, result), ``digests`` mapping
@@ -376,9 +384,7 @@ def start_run(cfg, resume=False):
     out = cfg.out_dir
     lcc = load_dataset(cfg)
     os.makedirs(out, exist_ok=True)
-    ledger = RunLedger(os.path.join(out, "ledger.json"))
-    if not resume:
-        ledger.cells = {}
+    ledger = RunLedger(os.path.join(out, "ledger.json"), resume)
     write_interactions(lcc, os.path.join(out, "lcc_edges.tsv"))
     _log(f"ingest: LCC with {lcc.num_users} users, {lcc.num_items} items, "
          f"{lcc.num_interactions} interactions")

@@ -344,6 +344,6 @@ def test_acceptance_8_mixing_sweep(planted_pool, tmp_path):
         counts_ok &= abs(float(stats["mean_users"]) - mean_users) < 1e-9
         counts_ok &= reports[(alpha, "lightgcn")].num_rows == total
 
-    ok = result.ok and len(reports) == 4 and counts_ok
+    ok = not result.failures and len(reports) == 4 and counts_ok
     _verdict(8, "mixing sweep", ok,
              f"pools {len(node_pool)}/{len(edge_pool)}, total {total}")

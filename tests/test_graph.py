@@ -5,10 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from topocf.graph import (SPACE, BipartiteGraph, GraphError,
-                          induced_subgraph, ingest_and_build,
-                          largest_connected_component, project,
-                          write_interactions)
+from topocf.graph import (BipartiteGraph, GraphError, induced_subgraph,
+                          ingest_and_build, largest_connected_component,
+                          project, write_interactions)
 from topocf.synthetic import heavy_tailed_graph
 
 from conftest import (adjacency, load_graph, make_graph, random_bipartite,
@@ -142,14 +141,6 @@ def test_ingest_keeps_a_list_item_as_one_line():
 SEPARATORS = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
 
 
-def test_space_table_is_str_isspace():
-    """The table marks exactly the code points str.split() splits on, and
-    its last entry, which every code point above it reads, is not space."""
-    assert np.flatnonzero(SPACE).tolist() == [ord(c) for c in SEPARATORS]
-    assert len(SEPARATORS) == 29
-    assert len(SPACE) == ord(SEPARATORS[-1]) + 2 and not SPACE[-1]
-
-
 @pytest.mark.parametrize("sep", SEPARATORS, ids=lambda c: f"U+{ord(c):04X}")
 def test_ingest_splits_on_every_separator(sep):
     lines = [sep.join(["a", "x"]), sep * 2 + sep.join(["b", "", "y", "z"]),
@@ -161,8 +152,9 @@ def test_ingest_splits_on_every_separator(sep):
 
 
 def test_ingest_keeps_non_space_code_points_in_tokens():
-    """U+200B and U+180E are not str.split() whitespace, U+3001 is the
-    table's last entry, and a CJK character and an emoji lie past it."""
+    """U+200B and U+180E are not str.split() whitespace, nor is U+3001,
+    the code point after the last one that is (U+3000), nor a CJK
+    character or an emoji."""
     lines = ["u\u200bv\titem\u3001", "\u180e x\u4e2d", "\u3001 \U0001F600",
              "\u4e2d\U0001F600 \u200b"]
     g = ingest_and_build(lines)

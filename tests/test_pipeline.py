@@ -181,11 +181,11 @@ def test_help_lists_every_settable_model_key_with_its_default():
 def test_ledger_tracks_input_and_output_hashes(tmp_path):
     out = tmp_path / "artifact.txt"
     out.write_text("v1")
-    ledger = RunLedger(str(tmp_path / "ledger.json"))
+    ledger = RunLedger(str(tmp_path / "ledger.json"), resume=False)
     ledger.mark_done("cell", {"in": "abc"}, [str(out)])
     ledger.save()
 
-    again = RunLedger(str(tmp_path / "ledger.json"))
+    again = RunLedger(str(tmp_path / "ledger.json"), resume=True)
     assert again.is_current("cell", {"in": "abc"})
     assert not again.is_current("cell", {"in": "changed"})
     assert not again.is_current("missing", {"in": "abc"})
@@ -196,7 +196,7 @@ def test_ledger_tracks_input_and_output_hashes(tmp_path):
 
 
 def test_ledger_failed_cells_rerun(tmp_path):
-    ledger = RunLedger(str(tmp_path / "ledger.json"))
+    ledger = RunLedger(str(tmp_path / "ledger.json"), resume=False)
     ledger.mark_failed("cell", {"in": "abc"}, RuntimeError("boom"))
     assert not ledger.is_current("cell", {"in": "abc"})
     assert ledger.cells["cell"]["error"] == "boom"
@@ -207,7 +207,7 @@ def test_ledger_failed_cells_rerun(tmp_path):
 
 def test_run_cardinalities(full_run):
     cfg, result, samples, vectors, metric_rows = full_run
-    assert result.ok, result.failures
+    assert not result.failures, result.failures
     assert len(samples) == 28
     assert len(vectors) == 28
     assert len(metric_rows) == 28 * 2
@@ -269,7 +269,7 @@ def test_resume_reruns_only_invalidated_cells(full_run, monkeypatch):
     monkeypatch.setattr(pipeline, "_train_cell",
                         counting("train", pipeline._train_cell))
     result, *_ = run_experiment(cfg, resume=True)
-    assert result.ok
+    assert not result.failures
     assert calls == {"chars": 1, "train": 1}
     # deterministic seeding regenerates the deleted cells byte-identically
     assert [Path(victim).read_bytes() for victim in victims] == originals
@@ -300,7 +300,7 @@ def test_resume_reruns_every_cell_that_other_code_computed(dataset_path,
         _, samples, digests, ledger, result = pipeline.start_run(cfg, True)
         pipeline.characterize_samples(cfg, samples, digests, ledger, result)
         pipeline.train_samples(cfg, samples, digests, ledger, result)
-        assert result.ok, result.failures
+        assert not result.failures, result.failures
         return dict(calls)
 
     assert resume() == {"chars": 3, "train": 6}
@@ -479,7 +479,7 @@ def test_bench_trace_counts_projections(dataset_path, tmp_path):
 def test_rq2_sweep_outputs(full_run):
     cfg, result, samples, vectors, metric_rows = full_run
     reports = pipeline.rq2_sweep(cfg, samples, vectors, metric_rows, result)
-    assert result.ok, result.failures
+    assert not result.failures, result.failures
     # 4 alphas x 2 models, both pools hold 14 samples
     assert set(reports) == {(a, kind) for a in cfg.alphas
                             for kind in cfg.models}
@@ -535,9 +535,9 @@ def test_no_command_imports_scipy_package(dataset_path, tmp_path):
     # scipy.special (+26 MB and 0.2-0.3 s after numpy alone) is not needed
     # either: explain computes its p-values itself. multiprocessing is
     # only for a run with jobs > 1. numpy.ma (np.unique without flags
-    # loads it, and np.setdiff1d with it) and numpy.char and numpy.strings
-    # (np.char.isspace) are not needed: the Lanczos solver and ingest do
-    # without them
+    # loads it, and np.setdiff1d with it) is not needed: the Lanczos solver
+    # does without it. Nor are numpy.char and numpy.strings: ingest splits
+    # each line with str.split
     train_all = ("import numpy as np\n"
                  "from topocf.evaluation import evaluate\n"
                  "from topocf.models.base import MODEL_CONFIGS, train_model\n"
@@ -613,6 +613,56 @@ def test_cli_missing_dataset_exits_two(tmp_path):
     code = main(["sample", f"dataset={tmp_path}/nope.tsv",
                  f"out_dir={tmp_path}/out"])
     assert code == 2
+
+
+def _one_error_line(capsys, *parts):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert all(part in lines[0] for part in parts), lines
+
+
+@pytest.mark.parametrize("content, message", [
+    ("a\tx\nb\ty\nlonely\n", ": malformed interaction at line 3: 'lonely'"),
+    ("# only a comment\n\n", ": no interactions"),
+    (b"a\tx\n\xff\ty\n", ": 'utf-8' codec can't decode byte 0xff"),
+    (None, "Is a directory"),
+], ids=["malformed", "comment-only", "not-utf8", "directory"])
+def test_cli_bad_dataset_exits_two(tmp_path, capsys, content, message):
+    dataset = tmp_path / "data.tsv"
+    if content is None:
+        dataset.mkdir()
+    elif isinstance(content, bytes):
+        dataset.write_bytes(content)
+    else:
+        dataset.write_text(content)
+    out = tmp_path / "out"
+    assert main(["sample", f"dataset={dataset}", f"out_dir={out}"]) == 2
+    _one_error_line(capsys, str(dataset), message)
+    assert not out.exists()
+
+
+def test_cli_fresh_run_ignores_a_corrupt_ledger(dataset_path, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "ledger.json").write_text("{not json")
+    args = ["--out", str(out), "characterize", f"dataset={dataset_path}",
+            "num_samples=2"]
+    assert main(args) == 0
+    with open(out / "ledger.json", encoding="utf-8") as fh:
+        assert sorted(json.load(fh)["cells"]) == ["chars:0", "chars:1"]
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe"],
+                         ids=["not-json", "not-text"])
+def test_cli_resume_over_a_corrupt_ledger_exits_two(dataset_path, tmp_path,
+                                                    capsys, content):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "ledger.json").write_bytes(content)
+    args = ["--out", str(out), "--resume", "characterize",
+            f"dataset={dataset_path}", "num_samples=2"]
+    assert main(args) == 2
+    _one_error_line(capsys, str(out / "ledger.json"))
 
 
 def test_cli_sample_writes_to_out_flag_dir(dataset_path, tmp_path, capsys):
