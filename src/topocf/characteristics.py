@@ -31,8 +31,6 @@ SHORTHAND_NAMES = (
     "Assort-I",
 )
 
-CSV_HEADER = "sample_id," + ",".join(SHORTHAND_NAMES)
-
 
 def gini(values):
     """Concentration of a degree sequence via the pairwise-difference form,
@@ -161,35 +159,3 @@ def write_degree_histogram(degrees, path):
     with open(path, "w", encoding="utf-8") as fh:
         for d, p in zip(values, counts / counts.sum()):
             fh.write(f"{int(d)}\t{float(p)!r}\n")
-
-
-def write_characteristics_csv(rows, path):
-    """Write ``(sample_id, values)`` pairs, values in Table-shorthand order,
-    under the exact Table-shorthand header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for sample_id, values in rows:
-            fields = ",".join(repr(float(v)) for v in values)
-            fh.write(f"{sample_id},{fields}\n")
-
-
-def read_characteristics_csv(path):
-    """Read rows back as (sample_id, values-in-shorthand-order)."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected characteristics header: {header!r}")
-        for line in fh:
-            parts = line.strip().split(",")
-            rows.append((int(parts[0]),
-                         np.array([float(x) for x in parts[1:]])))
-    return rows
-
-
-def write_correlation_csv(matrix, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("," + ",".join(SHORTHAND_NAMES) + "\n")
-        for name, row in zip(SHORTHAND_NAMES, matrix):
-            fh.write(name + "," + ",".join(repr(float(v)) for v in row)
-                     + "\n")

@@ -127,6 +127,7 @@ class TrainedModel:
     extras: dict = field(default_factory=dict)
     epochs_trained: int = 0
     stopped_early: bool = False
+    best_epoch: int = 0
 
 
 ADAM_BLOCK = 32768  # elements per array in one block: 128 KiB of DTYPE
@@ -286,7 +287,8 @@ def train_loop(trainer, split, cfg):
 
     The trainer owns all mutable state and exposes run_epoch/materialize.
     The model materialized for the best validation is the one returned;
-    with no validation, the last state is materialized.
+    with no validation, the last state is materialized. Its ``best_epoch``
+    is the epoch it was materialized at.
     """
     def materialize(epoch):
         # an epoch's loss misses its last update turning P non-finite; a NaN
@@ -314,6 +316,7 @@ def train_loop(trainer, split, cfg):
             if result.recall > best_recall + 1e-12:
                 best_recall = result.recall
                 best = model
+                best.best_epoch = epoch
                 bad_evals = 0
             else:
                 bad_evals += 1
@@ -322,6 +325,7 @@ def train_loop(trainer, split, cfg):
                     break
     if best is None:
         best = materialize(epochs_trained)
+        best.best_epoch = epochs_trained
     best.epochs_trained = epochs_trained
     best.stopped_early = stopped_early
     return best

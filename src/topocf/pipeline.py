@@ -8,7 +8,9 @@ A run lays out its output directory as::
     chars/<id>.csv                per-sample characteristic rows
     metrics/<id>_<model>.csv      per-(sample, model) evaluation rows
     characteristics.csv           aggregate of chars/
-    metrics.csv                   aggregate of metrics/
+    metrics.csv                   aggregate of metrics/: sample_id, model,
+                                  recall@k, ndcg@k, epochs_trained,
+                                  stopped_early, best_epoch
     correlations.csv              Pearson correlations of the characteristics
     degree_distribution_{user,item}.tsv
                                   LCC degree histogram: degree, share of nodes
@@ -27,6 +29,11 @@ digest, a ``train:<id>:<model>`` cell's inputs are those, the model config
 and k. Every cell derives its randomness from (master_seed, sample_id[,
 model]), so results are byte-identical regardless of parallelism or resume,
 and a resume never reuses a cell that other code computed.
+
+Early stopping validates at Recall@20 whatever ``metric_k`` is, and
+``best_epoch`` is the epoch of the model it kept (the last epoch if it
+never validated). Every CSV table but the regression reports is written by
+``write_rows`` and read back by ``read_rows``.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -53,8 +61,46 @@ from .models.split import split_dataset
 from .seeds import stable_seed
 
 
+MANIFEST_HEADER = ("sample_id,strategy,mu,seed,num_users,num_items,"
+                   "num_interactions")
+CHARS_HEADER = "sample_id," + ",".join(chars.SHORTHAND_NAMES)
+
+MetricRow = namedtuple("MetricRow", "sample_id model recall ndcg "
+                       "epochs_trained stopped_early best_epoch")
+
+
 def metrics_header(k):
-    return f"sample_id,model,recall@{k},ndcg@{k},epochs_trained,stopped_early"
+    return (f"sample_id,model,recall@{k},ndcg@{k},epochs_trained,"
+            "stopped_early,best_epoch")
+
+
+def _chars_row(fields):
+    return (int(fields[0]), *map(float, fields[1:]))
+
+
+def _metric_row(fields):
+    sid, kind, recall, ndcg, epochs, stopped, best = fields
+    return MetricRow(int(sid), kind, float(recall), float(ndcg), int(epochs),
+                     stopped == "True", int(best))
+
+
+def write_rows(path, header, rows):
+    """Write ``header``, then each row's fields joined by commas with
+    ``str``; a float's ``str`` is its ``repr``, so it reads back bit for
+    bit."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def read_rows(path, header, parse):
+    """``parse(fields)`` of each line of ``path`` after its header, which
+    must be ``header``."""
+    with open(path, encoding="utf-8") as fh:
+        found = fh.readline().rstrip("\n")
+        if found != header:
+            raise ValueError(f"{path}: unexpected header {found!r}")
+        return [parse(line.rstrip("\n").split(",")) for line in fh]
 
 
 @dataclass
@@ -117,9 +163,15 @@ class RunLedger:
         if resume and os.path.exists(path):
             try:
                 with open(path) as fh:
-                    self.cells = json.load(fh).get("cells", {})
+                    held = json.load(fh)
             except ValueError as exc:  # undecodable bytes or not JSON
                 raise InputError(f"{path}: {exc}") from exc
+            cells = held.get("cells", {}) if isinstance(held, dict) else None
+            if not (isinstance(cells, dict) and all(
+                    isinstance(cell, dict) for cell in cells.values())):
+                raise InputError(f"{path}: not an object whose cells are "
+                                 f"objects")
+            self.cells = cells
 
     def save(self):
         tmp = self.path + ".tmp"
@@ -158,12 +210,12 @@ class RunLedger:
 
 # ---------------------------------------------------------------------------
 # cells: workers are module-level so ProcessPoolExecutor can pickle them;
-# each returns (value, error)
+# each returns (row, error)
 
 def _characterize_cell(args):
     sample_id, graph = args
     try:
-        return (sample_id, chars.compute_vector(graph)), None
+        return (sample_id, *chars.compute_vector(graph).tolist()), None
     except Exception as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
@@ -177,26 +229,28 @@ def _train_cell(args):
         model = train_model(split, model_cfg,
                             np.random.default_rng(model_seed))
         result = evaluate(model, split, k=k, phase="test")
-        return (sample_id, kind, result.recall, result.ndcg,
-                model.epochs_trained, model.stopped_early), None
+        return MetricRow(sample_id, kind, result.recall, result.ndcg,
+                         model.epochs_trained, model.stopped_early,
+                         model.best_epoch), None
     except Exception as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _run_ledgered(cfg, ledger, result, cells, fn, read, write,
+def _run_ledgered(cfg, ledger, result, cells, fn, header, parse,
                   note=lambda row: ""):
     """Run ``(key, label, inputs, path, work)`` cells; return their rows.
 
-    A cell the ledger holds as current is read back with ``read(path)``;
-    the rest run ``fn(work)`` in ``cfg.jobs`` processes, and each row is
-    written with ``write([row], path)`` and marked in the ledger. Reused
-    rows come first, then new ones in cell order.
+    A cell the ledger holds as current is read back from ``path`` with
+    ``read_rows(path, header, parse)``; the rest run ``fn(work)`` in
+    ``cfg.jobs`` processes, and each row is written to ``path`` under
+    ``header`` and marked in the ledger. Reused rows come first, then new
+    ones in cell order.
     """
     rows, todo = [], []
     for cell in cells:
         key, label, inputs, path, _ = cell
         if ledger.is_current(key, inputs):
-            rows.append(read(path))
+            rows.extend(read_rows(path, header, parse))
             _log(f"{label}: reused")
         else:
             todo.append(cell)
@@ -214,7 +268,7 @@ def _run_ledgered(cfg, ledger, result, cells, fn, read, write,
             result.failures.append((key, error))
             _log(f"{label}: FAILED ({error})")
             continue
-        write([row], path)
+        write_rows(path, header, [row])
         ledger.mark_done(key, inputs, [path])
         rows.append(row)
         _log(f"{label}: done{note(row)}")
@@ -248,7 +302,10 @@ def prepare_samples(cfg, lcc):
     digests = {s.spec.sample_id:
                file_hash(sampling.write_sample_edges(s, sample_dir))
                for s in samples}
-    sampling.write_manifest(samples, os.path.join(cfg.out_dir, "manifest.csv"))
+    write_rows(os.path.join(cfg.out_dir, "manifest.csv"), MANIFEST_HEADER,
+               [(s.spec.sample_id, s.spec.strategy, s.spec.mu, s.spec.seed,
+                 s.graph.num_users, s.graph.num_items,
+                 s.graph.num_interactions) for s in samples])
     return samples, digests
 
 
@@ -263,24 +320,10 @@ def characterize_samples(cfg, samples, digests, ledger, result):
         cells.append((f"chars:{sid}", f"characterize[{sid}]",
                       {"sample": digests[sid], "code": code_digest()},
                       os.path.join(out, "chars", f"{sid}.csv"), (sid, s.graph)))
-    vectors = dict(_run_ledgered(
-        cfg, ledger, result, cells, _characterize_cell,
-        lambda path: chars.read_characteristics_csv(path)[0],
-        chars.write_characteristics_csv))
-    chars.write_characteristics_csv(
-        sorted(vectors.items()), os.path.join(out, "characteristics.csv"))
-    return vectors
-
-
-def _read_metric_row(path, k):
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != metrics_header(k):
-            raise ValueError(f"unexpected metrics header in {path}: {header!r}")
-        sid, kind, recall, ndcg, epochs, stopped = \
-            fh.readline().strip().split(",")
-    return (int(sid), kind, float(recall), float(ndcg), int(epochs),
-            stopped == "True")
+    rows = sorted(_run_ledgered(cfg, ledger, result, cells,
+                                _characterize_cell, CHARS_HEADER, _chars_row))
+    write_rows(os.path.join(out, "characteristics.csv"), CHARS_HEADER, rows)
+    return {sid: values for sid, *values in rows}
 
 
 def train_samples(cfg, samples, digests, ledger, result):
@@ -300,27 +343,19 @@ def train_samples(cfg, samples, digests, ledger, result):
                           os.path.join(out, "metrics", f"{sid}_{kind}.csv"),
                           (sid, s.graph, kind, model_cfg, s.spec.seed, k)))
     rows = _run_ledgered(
-        cfg, ledger, result, cells, _train_cell,
-        lambda path: _read_metric_row(path, k),
-        lambda rows, path: write_metrics_csv(rows, path, k),
-        lambda row: f" (recall@{k}={row[2]:.4f}, {row[4]} epochs)")
-    write_metrics_csv(rows, os.path.join(out, "metrics.csv"), k)
+        cfg, ledger, result, cells, _train_cell, metrics_header(k),
+        _metric_row, lambda row: f" (recall@{k}={row.recall:.4f}, "
+                                 f"{row.epochs_trained} epochs)")
+    write_rows(os.path.join(out, "metrics.csv"), metrics_header(k),
+               sorted(rows))
     for kind in cfg.models:
-        done = [row for row in rows if row[1] == kind]
+        done = [row for row in rows if row.model == kind]
         if done:
-            recall = sum(row[2] for row in done) / len(done)
-            ndcg = sum(row[3] for row in done) / len(done)
+            recall = sum(row.recall for row in done) / len(done)
+            ndcg = sum(row.ndcg for row in done) / len(done)
             _log(f"train[{kind}]: mean recall@{k}={recall:.4f} "
                  f"ndcg@{k}={ndcg:.4f} over {len(done)} samples")
     return rows
-
-
-def write_metrics_csv(rows, path, k):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(metrics_header(k) + "\n")
-        for row in sorted(rows, key=lambda r: (r[0], r[1])):
-            sid, kind, recall, ndcg, epochs, stopped = row
-            fh.write(f"{sid},{kind},{recall!r},{ndcg!r},{epochs},{stopped}\n")
 
 
 def _regression_table(cfg, result, key, label, vectors, metric_rows, kind,
@@ -328,7 +363,8 @@ def _regression_table(cfg, result, key, label, vectors, metric_rows, kind,
     """Fit ``kind``'s regression and write ``<stem>.csv`` (``statistics``
     rows first) and ``<stem>.md`` (``preamble`` first), or record the
     failure under ``key`` and return None."""
-    metrics = {row[0]: row[2] for row in metric_rows if row[1] == kind}
+    metrics = {row.sample_id: row.recall for row in metric_rows
+               if row.model == kind}
     try:
         design, y = build_design(vectors, metrics)
         report = fit_ols(design, y)
@@ -363,8 +399,10 @@ def emit_graph_diagnostics(lcc, vectors, out):
     vecs = [v for _, v in sorted(vectors.items())]
     try:
         matrix = chars.pearson_matrix(vecs)
-        chars.write_correlation_csv(matrix,
-                                    os.path.join(out, "correlations.csv"))
+        write_rows(os.path.join(out, "correlations.csv"),
+                   "," + ",".join(chars.SHORTHAND_NAMES),
+                   [(name, *row) for name, row
+                    in zip(chars.SHORTHAND_NAMES, matrix.tolist())])
     except ValueError as exc:
         _log(f"correlations: skipped ({exc})")
     for partition, degrees in (("user", lcc.user_degrees),
@@ -435,7 +473,7 @@ def rq2_sweep(cfg, samples, vectors, metric_rows, result):
             float(np.mean([getattr(s.graph, name) for s in selected]))
             for name in ("num_users", "num_items", "num_interactions"))
         sub_vectors = {sid: vectors[sid] for sid in ids if sid in vectors}
-        sub_metrics = [row for row in metric_rows if row[0] in ids]
+        sub_metrics = [row for row in metric_rows if row.sample_id in ids]
         for kind in cfg.models:
             report = _regression_table(
                 cfg, result, f"rq2:alpha={alpha:g}:{kind}",
@@ -452,15 +490,14 @@ def rq2_sweep(cfg, samples, vectors, metric_rows, result):
             if report is None:
                 continue
             reports[(alpha, kind)] = report
-            summary_rows.append(f"{alpha:g},{kind},{report.r2!r},"
-                                f"{report.adj_r2!r},{report.num_rows},"
-                                f"{users!r},{items!r},{interactions!r}\n")
+            summary_rows.append((f"{alpha:g}", kind, report.r2,
+                                 report.adj_r2, report.num_rows, users, items,
+                                 interactions))
             _log(f"rq2[alpha={alpha:g},{kind}]: R2={report.r2:.3f} "
                  f"(M={report.num_rows})")
-    with open(os.path.join(rq2_dir, "summary.csv"), "w", encoding="utf-8") as fh:
-        fh.write("alpha,model,R2,adj_R2,M,"
-                 "mean_users,mean_items,mean_interactions\n")
-        fh.writelines(summary_rows)
+    write_rows(os.path.join(rq2_dir, "summary.csv"),
+               "alpha,model,R2,adj_R2,M,mean_users,mean_items,"
+               "mean_interactions", summary_rows)
     return reports
 
 

@@ -18,8 +18,6 @@ STRATEGIES = (NODE_DROPOUT, EDGE_DROPOUT)
 
 MAX_SAMPLE_ATTEMPTS = 10
 
-MANIFEST_HEADER = "sample_id,strategy,mu,seed,num_users,num_items,num_interactions"
-
 
 class DegenerateSampleError(Exception):
     """Raised when a dropout draw leaves no usable graph."""
@@ -153,16 +151,6 @@ def mix_for_alpha(node_samples, edge_samples, alpha, total):
             f"edge-dropout samples, pools hold {len(node_samples)} and "
             f"{len(edge_samples)}")
     return list(node_samples[:n_node]) + list(edge_samples[:n_edge])
-
-
-def write_manifest(samples, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(MANIFEST_HEADER + "\n")
-        for s in samples:
-            g = s.graph
-            fh.write(f"{s.spec.sample_id},{s.spec.strategy},{s.spec.mu!r},"
-                     f"{s.spec.seed},{g.num_users},{g.num_items},"
-                     f"{g.num_interactions}\n")
 
 
 def write_sample_edges(sample, directory):

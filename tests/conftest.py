@@ -6,7 +6,8 @@ import scipy.sparse as sp
 
 from topocf.csr import CSR
 from topocf.graph import BipartiteGraph, ingest_and_build
-from topocf.sampling import MANIFEST_HEADER, SampleSpec
+from topocf.pipeline import MANIFEST_HEADER, read_rows
+from topocf.sampling import SampleSpec
 from topocf.synthetic import _token_maps, _zipf_weights
 
 
@@ -27,16 +28,11 @@ def load_graph(path):
 
 def read_manifest(path):
     """Parse a manifest back into a list of SampleSpec plus size columns."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != MANIFEST_HEADER:
-            raise ValueError(f"unexpected manifest header: {header!r}")
-        for line in fh:
-            sid, strategy, mu, seed, nu, ni, ne = line.strip().split(",")
-            rows.append((SampleSpec(int(sid), strategy, float(mu), int(seed)),
-                         int(nu), int(ni), int(ne)))
-    return rows
+    def parse(fields):
+        sid, strategy, mu, seed, nu, ni, ne = fields
+        return (SampleSpec(int(sid), strategy, float(mu), int(seed)),
+                int(nu), int(ni), int(ne))
+    return read_rows(path, MANIFEST_HEADER, parse)
 
 
 def to_scipy(A):

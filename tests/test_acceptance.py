@@ -22,7 +22,7 @@ from topocf.models.dgcf import DGCFPropagator
 from topocf.models.lightgcn import LightGCNPropagator
 from topocf.models.split import Split, split_dataset
 from topocf.models.svdgcn import normalized_interactions
-from topocf.pipeline import rq2_sweep, RunResult
+from topocf.pipeline import MetricRow, rq2_sweep, RunResult
 from topocf.config import parse_config
 from topocf.sampling import (EDGE_DROPOUT, NODE_DROPOUT, edge_dropout,
                              generate_samples, node_dropout, round_half_up)
@@ -322,7 +322,9 @@ def test_acceptance_7_planted_signal_recovered(planted_pool):
 def test_acceptance_8_mixing_sweep(planted_pool, tmp_path):
     samples, vectors, y = planted_pool
     cfg = parse_config([f"out_dir={tmp_path}", "models=lightgcn"])
-    metric_rows = [(sid, "lightgcn", y[sid], y[sid], 1, False)
+    metric_rows = [MetricRow(sample_id=sid, model="lightgcn", recall=y[sid],
+                             ndcg=y[sid], epochs_trained=1,
+                             stopped_early=False, best_epoch=1)
                    for sid in sorted(y)]
     result = RunResult()
     reports = rq2_sweep(cfg, samples, vectors, metric_rows, result)

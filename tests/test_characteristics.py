@@ -13,8 +13,6 @@ from topocf.characteristics import (SHORTHAND_NAMES,
                                     average_degree, classical_from_counts,
                                     compute_vector, degree_assortativity,
                                     gini, pearson_matrix,
-                                    read_characteristics_csv,
-                                    write_characteristics_csv,
                                     write_degree_histogram)
 from topocf import graph
 from topocf.graph import ProjectionCapError, project
@@ -395,19 +393,3 @@ def test_degree_histogram_matches_counter_oracle(k22_graph, tmp_path):
         assert path.read_text().splitlines() == _histogram_oracle(degrees)
     # one distinct degree is written too
     assert path.read_text() == "2\t1.0\n"
-
-
-def test_characteristics_csv_round_trip(tmp_path):
-    g = heavy_tailed_graph(num_users=60, num_items=40, num_interactions=400,
-                           seed=4)
-    vec = compute_vector(g)
-    star = compute_vector(make_graph([(u, 0) for u in range(5)]))
-    path = tmp_path / "chars.csv"
-    write_characteristics_csv([(0, vec), (1, star)], path)
-    header = path.read_text().splitlines()[0]
-    assert header == "sample_id," + ",".join(SHORTHAND_NAMES)
-    rows = read_characteristics_csv(path)
-    assert [sid for sid, _ in rows] == [0, 1]
-    np.testing.assert_array_equal(rows[0][1], vec)
-    # NaN round-trips as NaN
-    assert math.isnan(rows[1][1][SHORTHAND_NAMES.index("Assort-U")])

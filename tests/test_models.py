@@ -560,10 +560,32 @@ def test_train_loop_returns_best_validation_model(monkeypatch):
     model = train_loop(trainer, split, cfg)
     assert len(evaluated) == 4
     assert model.epochs_trained == 4 and not model.stopped_early
+    assert model.best_epoch == 2
     np.testing.assert_array_equal(model.user_embeddings, evaluated[1])
     last = trainer.materialize()
     np.testing.assert_array_equal(last.user_embeddings, evaluated[3])
     assert not np.array_equal(model.user_embeddings, last.user_embeddings)
+
+
+def test_train_loop_without_validation_returns_the_last_epoch(monkeypatch):
+    """With no validation users nothing is evaluated, and the state after
+    the last epoch is returned with that epoch as its best."""
+    g = two_block_graph(num_users=12, num_items=10, interactions_per_user=4,
+                        seed=1)
+    edges = g.edge_array()
+    split = Split(g, edges[:-8], edges[:0], edges[-8:])
+    assert len(split.valid_users) == 0
+    cfg = LightGCNConfig(embedding_dim=4, max_epochs=3, eval_interval=1,
+                         patience=1)
+    monkeypatch.setattr(base, "evaluate",
+                        lambda *args, **kwargs: pytest.fail("evaluated"))
+    trainer = Trainer(LightGCNPropagator(split, cfg), split, cfg,
+                      np.random.default_rng(0))
+    model = train_loop(trainer, split, cfg)
+    assert model.epochs_trained == model.best_epoch == 3
+    assert not model.stopped_early
+    np.testing.assert_array_equal(model.user_embeddings,
+                                  trainer.materialize().user_embeddings)
 
 
 def test_softplus_matches_logaddexp(rng):

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,13 +15,17 @@ import numpy as np
 import pytest
 
 from topocf import graph, pipeline
-from topocf.characteristics import read_characteristics_csv
+from topocf.characteristics import SHORTHAND_NAMES, compute_vector
 from topocf.cli import build_parser, main
 from topocf.config import ConfigError, ExperimentConfig, parse_config
 from topocf.graph import write_interactions
 from topocf.models.base import MODEL_CONFIGS, MODEL_KINDS
-from topocf.pipeline import RunLedger, metrics_header, run_experiment
+from topocf.pipeline import (CHARS_HEADER, MetricRow, RunLedger,
+                             metrics_header, read_rows, run_experiment,
+                             write_rows)
 from topocf.synthetic import heavy_tailed_graph
+
+from conftest import make_graph
 
 
 FAST_MODEL_LINES = [
@@ -176,6 +181,42 @@ def test_help_lists_every_settable_model_key_with_its_default():
 
 
 # ---------------------------------------------------------------------------
+# tables
+
+def test_rows_round_trip_bit_for_bit(tmp_path):
+    """Characterize cells' rows, one holding a NaN, and a metrics row read
+    back as they were written, under the exact header."""
+    g = heavy_tailed_graph(num_users=60, num_items=40, num_interactions=400,
+                           seed=4)
+    vec = compute_vector(g)
+    star = make_graph([(u, 0) for u in range(5)])
+    cells = [pipeline._characterize_cell((0, g)),
+             pipeline._characterize_cell((1, star))]
+    assert [error for _, error in cells] == [None, None]
+    path = tmp_path / "chars.csv"
+    write_rows(path, CHARS_HEADER, [row for row, _ in cells])
+    header = path.read_text().splitlines()[0]
+    assert header == "sample_id," + ",".join(SHORTHAND_NAMES)
+    rows = read_rows(path, CHARS_HEADER, pipeline._chars_row)
+    assert [row[0] for row in rows] == [0, 1]
+    np.testing.assert_array_equal(rows[0][1:], vec)
+    # NaN round-trips as NaN
+    assert math.isnan(rows[1][1 + SHORTHAND_NAMES.index("Assort-U")])
+
+    row = MetricRow(sample_id=3, model="lightgcn", recall=0.1, ndcg=1 / 3,
+                    epochs_trained=12, stopped_early=True, best_epoch=7)
+    path = tmp_path / "metrics.csv"
+    write_rows(path, metrics_header(10), [row])
+    assert path.read_text().splitlines() == [
+        "sample_id,model,recall@10,ndcg@10,epochs_trained,stopped_early,"
+        "best_epoch", "3,lightgcn,0.1,0.3333333333333333,12,True,7"]
+    (back,) = read_rows(path, metrics_header(10), pipeline._metric_row)
+    assert back == row and back.stopped_early is True
+    with pytest.raises(ValueError, match="unexpected header"):
+        read_rows(path, metrics_header(20), pipeline._metric_row)
+
+
+# ---------------------------------------------------------------------------
 # ledger
 
 def test_ledger_tracks_input_and_output_hashes(tmp_path):
@@ -211,7 +252,7 @@ def test_run_cardinalities(full_run):
     assert len(samples) == 28
     assert len(vectors) == 28
     assert len(metric_rows) == 28 * 2
-    assert {row[1] for row in metric_rows} == {"lightgcn", "svdgcn"}
+    assert {row.model for row in metric_rows} == {"lightgcn", "svdgcn"}
 
 
 def test_run_output_files(full_run):
@@ -235,13 +276,17 @@ def test_run_output_files(full_run):
 def test_aggregates_hold_plain_floats(full_run):
     cfg, *_ = full_run
     out = cfg.out_dir
-    rows = read_characteristics_csv(os.path.join(out, "characteristics.csv"))
+
+    def read(*parts):
+        return read_rows(os.path.join(out, *parts), CHARS_HEADER,
+                         pipeline._chars_row)
+
+    rows = read("characteristics.csv")
     assert len(rows) == 28
-    for sid, values in rows:
-        (per_sample,) = read_characteristics_csv(
-            os.path.join(out, "chars", f"{sid}.csv"))
-        assert per_sample[0] == sid
-        np.testing.assert_array_equal(values, per_sample[1])
+    for row in rows:
+        (per_sample,) = read("chars", f"{row[0]}.csv")
+        assert per_sample[0] == row[0]
+        np.testing.assert_array_equal(row[1:], per_sample[1:])
     for base, _, names in os.walk(out):
         for name in names:
             with open(os.path.join(base, name), encoding="utf-8") as fh:
@@ -652,8 +697,10 @@ def test_cli_fresh_run_ignores_a_corrupt_ledger(dataset_path, tmp_path):
         assert sorted(json.load(fh)["cells"]) == ["chars:0", "chars:1"]
 
 
-@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe"],
-                         ids=["not-json", "not-text"])
+@pytest.mark.parametrize(
+    "content", [b"{not json", b"\xff\xfe", b"[]", b'{"cells": []}',
+                b'{"cells": {"chars:0": 1}}'],
+    ids=["not-json", "not-text", "list", "cells-list", "cell-not-object"])
 def test_cli_resume_over_a_corrupt_ledger_exits_two(dataset_path, tmp_path,
                                                     capsys, content):
     out = tmp_path / "out"

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from topocf.config import parse_config
+from topocf.pipeline import prepare_samples
 from topocf.sampling import (DegenerateSampleError, SamplePoolError,
                              edge_dropout, generate_samples, mix_for_alpha,
-                             node_dropout, round_half_up, write_manifest,
-                             write_sample_edges)
+                             node_dropout, round_half_up, write_sample_edges)
 from topocf.seeds import stable_seed
 from topocf.synthetic import heavy_tailed_graph
 
@@ -166,9 +167,10 @@ def test_mix_for_alpha_pool_exhaustion():
 def test_manifest_round_trip(tmp_path):
     g = heavy_tailed_graph(num_users=60, num_items=40, num_interactions=400,
                            seed=8)
-    samples = generate_samples(g, 5, master_seed=3)
+    cfg = parse_config([f"out_dir={tmp_path}", "num_samples=5",
+                        "master_seed=3"])
+    samples, _ = prepare_samples(cfg, g)
     path = tmp_path / "manifest.csv"
-    write_manifest(samples, path)
     header = path.read_text().splitlines()[0]
     assert header == ("sample_id,strategy,mu,seed,num_users,num_items,"
                       "num_interactions")
