@@ -9,7 +9,7 @@ A run lays out its output directory as::
     metrics/<id>_<model>.csv      per-(sample, model) evaluation rows
     characteristics.csv           aggregate of chars/
     metrics.csv                   aggregate of metrics/: sample_id, model,
-                                  recall@k, ndcg@k, epochs_trained,
+                                  recall@20, ndcg@20, epochs_trained,
                                   stopped_early, best_epoch
     correlations.csv              Pearson correlations of the characteristics
     degree_distribution_{user,item}.tsv
@@ -21,19 +21,20 @@ A run lays out its output directory as::
 
 ``explain`` runs ingest -> sample -> characterize -> train -> explain;
 ``rq2`` adds the alpha sweep and ``run-all`` adds report.md on top, so the
-three share one path. ``train`` logs each model's mean recall@k and
-nDCG@k over its completed cells, so ``--resume train`` over a finished run
+three share one path. ``train`` logs each model's mean recall@20 and
+nDCG@20 over its completed cells, so ``--resume train`` over a finished run
 reports them without training. Characterize and train cells are ledgered: a
 ``chars:<id>`` cell's inputs are its sample file's digest and the code
-digest, a ``train:<id>:<model>`` cell's inputs are those, the model config
-and k. Every cell derives its randomness from (master_seed, sample_id[,
+digest, a ``train:<id>:<model>`` cell's inputs are those and the model
+config. Every cell derives its randomness from (master_seed, sample_id[,
 model]), so results are byte-identical regardless of parallelism or resume,
 and a resume never reuses a cell that other code computed.
 
-Early stopping validates at Recall@20 whatever ``metric_k`` is, and
-``best_epoch`` is the epoch of the model it kept (the last epoch if it
-never validated). Every CSV table but the regression reports is written by
-``write_rows`` and read back by ``read_rows``.
+Every ranking is at k = 20: early stopping validates at Recall@20, the
+test cells report Recall@20 and nDCG@20, and the regressions explain that
+recall. ``best_epoch`` is the epoch of the model early stopping kept (the
+last epoch if it never validated). Every CSV table but the regression
+reports is written by ``write_rows`` and read back by ``read_rows``.
 """
 
 from __future__ import annotations
@@ -64,14 +65,11 @@ from .seeds import stable_seed
 MANIFEST_HEADER = ("sample_id,strategy,mu,seed,num_users,num_items,"
                    "num_interactions")
 CHARS_HEADER = "sample_id," + ",".join(chars.SHORTHAND_NAMES)
+METRICS_HEADER = ("sample_id,model,recall@20,ndcg@20,epochs_trained,"
+                  "stopped_early,best_epoch")
 
 MetricRow = namedtuple("MetricRow", "sample_id model recall ndcg "
                        "epochs_trained stopped_early best_epoch")
-
-
-def metrics_header(k):
-    return (f"sample_id,model,recall@{k},ndcg@{k},epochs_trained,"
-            "stopped_early,best_epoch")
 
 
 def _chars_row(fields):
@@ -168,9 +166,11 @@ class RunLedger:
                 raise InputError(f"{path}: {exc}") from exc
             cells = held.get("cells", {}) if isinstance(held, dict) else None
             if not (isinstance(cells, dict) and all(
-                    isinstance(cell, dict) for cell in cells.values())):
-                raise InputError(f"{path}: not an object whose cells are "
-                                 f"objects")
+                    isinstance(cell, dict)
+                    and isinstance(cell.get("outputs", {}), dict)
+                    for cell in cells.values())):
+                raise InputError(f"{path}: not an object whose cells, and "
+                                 f"their outputs, are objects")
             self.cells = cells
 
     def save(self):
@@ -221,14 +221,14 @@ def _characterize_cell(args):
 
 
 def _train_cell(args):
-    sample_id, graph, kind, model_cfg, sample_seed, k = args
+    sample_id, graph, kind, model_cfg, sample_seed = args
     try:
         split_rng = np.random.default_rng(stable_seed(sample_seed, "split"))
         split = split_dataset(graph, split_rng)
         model_seed = stable_seed(sample_seed, "model", kind)
         model = train_model(split, model_cfg,
                             np.random.default_rng(model_seed))
-        result = evaluate(model, split, k=k, phase="test")
+        result = evaluate(model, split, phase="test")
         return MetricRow(sample_id, kind, result.recall, result.ndcg,
                          model.epochs_trained, model.stopped_early,
                          model.best_epoch), None
@@ -330,7 +330,7 @@ def train_samples(cfg, samples, digests, ledger, result):
     """Per-(sample, model) training and evaluation cells, aggregated into
     ``metrics.csv``; each model's mean recall and nDCG over its completed
     rows is logged."""
-    out, k = cfg.out_dir, cfg.metric_k
+    out = cfg.out_dir
     os.makedirs(os.path.join(out, "metrics"), exist_ok=True)
     cells = []
     for s in samples:
@@ -339,26 +339,25 @@ def train_samples(cfg, samples, digests, ledger, result):
             model_cfg = cfg.config_for(kind)
             cells.append((f"train:{sid}:{kind}", f"train[{sid},{kind}]",
                           {"sample": digests[sid], "code": code_digest(),
-                           "config": repr(model_cfg), "k": str(k)},
+                           "config": repr(model_cfg)},
                           os.path.join(out, "metrics", f"{sid}_{kind}.csv"),
-                          (sid, s.graph, kind, model_cfg, s.spec.seed, k)))
+                          (sid, s.graph, kind, model_cfg, s.spec.seed)))
     rows = _run_ledgered(
-        cfg, ledger, result, cells, _train_cell, metrics_header(k),
-        _metric_row, lambda row: f" (recall@{k}={row.recall:.4f}, "
-                                 f"{row.epochs_trained} epochs)")
-    write_rows(os.path.join(out, "metrics.csv"), metrics_header(k),
-               sorted(rows))
+        cfg, ledger, result, cells, _train_cell, METRICS_HEADER, _metric_row,
+        lambda row: f" (recall@20={row.recall:.4f}, "
+                    f"{row.epochs_trained} epochs)")
+    write_rows(os.path.join(out, "metrics.csv"), METRICS_HEADER, sorted(rows))
     for kind in cfg.models:
         done = [row for row in rows if row.model == kind]
         if done:
             recall = sum(row.recall for row in done) / len(done)
             ndcg = sum(row.ndcg for row in done) / len(done)
-            _log(f"train[{kind}]: mean recall@{k}={recall:.4f} "
-                 f"ndcg@{k}={ndcg:.4f} over {len(done)} samples")
+            _log(f"train[{kind}]: mean recall@20={recall:.4f} "
+                 f"ndcg@20={ndcg:.4f} over {len(done)} samples")
     return rows
 
 
-def _regression_table(cfg, result, key, label, vectors, metric_rows, kind,
+def _regression_table(result, key, label, vectors, metric_rows, kind,
                       stem, title, statistics=(), preamble=""):
     """Fit ``kind``'s regression and write ``<stem>.csv`` (``statistics``
     rows first) and ``<stem>.md`` (``preamble`` first), or record the
@@ -375,7 +374,7 @@ def _regression_table(cfg, result, key, label, vectors, metric_rows, kind,
     write_report_csv(report, stem + ".csv", statistics)
     with open(stem + ".md", "w", encoding="utf-8") as fh:
         fh.write(preamble + render_markdown(
-            report, title=f"{title} (Recall@{cfg.metric_k})") + "\n")
+            report, title=f"{title} (Recall@20)") + "\n")
     return report
 
 
@@ -385,9 +384,9 @@ def fit_reports(cfg, vectors, metric_rows, result):
     os.makedirs(report_dir, exist_ok=True)
     for kind in cfg.models:
         report = _regression_table(
-            cfg, result, f"explain:report:{kind}", f"explain[{kind}]",
-            vectors, metric_rows, kind,
-            os.path.join(report_dir, f"report_{kind}"), kind)
+            result, f"explain:report:{kind}", f"explain[{kind}]", vectors,
+            metric_rows, kind, os.path.join(report_dir, f"report_{kind}"),
+            kind)
         if report is not None:
             _log(f"explain[{kind}]: R2={report.r2:.3f} "
                  f"(adj {report.adj_r2:.3f}, M={report.num_rows})")
@@ -476,7 +475,7 @@ def rq2_sweep(cfg, samples, vectors, metric_rows, result):
         sub_metrics = [row for row in metric_rows if row.sample_id in ids]
         for kind in cfg.models:
             report = _regression_table(
-                cfg, result, f"rq2:alpha={alpha:g}:{kind}",
+                result, f"rq2:alpha={alpha:g}:{kind}",
                 f"rq2[alpha={alpha:g},{kind}]", sub_vectors, sub_metrics,
                 kind, os.path.join(rq2_dir, f"alpha_{alpha:g}_{kind}"),
                 f"{kind} at alpha={alpha:g}",

@@ -17,11 +17,12 @@ import pytest
 from topocf import graph, pipeline
 from topocf.characteristics import SHORTHAND_NAMES, compute_vector
 from topocf.cli import build_parser, main
-from topocf.config import ConfigError, ExperimentConfig, parse_config
+from topocf.config import (ConfigError, ExperimentConfig, describe_keys,
+                            parse_config)
 from topocf.graph import write_interactions
 from topocf.models.base import MODEL_CONFIGS, MODEL_KINDS
-from topocf.pipeline import (CHARS_HEADER, MetricRow, RunLedger,
-                             metrics_header, read_rows, run_experiment,
+from topocf.pipeline import (CHARS_HEADER, METRICS_HEADER, MetricRow,
+                             RunLedger, read_rows, run_experiment,
                              write_rows)
 from topocf.synthetic import heavy_tailed_graph
 
@@ -74,7 +75,6 @@ def full_run(dataset_path, tmp_path_factory):
 def test_parse_config_defaults():
     cfg = parse_config([])
     assert cfg.num_samples == 20
-    assert cfg.metric_k == 20
     assert cfg.alphas == (0.0, 0.3, 0.7, 1.0)
     assert cfg.models == ("lightgcn", "dgcf", "ultragcn", "svdgcn")
 
@@ -180,6 +180,34 @@ def test_help_lists_every_settable_model_key_with_its_default():
                 assert type(f.default).__name__ == f.type, f.name
 
 
+def _readme_table(text, head):
+    """The cells, stripped of spaces and backticks, of each line of the
+    README table whose header line starts with ``head``: the header, then
+    the rows."""
+    table = text[text.index("\n" + head) + 1:].split("\n\n")[0]
+    lines = table.splitlines()
+    return [[cell.strip(" `") for cell in line.strip("|").split("|")]
+            for line in lines[:1] + lines[2:]]
+
+
+def test_readme_tables_list_the_keys_help_prints():
+    """README's two configuration tables name exactly the experiment keys,
+    and the model fields with their defaults, that ``--help`` lists."""
+    text = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    listed = describe_keys()
+    _, *rows = _readme_table(text, "| key | default |")
+    assert [row[0] for row in rows] == re.findall(r"^  (\w+)=", listed,
+                                                  re.MULTILINE)
+    fields = dict(re.findall(r"^    model\.(\w+\.\w+)=(.*)$", listed,
+                             re.MULTILINE))
+    (_, *kinds, _), *rows = _readme_table(text, "| field |")
+    documented = {f"{kind}.{name}": shown for name, *cells, _ in rows
+                  for kind, shown in zip(kinds, cells) if shown}
+    assert documented == fields
+    assert (f"`model.<kind>.<field>=value`, {len(fields)} in all"
+            in " ".join(text.split()))
+
+
 # ---------------------------------------------------------------------------
 # tables
 
@@ -206,14 +234,15 @@ def test_rows_round_trip_bit_for_bit(tmp_path):
     row = MetricRow(sample_id=3, model="lightgcn", recall=0.1, ndcg=1 / 3,
                     epochs_trained=12, stopped_early=True, best_epoch=7)
     path = tmp_path / "metrics.csv"
-    write_rows(path, metrics_header(10), [row])
+    write_rows(path, METRICS_HEADER, [row])
     assert path.read_text().splitlines() == [
-        "sample_id,model,recall@10,ndcg@10,epochs_trained,stopped_early,"
+        "sample_id,model,recall@20,ndcg@20,epochs_trained,stopped_early,"
         "best_epoch", "3,lightgcn,0.1,0.3333333333333333,12,True,7"]
-    (back,) = read_rows(path, metrics_header(10), pipeline._metric_row)
+    (back,) = read_rows(path, METRICS_HEADER, pipeline._metric_row)
     assert back == row and back.stopped_early is True
     with pytest.raises(ValueError, match="unexpected header"):
-        read_rows(path, metrics_header(20), pipeline._metric_row)
+        read_rows(path, METRICS_HEADER.replace("@20", "@10"),
+                  pipeline._metric_row)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +298,7 @@ def test_run_output_files(full_run):
     assert len(os.listdir(os.path.join(out, "chars"))) == 28
     assert len(os.listdir(os.path.join(out, "metrics"))) == 28 * 2
     with open(os.path.join(out, "metrics.csv")) as fh:
-        assert fh.readline().strip() == metrics_header(20)
+        assert fh.readline().strip() == METRICS_HEADER
         assert sum(1 for _ in fh) == 56
 
 
@@ -391,7 +420,7 @@ def test_train_cell_with_overflowing_scores_fails_with_a_reason():
                            seed=1)
     cfg = MODEL_CONFIGS["lightgcn"](embedding_dim=4, learning_rate=1e30,
                                     max_epochs=1)
-    row, error = pipeline._train_cell((0, g, "lightgcn", cfg, 7, 20))
+    row, error = pipeline._train_cell((0, g, "lightgcn", cfg, 7))
     assert row is None
     assert error.startswith("ValueError: non-finite float32 scores")
 
@@ -699,8 +728,10 @@ def test_cli_fresh_run_ignores_a_corrupt_ledger(dataset_path, tmp_path):
 
 @pytest.mark.parametrize(
     "content", [b"{not json", b"\xff\xfe", b"[]", b'{"cells": []}',
-                b'{"cells": {"chars:0": 1}}'],
-    ids=["not-json", "not-text", "list", "cells-list", "cell-not-object"])
+                b'{"cells": {"chars:0": 1}}',
+                b'{"cells": {"chars:0": {"outputs": ["chars/0.csv"]}}}'],
+    ids=["not-json", "not-text", "list", "cells-list", "cell-not-object",
+         "outputs-list"])
 def test_cli_resume_over_a_corrupt_ledger_exits_two(dataset_path, tmp_path,
                                                     capsys, content):
     out = tmp_path / "out"
@@ -804,6 +835,24 @@ def test_cli_rejects_out_of_domain_model_setting(dataset_path, tmp_path,
             "num_samples=2", setting]
     assert main(args) == 2
     assert "configuration error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["override", "config"])
+def test_cli_rejects_metric_k(dataset_path, tmp_path, capsys, where):
+    """Every ranking is at k = 20, so ``metric_k`` is no key."""
+    out = tmp_path / "out"
+    args = ["train", f"dataset={dataset_path}", f"out_dir={out}",
+            "num_samples=2"]
+    if where == "config":
+        path = tmp_path / "exp.cfg"
+        path.write_text("metric_k=10\n")
+        args = ["--config", str(path)] + args
+    else:
+        args.append("metric_k=10")
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: unknown configuration key 'metric_k'\n")
     assert not out.exists()
 
 
