@@ -36,7 +36,6 @@ def build_parser():
         "train": "train and evaluate every (sample, model) cell",
         "explain": "fit the per-model explanatory regressions",
         "rq2": "run the alpha-sweep over mixed sample pools",
-        "report": "assemble existing outputs into report.md",
         "run-all": "full pipeline plus alpha sweep and report",
     }
     for name, help_text in commands.items():
@@ -72,10 +71,6 @@ def main(argv=None):
 
 
 def _dispatch(command, cfg, resume):
-    if command == "report":
-        print(pipeline.emit_report(cfg))
-        return 0
-
     if command == "sample":
         _, samples, *_ = pipeline.start_run(cfg, resume)
         print(f"wrote {len(samples)} samples to "
@@ -93,7 +88,7 @@ def _dispatch(command, cfg, resume):
     if command != "explain":
         pipeline.rq2_sweep(cfg, samples, vectors, rows, result)
     if command == "run-all":
-        pipeline.emit_report(cfg)
+        pipeline.emit_report(cfg, result)
     return _finish(result)
 
 

@@ -31,7 +31,6 @@ class ExperimentConfig:
                           metadata={"allowed": MODEL_KINDS})
     model_configs: dict = field(default_factory=dict)
     alphas: tuple = (0.0, 0.3, 0.7, 1.0)    # each in [0, 1]
-    rq2_total: int = least(0, 0)    # 0 -> use the smaller strategy pool size
     out_dir: str = "runs"
     jobs: int = least(1, 1)
 

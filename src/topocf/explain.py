@@ -2,14 +2,15 @@
 
 Links per-sample characteristic vectors to a recommendation metric via a
 linear model with intercept, reporting coefficients, standard errors,
-two-sided t-test p-values with significance stars, R-squared and its
-degrees-of-freedom-adjusted version, and which coefficients the design
-identifies.
+two-sided t-test p-values with significance stars (none on a term the
+design does not identify), R-squared and its degrees-of-freedom-adjusted
+version, and which coefficients the design identifies. ``render_markdown``
+renders a report as a markdown table; the CSV layout of a report is
+``pipeline``'s, beside the run's other tables.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -135,7 +136,7 @@ def fit_ols(design, y):
     (log U, log I, log E), still fits: its identified coefficients are the
     estimates any least-squares solution shares, while the non-identified
     ones (``report.identified`` False, ``n.i.`` in the markdown) carry the
-    minimum-norm convention.
+    minimum-norm convention and no stars, whatever their p-values.
     """
     X = design.values
     y = np.asarray(y, dtype=np.float64)
@@ -167,7 +168,9 @@ def fit_ols(design, y):
     p = np.array([_t_two_sided_p(float(v), dof) for v in t])
     return RegressionReport(
         theta0=float(beta[0]), coefficients=beta[1:], std_errors=se,
-        t_stats=t, p_values=p, stars=tuple(map(significance_stars, p)),
+        t_stats=t, p_values=p,
+        stars=tuple(significance_stars(pj) if ok else ""
+                    for pj, ok in zip(p, identified)),
         r2=r2, adj_r2=adj_r2, residuals=residuals, y=y,
         column_names=design.column_names, identified=identified,
         dropped_rows=len(design.dropped_ids))
@@ -209,29 +212,6 @@ def _beta_continued_fraction(a, b, x):
         if abs(d * c - 1.0) <= 1e-15:
             return h
     raise ArithmeticError(f"incomplete beta I_{x}({a}, {b}) did not converge")
-
-
-REPORT_HEADER = ["characteristic", "coefficient", "std_err", "t", "p", "stars",
-                 "identified"]
-
-
-def write_report_csv(report, path, statistics=()):
-    """Summary rows (the given ``(name, value)`` statistics, then R2, adj
-    R2, M, C) then the coefficient table, whose ``identified`` column is 1
-    or 0."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["statistic", "value"])
-        writer.writerows(statistics)
-        writer.writerow(["R2", repr(float(report.r2))])
-        writer.writerow(["adj_R2", repr(float(report.adj_r2))])
-        writer.writerow(["M", report.num_rows])
-        writer.writerow(["C", report.num_predictors])
-        writer.writerow(["dropped_rows", report.dropped_rows])
-        writer.writerow(REPORT_HEADER)
-        for name, coef, se, t, p, stars, identified in report.rows():
-            writer.writerow([name, repr(coef), repr(se), repr(t), repr(p),
-                             stars, int(identified)])
 
 
 def render_markdown(report, title="Explanatory model"):

@@ -16,7 +16,8 @@ A run lays out its output directory as::
                                   LCC degree histogram: degree, share of nodes
     reports/                      per-model regression CSV + markdown
     rq2/                          per-(alpha, model) regression reports
-    report.md                     all regression tables concatenated
+    report.md                     the regressions this run fitted, in
+                                  config order
     ledger.json                   content-hash resume state
 
 ``explain`` runs ingest -> sample -> characterize -> train -> explain;
@@ -33,8 +34,15 @@ and a resume never reuses a cell that other code computed.
 Every ranking is at k = 20: early stopping validates at Recall@20, the
 test cells report Recall@20 and nDCG@20, and the regressions explain that
 recall. ``best_epoch`` is the epoch of the model early stopping kept (the
-last epoch if it never validated). Every CSV table but the regression
-reports is written by ``write_rows`` and read back by ``read_rows``.
+last epoch if it never validated). Every CSV table, the regression reports
+included, is written by ``write_rows``; ``read_rows`` reads the ledgered
+cells' tables back.
+
+Each regression fit adds its markdown to ``RunResult.sections``, in the
+order the stages fit them: every model in ``models`` order, then every
+alpha in ``alphas`` order times ``models``. ``report.md`` is those
+sections, so it holds exactly the tables this run fitted; a fit that fails
+removes any table an earlier run left under its name.
 """
 
 from __future__ import annotations
@@ -53,8 +61,7 @@ from . import characteristics as chars
 from . import sampling
 from .csr import scipy_file
 from .evaluation import evaluate
-from .explain import (DesignError, build_design, fit_ols, render_markdown,
-                      write_report_csv)
+from .explain import DesignError, build_design, fit_ols, render_markdown
 from .graph import (GraphError, ingest_and_build,
                     largest_connected_component, write_interactions)
 from .models.base import train_model
@@ -67,6 +74,7 @@ MANIFEST_HEADER = ("sample_id,strategy,mu,seed,num_users,num_items,"
 CHARS_HEADER = "sample_id," + ",".join(chars.SHORTHAND_NAMES)
 METRICS_HEADER = ("sample_id,model,recall@20,ndcg@20,epochs_trained,"
                   "stopped_early,best_epoch")
+REPORT_HEADER = "characteristic,coefficient,std_err,t,p,stars,identified"
 
 MetricRow = namedtuple("MetricRow", "sample_id model recall ndcg "
                        "epochs_trained stopped_early best_epoch")
@@ -101,9 +109,21 @@ def read_rows(path, header, parse):
         return [parse(line.rstrip("\n").split(",")) for line in fh]
 
 
+def report_rows(report, statistics=()):
+    """A regression CSV's rows under its ``statistic,value`` header: the
+    given ``(name, value)`` statistics, then R2, adj_R2, M, C and
+    dropped_rows, then ``REPORT_HEADER`` and the coefficient table,
+    Constant first, whose ``identified`` column is 1 or 0."""
+    return [*statistics, ("R2", report.r2), ("adj_R2", report.adj_r2),
+            ("M", report.num_rows), ("C", report.num_predictors),
+            ("dropped_rows", report.dropped_rows), (REPORT_HEADER,),
+            *((*row[:6], int(row[6])) for row in report.rows())]
+
+
 @dataclass
 class RunResult:
     failures: list = field(default_factory=list)
+    sections: list = field(default_factory=list)   # report.md's tables
 
 
 class InputError(Exception):
@@ -359,9 +379,10 @@ def train_samples(cfg, samples, digests, ledger, result):
 
 def _regression_table(result, key, label, vectors, metric_rows, kind,
                       stem, title, statistics=(), preamble=""):
-    """Fit ``kind``'s regression and write ``<stem>.csv`` (``statistics``
-    rows first) and ``<stem>.md`` (``preamble`` first), or record the
-    failure under ``key`` and return None."""
+    """Fit ``kind``'s regression, write ``<stem>.csv`` (``statistics``
+    rows first) and ``<stem>.md`` (``preamble`` first) and add the latter's
+    text to ``result.sections``; or record the failure under ``key``,
+    remove the two files if an earlier run left them, and return None."""
     metrics = {row.sample_id: row.recall for row in metric_rows
                if row.model == kind}
     try:
@@ -370,11 +391,17 @@ def _regression_table(result, key, label, vectors, metric_rows, kind,
     except DesignError as exc:
         result.failures.append((key, str(exc)))
         _log(f"{label}: FAILED ({exc})")
+        for path in (stem + ".csv", stem + ".md"):
+            if os.path.exists(path):
+                os.remove(path)
         return None
-    write_report_csv(report, stem + ".csv", statistics)
+    write_rows(stem + ".csv", "statistic,value",
+               report_rows(report, statistics))
+    section = preamble + render_markdown(
+        report, title=f"{title} (Recall@20)") + "\n"
     with open(stem + ".md", "w", encoding="utf-8") as fh:
-        fh.write(preamble + render_markdown(
-            report, title=f"{title} (Recall@20)") + "\n")
+        fh.write(section)
+    result.sections.append(section)
     return report
 
 
@@ -449,16 +476,17 @@ def rq2_sweep(cfg, samples, vectors, metric_rows, result):
     """Per-alpha regressions over mixed node-/edge-dropout sample pools.
 
     For each alpha, round((1-alpha)*total) node-dropout samples plus the
-    complementary count of edge-dropout samples form the design set; each
-    model's regression is refitted on that set. Each report leads with the
-    mean users/items/interactions of the selected samples. Returns the
-    reports by (alpha, model).
+    complementary count of edge-dropout samples form the design set, where
+    total is the size of the smaller strategy pool; each model's regression
+    is refitted on that set. Each report leads with the mean
+    users/items/interactions of the selected samples. Returns the reports
+    by (alpha, model).
     """
     rq2_dir = os.path.join(cfg.out_dir, "rq2")
     os.makedirs(rq2_dir, exist_ok=True)
     node_pool = [s for s in samples if s.spec.strategy == sampling.NODE_DROPOUT]
     edge_pool = [s for s in samples if s.spec.strategy == sampling.EDGE_DROPOUT]
-    total = cfg.rq2_total or min(len(node_pool), len(edge_pool))
+    total = min(len(node_pool), len(edge_pool))
     if total == 0:
         raise sampling.SamplePoolError(
             "rq2 needs both node-dropout and edge-dropout samples "
@@ -479,10 +507,9 @@ def rq2_sweep(cfg, samples, vectors, metric_rows, result):
                 f"rq2[alpha={alpha:g},{kind}]", sub_vectors, sub_metrics,
                 kind, os.path.join(rq2_dir, f"alpha_{alpha:g}_{kind}"),
                 f"{kind} at alpha={alpha:g}",
-                statistics=[("alpha", f"{alpha:g}"),
-                            ("mean_users", repr(users)),
-                            ("mean_items", repr(items)),
-                            ("mean_interactions", repr(interactions))],
+                statistics=[("alpha", f"{alpha:g}"), ("mean_users", users),
+                            ("mean_items", items),
+                            ("mean_interactions", interactions)],
                 preamble=f"Average sampling statistics: {users:.1f} users, "
                          f"{items:.1f} items, {interactions:.1f} "
                          f"interactions (alpha={alpha:g})\n\n")
@@ -500,24 +527,10 @@ def rq2_sweep(cfg, samples, vectors, metric_rows, result):
     return reports
 
 
-def emit_report(cfg):
-    """Assemble a run's regression outputs into one markdown overview."""
-    out = cfg.out_dir
-    sections = []
-    for sub in ("reports", "rq2"):
-        report_dir = os.path.join(out, sub)
-        if not os.path.isdir(report_dir):
-            continue
-        for name in sorted(os.listdir(report_dir)):
-            if name.endswith(".md"):
-                with open(os.path.join(report_dir, name), encoding="utf-8") as fh:
-                    sections.append(fh.read())
-    if not sections:
-        raise FileNotFoundError(
-            f"no regression reports found under {out}; run the explain or "
-            f"rq2 stages first")
-    path = os.path.join(out, "report.md")
-    with open(path, "w", encoding="utf-8") as fh:
+def emit_report(cfg, result):
+    """Write ``report.md``: a title, then the regression sections this run
+    fitted, in the order it fitted them."""
+    with open(os.path.join(cfg.out_dir, "report.md"), "w",
+              encoding="utf-8") as fh:
         fh.write("# Topology-performance analysis\n\n")
-        fh.write("\n\n".join(sections))
-    return path
+        fh.write("\n\n".join(result.sections))

@@ -1,17 +1,16 @@
 """OLS fitting, inference, and report serialization against oracles."""
 
-import csv
 import math
 
 import numpy as np
 import pytest
 
 from topocf.characteristics import SHORTHAND_NAMES, compute_vector
-from topocf.explain import (REPORT_HEADER, DesignError, DesignMatrix,
-                            RegressionReport, _t_two_sided_p, build_design,
-                            fit_ols, render_markdown, significance_stars,
-                            write_report_csv)
+from topocf.explain import (DesignError, DesignMatrix, RegressionReport,
+                            _t_two_sided_p, build_design, fit_ols,
+                            render_markdown, significance_stars)
 from topocf.graph import largest_connected_component
+from topocf.pipeline import REPORT_HEADER, read_rows, report_rows, write_rows
 from topocf.sampling import DegenerateSampleError, generate_samples
 from topocf.synthetic import heavy_tailed_graph
 
@@ -271,6 +270,19 @@ def test_significance_star_thresholds_inclusive():
     assert significance_stars(float("nan")) == ""
 
 
+def test_non_identified_terms_get_no_stars():
+    # y loads on a, and ab = a + b leaves a, b and ab non-identified; their
+    # minimum-norm p-values still fall far below 0.05
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(40, 3))
+    X = np.column_stack([X, X[:, 0] + X[:, 1]])
+    y = 3.0 * X[:, 0] + 2.0 * X[:, 2] + rng.normal(size=40)
+    report = fit_ols(_design(X, names=("a", "b", "c", "ab")), y)
+    assert report.identified.tolist() == [True, False, False, True, False]
+    assert all(p <= 0.05 for p in report.p_values[[1, 2, 4]])
+    assert report.stars == ("", "", "", "***", "")
+
+
 # ---------------------------------------------------------------------------
 # design building
 
@@ -375,14 +387,11 @@ def test_characteristic_designs_fit_or_lack_rows():
 # serialization
 
 def read_report_csv(path):
-    """Round-trip of write_report_csv."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    """Round-trip of a regression CSV written by ``pipeline.write_rows``."""
+    rows = read_rows(path, "statistic,value", list)
     stats = {}
     i = 0
-    if rows and rows[0] == ["statistic", "value"]:
-        i = 1
-    while i < len(rows) and rows[i] != REPORT_HEADER:
+    while i < len(rows) and rows[i] != REPORT_HEADER.split(","):
         stats[rows[i][0]] = rows[i][1]
         i += 1
     if i >= len(rows):
@@ -417,7 +426,7 @@ def test_report_csv_round_trip(tmp_path):
              [True, False, True, False, False])]:
         report = fit_ols(_design(X, names=names), y)
         path = tmp_path / f"report_{len(names)}.csv"
-        write_report_csv(report, path)
+        write_rows(path, "statistic,value", report_rows(report))
         back = read_report_csv(path)
         assert back.theta0 == report.theta0
         np.testing.assert_array_equal(back.coefficients, report.coefficients)

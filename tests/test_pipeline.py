@@ -581,19 +581,51 @@ def test_rq2_sweep_outputs(full_run):
     assert users["0"] < users["1"]
 
 
+def _report_titles(out):
+    text = (Path(out) / "report.md").read_text(encoding="utf-8")
+    assert text.startswith("# Topology-performance analysis\n\n")
+    return re.findall(r"^### (.*) \(Recall@20\)$", text, re.MULTILINE)
+
+
 def test_emit_report_concatenates_sections(full_run):
-    cfg, *_ = full_run
-    path = pipeline.emit_report(cfg)
-    text = Path(path).read_text(encoding="utf-8")
-    assert text.startswith("# Topology-performance analysis")
-    assert "### lightgcn (Recall@20)" in text
-    assert "alpha=0.3" in text
+    # each model in models order, then each alpha in alphas order x models;
+    # sorted by file name, alpha=0.3 and 0.7 would come before alpha=0
+    cfg, _, samples, vectors, metric_rows = full_run
+    result = pipeline.RunResult()
+    pipeline.fit_reports(cfg, vectors, metric_rows, result)
+    pipeline.rq2_sweep(cfg, samples, vectors, metric_rows, result)
+    pipeline.emit_report(cfg, result)
+    assert _report_titles(cfg.out_dir) == [
+        *cfg.models, *(f"{kind} at alpha={alpha:g}" for alpha in cfg.alphas
+                       for kind in cfg.models)]
 
 
-def test_emit_report_without_outputs_raises(tmp_path):
-    cfg = parse_config([f"out_dir={tmp_path}"])
-    with pytest.raises(FileNotFoundError):
-        pipeline.emit_report(cfg)
+def test_report_holds_only_the_alphas_a_resumed_run_fitted(dataset_path,
+                                                           tmp_path):
+    out = tmp_path / "out"
+    args = [f"dataset={dataset_path}", "num_samples=28", "master_seed=3",
+            *FAST_MODEL_LINES, "models=lightgcn"]
+    assert main(["--out", str(out), "run-all", *args]) == 0
+    assert main(["--out", str(out), "--resume", "run-all", *args,
+                 "alphas=0,0.5"]) == 0
+    assert _report_titles(out) == ["lightgcn", "lightgcn at alpha=0",
+                                   "lightgcn at alpha=0.5"]
+
+
+def test_failed_fit_removes_the_tables_an_earlier_run_left(dataset_path,
+                                                          tmp_path, capsys):
+    # 28 samples fit every regression; 4 leave too few rows for any of them
+    out = tmp_path / "out"
+    args = [f"dataset={dataset_path}", "master_seed=3", *FAST_MODEL_LINES,
+            "models=lightgcn"]
+    assert main(["--out", str(out), "run-all", *args, "num_samples=28"]) == 0
+    assert len(os.listdir(out / "reports")) == 2
+    assert len(os.listdir(out / "rq2")) == 9
+    assert main(["--out", str(out), "run-all", *args, "num_samples=4"]) == 1
+    assert capsys.readouterr().err.count(": FAILED (") == 5
+    assert os.listdir(out / "reports") == []
+    assert os.listdir(out / "rq2") == ["summary.csv"]
+    assert _report_titles(out) == []
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +678,7 @@ def test_no_command_imports_scipy_package(dataset_path, tmp_path):
     absent = ("scipy", "scipy.sparse", "scipy._lib._array_api", "numpy.f2py",
               "concurrent.futures", "scipy.linalg", "scipy.sparse.csgraph",
               "scipy.sparse.linalg", "scipy.special", "multiprocessing",
-              "numpy.ma", "numpy.char", "numpy.strings")
+              "numpy.ma", "numpy.char", "numpy.strings", "csv")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     for setup in ("import topocf.cli\n", train_all, gen_input, run_all):
         code = (f"import os, sys\n{setup}"
@@ -783,18 +815,19 @@ def test_cli_train_logs_one_mean_line_per_model(dataset_path, tmp_path,
     assert "reused" in err
 
 
-def test_cli_lists_four_flags_and_seven_commands():
+def test_cli_lists_four_flags_and_six_commands():
     text = build_parser().format_help()
     flags = sorted(set(re.findall(r"--[a-z]+", text)) - {"--help"})
     assert flags == ["--config", "--jobs", "--out", "--resume"]
     commands = re.search(r"\{([\w,-]+)\}", text).group(1).split(",")
     assert commands == ["sample", "characterize", "train", "explain", "rq2",
-                        "report", "run-all"]
+                        "run-all"]
 
 
 @pytest.mark.parametrize("argv", [
     ["--seed", "3", "sample"],
     ["evaluate"],
+    ["report"],
 ])
 def test_cli_removed_spellings_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -805,7 +838,7 @@ def test_cli_removed_spellings_are_usage_errors(argv, capsys):
 
 @pytest.mark.parametrize("command, trigger", [
     ("rq2", "strategies=node_dropout"),   # no edge-dropout pool
-    ("run-all", "rq2_total=50"),          # more than either pool holds
+    ("run-all", "strategies=edge_dropout"),  # no node-dropout pool
 ])
 def test_cli_rq2_pool_error_exits_two(dataset_path, tmp_path, capsys,
                                       command, trigger):
@@ -853,6 +886,17 @@ def test_cli_rejects_metric_k(dataset_path, tmp_path, capsys, where):
     assert main(args) == 2
     assert capsys.readouterr().err == (
         "configuration error: unknown configuration key 'metric_k'\n")
+    assert not out.exists()
+
+
+def test_cli_rejects_rq2_total(dataset_path, tmp_path, capsys):
+    """The alpha sweep always draws as many samples as the smaller strategy
+    pool holds, so ``rq2_total`` is no key."""
+    out = tmp_path / "out"
+    assert main(["run-all", f"dataset={dataset_path}", f"out_dir={out}",
+                 "rq2_total=1"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: unknown configuration key 'rq2_total'\n")
     assert not out.exists()
 
 
