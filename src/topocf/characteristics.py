@@ -66,16 +66,15 @@ def average_degree(g, partition):
     return math.log10(float(degrees.mean()))
 
 
-def average_clustering_coefficient(g, partition, proj=None):
+def average_clustering_coefficient(g, partition, proj):
     """log10 of the mean pairwise-Jaccard clustering coefficient over one
-    partition, NaN when the mean is zero.
+    partition, NaN when the mean is zero; ``proj`` is
+    ``project(g, partition)``.
 
     Per node v, its second-order neighbors are the same-partition nodes
     sharing at least one direct neighbor; the node value is the mean
     Jaccard overlap with them, 0 if it has no second-order neighbors.
     """
-    if proj is None:
-        proj = project(g, partition)
     bipartite_deg = g.user_degrees if partition == "user" else g.item_degrees
     if proj.n == 0:
         raise ValueError(f"empty {partition} partition")
@@ -128,8 +127,8 @@ def compute_vector(g):
         gini(g.item_degrees),
         average_degree(g, "user"),
         average_degree(g, "item"),
-        average_clustering_coefficient(g, "user", proj=proj_u),
-        average_clustering_coefficient(g, "item", proj=proj_i),
+        average_clustering_coefficient(g, "user", proj_u),
+        average_clustering_coefficient(g, "item", proj_i),
         degree_assortativity(proj_u) if proj_u.num_edges else math.nan,
         degree_assortativity(proj_i) if proj_i.num_edges else math.nan,
     ])

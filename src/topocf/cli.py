@@ -3,13 +3,36 @@
 It parses arguments, dispatches each command to ``pipeline`` and maps
 exceptions to exit codes; every stage, log line and summary is the
 pipeline's.
+
+Importing this module marks OpenSSL's ``_hashlib`` as absent when the
+interpreter has all of CPython's built-in hash modules, so no command maps
+``libcrypto`` (about 3.4 MB of peak resident memory): ``hashlib``,
+``hmac`` and ``secrets`` (which ``numpy.random`` imports) fall back to the
+built-in hashes. topocf hashes only with ``blake2b``, which is always the
+built-in one, so no seed or digest changes. An interpreter built without
+one of them (some distributions take sha512 from OpenSSL alone) keeps
+OpenSSL: with ``_hashlib`` marked absent there, ``random``'s import of
+sha512, and with it ``import numpy.random``, would fail. The package root
+has no such side effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import sys
+
+# no run needs OpenSSL's libcrypto: topocf hashes only with blake2b, which
+# is CPython's built-in _blake2 either way. Set before anything imports
+# hashlib or numpy.random (bit_generator -> secrets -> hmac -> _hashlib),
+# and only where hashlib and random can fall back to every built-in hash
+# (3.12 merged _sha256 and _sha512 into _sha2)
+_BUILTIN_HASHES = (("_md5", "_sha1", "_sha2", "_sha3", "_blake2")
+                   if sys.version_info >= (3, 12) else
+                   ("_md5", "_sha1", "_sha256", "_sha512", "_sha3", "_blake2"))
+if all(importlib.util.find_spec(name) for name in _BUILTIN_HASHES):
+    sys.modules.setdefault("_hashlib", None)
 
 from . import pipeline
 from .config import ConfigError, describe_keys, load_config, parse_config

@@ -41,8 +41,15 @@ cells' tables back.
 Each regression fit adds its markdown to ``RunResult.sections``, in the
 order the stages fit them: every model in ``models`` order, then every
 alpha in ``alphas`` order times ``models``. ``report.md`` is those
-sections, so it holds exactly the tables this run fitted; a fit that fails
-removes any table an earlier run left under its name.
+sections, so it holds exactly the tables this run fitted.
+
+Each stage removes from its own directory every file under a name it
+writes (``SAMPLE_NAME``, ``CHARS_NAME``, ``METRICS_NAME``, ``REPORT_NAME``,
+``RQ2_NAME``) that an earlier run into the same ``out_dir`` left and this
+run neither wrote nor reused (a failed cell's or fit's too). So of those
+names, ``samples/``, ``chars/``, ``metrics/``, ``reports/`` and ``rq2/``
+hold only this run's tables, the ones its manifest, aggregates and
+``report.md`` name; files under other names are left alone.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -64,7 +72,7 @@ from .evaluation import evaluate
 from .explain import DesignError, build_design, fit_ols, render_markdown
 from .graph import (GraphError, ingest_and_build,
                     largest_connected_component, write_interactions)
-from .models.base import train_model
+from .models.base import MODEL_KINDS, train_model
 from .models.split import split_dataset
 from .seeds import stable_seed
 
@@ -72,6 +80,14 @@ from .seeds import stable_seed
 MANIFEST_HEADER = ("sample_id,strategy,mu,seed,num_users,num_items,"
                    "num_interactions")
 CHARS_HEADER = "sample_id," + ",".join(chars.SHORTHAND_NAMES)
+# the file names each stage writes in its own directory, as regexes over a
+# whole name: a stage removes a stale file only if its name matches
+_KIND = "(" + "|".join(MODEL_KINDS) + ")"
+SAMPLE_NAME = r"\d+\.tsv"
+CHARS_NAME = r"\d+\.csv"
+METRICS_NAME = rf"\d+_{_KIND}\.csv"
+REPORT_NAME = rf"report_{_KIND}\.(csv|md)"
+RQ2_NAME = rf"alpha_[0-9.e+-]+_{_KIND}\.(csv|md)"
 METRICS_HEADER = ("sample_id,model,recall@20,ndcg@20,epochs_trained,"
                   "stopped_early,best_epoch")
 REPORT_HEADER = "characteristic,coefficient,std_err,t,p,stars,identified"
@@ -107,6 +123,17 @@ def read_rows(path, header, parse):
         if found != header:
             raise ValueError(f"{path}: unexpected header {found!r}")
         return [parse(line.rstrip("\n").split(",")) for line in fh]
+
+
+def _remove_stale(directory, pattern, stems):
+    """Remove each file in ``directory`` whose whole name matches the regex
+    ``pattern`` and, without its extension, is not in ``stems``: a table an
+    earlier run into the same ``out_dir`` left that this run neither wrote
+    nor reused. Names no stage writes are left alone."""
+    for name in os.listdir(directory):
+        if (re.fullmatch(pattern, name)
+                and os.path.splitext(name)[0] not in stems):
+            os.remove(os.path.join(directory, name))
 
 
 def report_rows(report, statistics=()):
@@ -256,21 +283,27 @@ def _train_cell(args):
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _run_ledgered(cfg, ledger, result, cells, fn, header, parse,
-                  note=lambda row: ""):
-    """Run ``(key, label, inputs, path, work)`` cells; return their rows.
+def _run_ledgered(cfg, ledger, result, directory, pattern, cells, fn, header,
+                  parse, note=lambda row: ""):
+    """Run ``(key, label, inputs, stem, work)`` cells, each with its table
+    at ``directory/<stem>.csv``; return their rows.
 
-    A cell the ledger holds as current is read back from ``path`` with
+    A cell the ledger holds as current is read back with
     ``read_rows(path, header, parse)``; the rest run ``fn(work)`` in
-    ``cfg.jobs`` processes, and each row is written to ``path`` under
+    ``cfg.jobs`` processes, and each row is written to its table under
     ``header`` and marked in the ledger. Reused rows come first, then new
-    ones in cell order.
+    ones in cell order. Any other file in ``directory`` whose name matches
+    the regex ``pattern``, such as a failed cell's or a sample's this run no
+    longer draws, is removed.
     """
-    rows, todo = [], []
+    os.makedirs(directory, exist_ok=True)
+    rows, todo, kept = [], [], set()
     for cell in cells:
-        key, label, inputs, path, _ = cell
+        key, label, inputs, stem, _ = cell
         if ledger.is_current(key, inputs):
-            rows.extend(read_rows(path, header, parse))
+            rows.extend(read_rows(os.path.join(directory, stem + ".csv"),
+                                  header, parse))
+            kept.add(stem)
             _log(f"{label}: reused")
         else:
             todo.append(cell)
@@ -282,17 +315,20 @@ def _run_ledgered(cfg, ledger, result, cells, fn, header, parse,
             outcomes = list(pool.map(fn, work))
     else:
         outcomes = map(fn, work)
-    for (key, label, inputs, path, _), (row, error) in zip(todo, outcomes):
+    for (key, label, inputs, stem, _), (row, error) in zip(todo, outcomes):
         if error is not None:
             ledger.mark_failed(key, inputs, error)
             result.failures.append((key, error))
             _log(f"{label}: FAILED ({error})")
             continue
+        path = os.path.join(directory, stem + ".csv")
         write_rows(path, header, [row])
         ledger.mark_done(key, inputs, [path])
         rows.append(row)
+        kept.add(stem)
         _log(f"{label}: done{note(row)}")
     ledger.save()
+    _remove_stale(directory, pattern, kept)
     return rows
 
 
@@ -313,7 +349,7 @@ def prepare_samples(cfg, lcc):
     """Deterministically (re)generate the sample pool and persist it.
 
     Returns the samples and each sample file's digest, taken as it is
-    written."""
+    written. A sample file this pool does not hold is removed."""
     sample_dir = os.path.join(cfg.out_dir, "samples")
     os.makedirs(sample_dir, exist_ok=True)
     samples = sampling.generate_samples(
@@ -326,23 +362,25 @@ def prepare_samples(cfg, lcc):
                [(s.spec.sample_id, s.spec.strategy, s.spec.mu, s.spec.seed,
                  s.graph.num_users, s.graph.num_items,
                  s.graph.num_interactions) for s in samples])
+    _remove_stale(sample_dir, SAMPLE_NAME, {str(sid) for sid in digests})
     return samples, digests
 
 
 def characterize_samples(cfg, samples, digests, ledger, result):
     """Per-sample characteristic vectors, reusing current ledger cells,
     aggregated into ``characteristics.csv``."""
-    out = cfg.out_dir
-    os.makedirs(os.path.join(out, "chars"), exist_ok=True)
     cells = []
     for s in samples:
         sid = s.spec.sample_id
         cells.append((f"chars:{sid}", f"characterize[{sid}]",
                       {"sample": digests[sid], "code": code_digest()},
-                      os.path.join(out, "chars", f"{sid}.csv"), (sid, s.graph)))
-    rows = sorted(_run_ledgered(cfg, ledger, result, cells,
-                                _characterize_cell, CHARS_HEADER, _chars_row))
-    write_rows(os.path.join(out, "characteristics.csv"), CHARS_HEADER, rows)
+                      str(sid), (sid, s.graph)))
+    rows = sorted(_run_ledgered(cfg, ledger, result,
+                                os.path.join(cfg.out_dir, "chars"),
+                                CHARS_NAME, cells, _characterize_cell,
+                                CHARS_HEADER, _chars_row))
+    write_rows(os.path.join(cfg.out_dir, "characteristics.csv"), CHARS_HEADER,
+               rows)
     return {sid: values for sid, *values in rows}
 
 
@@ -350,8 +388,6 @@ def train_samples(cfg, samples, digests, ledger, result):
     """Per-(sample, model) training and evaluation cells, aggregated into
     ``metrics.csv``; each model's mean recall and nDCG over its completed
     rows is logged."""
-    out = cfg.out_dir
-    os.makedirs(os.path.join(out, "metrics"), exist_ok=True)
     cells = []
     for s in samples:
         sid = s.spec.sample_id
@@ -360,13 +396,15 @@ def train_samples(cfg, samples, digests, ledger, result):
             cells.append((f"train:{sid}:{kind}", f"train[{sid},{kind}]",
                           {"sample": digests[sid], "code": code_digest(),
                            "config": repr(model_cfg)},
-                          os.path.join(out, "metrics", f"{sid}_{kind}.csv"),
+                          f"{sid}_{kind}",
                           (sid, s.graph, kind, model_cfg, s.spec.seed)))
     rows = _run_ledgered(
-        cfg, ledger, result, cells, _train_cell, METRICS_HEADER, _metric_row,
+        cfg, ledger, result, os.path.join(cfg.out_dir, "metrics"),
+        METRICS_NAME, cells, _train_cell, METRICS_HEADER, _metric_row,
         lambda row: f" (recall@20={row.recall:.4f}, "
                     f"{row.epochs_trained} epochs)")
-    write_rows(os.path.join(out, "metrics.csv"), METRICS_HEADER, sorted(rows))
+    write_rows(os.path.join(cfg.out_dir, "metrics.csv"), METRICS_HEADER,
+               sorted(rows))
     for kind in cfg.models:
         done = [row for row in rows if row.model == kind]
         if done:
@@ -381,8 +419,8 @@ def _regression_table(result, key, label, vectors, metric_rows, kind,
                       stem, title, statistics=(), preamble=""):
     """Fit ``kind``'s regression, write ``<stem>.csv`` (``statistics``
     rows first) and ``<stem>.md`` (``preamble`` first) and add the latter's
-    text to ``result.sections``; or record the failure under ``key``,
-    remove the two files if an earlier run left them, and return None."""
+    text to ``result.sections``; or record the failure under ``key`` and
+    return None."""
     metrics = {row.sample_id: row.recall for row in metric_rows
                if row.model == kind}
     try:
@@ -391,9 +429,6 @@ def _regression_table(result, key, label, vectors, metric_rows, kind,
     except DesignError as exc:
         result.failures.append((key, str(exc)))
         _log(f"{label}: FAILED ({exc})")
-        for path in (stem + ".csv", stem + ".md"):
-            if os.path.exists(path):
-                os.remove(path)
         return None
     write_rows(stem + ".csv", "statistic,value",
                report_rows(report, statistics))
@@ -406,17 +441,21 @@ def _regression_table(result, key, label, vectors, metric_rows, kind,
 
 
 def fit_reports(cfg, vectors, metric_rows, result):
-    """Per-model regressions over every sample, written to ``reports/``."""
+    """Per-model regressions over every sample, written to ``reports/``;
+    any other ``report_<model>`` table there is removed."""
     report_dir = os.path.join(cfg.out_dir, "reports")
     os.makedirs(report_dir, exist_ok=True)
+    kept = set()
     for kind in cfg.models:
+        stem = f"report_{kind}"
         report = _regression_table(
             result, f"explain:report:{kind}", f"explain[{kind}]", vectors,
-            metric_rows, kind, os.path.join(report_dir, f"report_{kind}"),
-            kind)
+            metric_rows, kind, os.path.join(report_dir, stem), kind)
         if report is not None:
+            kept.add(stem)
             _log(f"explain[{kind}]: R2={report.r2:.3f} "
                  f"(adj {report.adj_r2:.3f}, M={report.num_rows})")
+    _remove_stale(report_dir, REPORT_NAME, kept)
 
 
 def emit_graph_diagnostics(lcc, vectors, out):
@@ -479,8 +518,9 @@ def rq2_sweep(cfg, samples, vectors, metric_rows, result):
     complementary count of edge-dropout samples form the design set, where
     total is the size of the smaller strategy pool; each model's regression
     is refitted on that set. Each report leads with the mean
-    users/items/interactions of the selected samples. Returns the reports
-    by (alpha, model).
+    users/items/interactions of the selected samples; any other
+    ``alpha_<alpha>_<model>`` table in ``rq2/`` is removed. Returns the
+    reports by (alpha, model).
     """
     rq2_dir = os.path.join(cfg.out_dir, "rq2")
     os.makedirs(rq2_dir, exist_ok=True)
@@ -493,6 +533,7 @@ def rq2_sweep(cfg, samples, vectors, metric_rows, result):
             f"(pools hold {len(node_pool)} and {len(edge_pool)})")
     summary_rows = []
     reports = {}
+    kept = set()
     for alpha in cfg.alphas:
         selected = sampling.mix_for_alpha(node_pool, edge_pool, alpha, total)
         ids = {s.spec.sample_id for s in selected}
@@ -502,10 +543,11 @@ def rq2_sweep(cfg, samples, vectors, metric_rows, result):
         sub_vectors = {sid: vectors[sid] for sid in ids if sid in vectors}
         sub_metrics = [row for row in metric_rows if row.sample_id in ids]
         for kind in cfg.models:
+            stem = f"alpha_{alpha:g}_{kind}"
             report = _regression_table(
                 result, f"rq2:alpha={alpha:g}:{kind}",
                 f"rq2[alpha={alpha:g},{kind}]", sub_vectors, sub_metrics,
-                kind, os.path.join(rq2_dir, f"alpha_{alpha:g}_{kind}"),
+                kind, os.path.join(rq2_dir, stem),
                 f"{kind} at alpha={alpha:g}",
                 statistics=[("alpha", f"{alpha:g}"), ("mean_users", users),
                             ("mean_items", items),
@@ -516,6 +558,7 @@ def rq2_sweep(cfg, samples, vectors, metric_rows, result):
             if report is None:
                 continue
             reports[(alpha, kind)] = report
+            kept.add(stem)
             summary_rows.append((f"{alpha:g}", kind, report.r2,
                                  report.adj_r2, report.num_rows, users, items,
                                  interactions))
@@ -524,6 +567,7 @@ def rq2_sweep(cfg, samples, vectors, metric_rows, result):
     write_rows(os.path.join(rq2_dir, "summary.csv"),
                "alpha,model,R2,adj_R2,M,mean_users,mean_items,"
                "mean_interactions", summary_rows)
+    _remove_stale(rq2_dir, RQ2_NAME, kept)
     return reports
 
 

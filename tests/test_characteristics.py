@@ -125,7 +125,8 @@ def test_clustering_matches_jaccard_oracle(rng, partition):
     zeros = 0
     for _ in range(40):
         g = random_bipartite(rng)
-        log10_value = average_clustering_coefficient(g, partition)
+        log10_value = average_clustering_coefficient(
+            g, partition, project(g, partition))
         expected = _clustering_bruteforce(g, partition)
         if expected == 0:
             assert math.isnan(log10_value)
@@ -159,7 +160,8 @@ def test_clustering_matches_add_at_exactly(partition):
     for seed in range(30):
         g = heavy_tailed_graph(num_users=40 + 5 * seed, num_items=30 + seed,
                                num_interactions=200 + 20 * seed, seed=seed)
-        got = average_clustering_coefficient(g, partition)
+        got = average_clustering_coefficient(g, partition,
+                                             project(g, partition))
         want = _clustering_add_at(g, partition)
         assert got == want or (math.isnan(got) and math.isnan(want)), seed
 
@@ -174,7 +176,8 @@ def test_src_has_no_add_at():
 
 
 def test_clustering_k22_is_one(k22_graph):
-    log10_value = average_clustering_coefficient(k22_graph, "user")
+    log10_value = average_clustering_coefficient(
+        k22_graph, "user", project(k22_graph, "user"))
     assert 10 ** log10_value == pytest.approx(1.0)
     assert log10_value == pytest.approx(0.0)
 
@@ -182,7 +185,8 @@ def test_clustering_k22_is_one(k22_graph):
 def test_clustering_three_user_path():
     # u0-i0, u1-i0, u1-i1, u2-i1: every Jaccard overlap is 1/2
     g = make_graph([(0, 0), (1, 0), (1, 1), (2, 1)])
-    log10_value = average_clustering_coefficient(g, "user")
+    log10_value = average_clustering_coefficient(g, "user",
+                                                 project(g, "user"))
     assert 10 ** log10_value == pytest.approx(0.5)
     assert log10_value == pytest.approx(math.log10(0.5))
 
@@ -190,7 +194,8 @@ def test_clustering_three_user_path():
 def test_clustering_disconnected_projection_is_nan_log():
     # two users with disjoint items: no co-occurrence at all
     g = make_graph([(0, 0), (1, 1)])
-    assert math.isnan(average_clustering_coefficient(g, "user"))
+    assert math.isnan(average_clustering_coefficient(g, "user",
+                                                     project(g, "user")))
 
 
 # ---------------------------------------------------------------------------

@@ -628,8 +628,56 @@ def test_failed_fit_removes_the_tables_an_earlier_run_left(dataset_path,
     assert _report_titles(out) == []
 
 
+def test_a_run_removes_the_tables_it_no_longer_makes(dataset_path, tmp_path):
+    out = tmp_path / "out"
+    args = [f"dataset={dataset_path}", "master_seed=3", *FAST_MODEL_LINES]
+    assert main(["--out", str(out), "run-all", *args, "num_samples=30"]) == 0
+    assert len(os.listdir(out / "metrics")) == 60
+    # a file under a name no stage writes is left alone, even with a
+    # stage's extension or prefix
+    others = {"samples": ["ml-1m.tsv"], "chars": ["extra.csv"],
+              "metrics": ["0_notes.csv"],
+              "reports": ["report_notes.txt", "report_notes.csv"],
+              "rq2": ["alpha_notes.csv", "alpha_0_notes.md"]}
+    for sub, names in others.items():
+        for name in names + ["notes.txt", "notes.csv", "notes.tsv"]:
+            (out / sub / name).write_text("kept\n")
+    assert main(["--out", str(out), "--resume", "run-all", *args,
+                 "num_samples=28", "models=lightgcn", "alphas=0,0.5"]) == 0
+    ids = [row[0] for row in read_rows(out / "manifest.csv",
+                                       pipeline.MANIFEST_HEADER,
+                                       lambda fields: fields)]
+    assert ids == [str(sid) for sid in range(28)]
+    for sub, names in (("samples", [f"{sid}.tsv" for sid in ids]),
+                       ("chars", [f"{sid}.csv" for sid in ids]),
+                       ("metrics", [f"{sid}_lightgcn.csv" for sid in ids]),
+                       ("reports", ["report_lightgcn.csv",
+                                    "report_lightgcn.md"]),
+                       ("rq2", ["alpha_0.5_lightgcn.csv",
+                                "alpha_0.5_lightgcn.md",
+                                "alpha_0_lightgcn.csv", "alpha_0_lightgcn.md",
+                                "summary.csv"])):
+        assert sorted(os.listdir(out / sub)) == sorted(
+            names + others[sub] + ["notes.txt", "notes.csv", "notes.tsv"])
+
+
 # ---------------------------------------------------------------------------
 # command-line interface
+
+# topocf hashes only with blake2b, which is CPython's built-in _blake2, so
+# topocf.cli marks OpenSSL's _hashlib absent where every built-in hash module
+# exists: hashlib, hmac and secrets (which numpy.random imports) fall back to
+# the built-in hashes, and libcrypto (~3.4 MB resident) is never mapped.
+# After `import topocf.cli`, this prints whether _hashlib loaded and whether
+# libcrypto is mapped; `import hashlib` writes nothing to stderr unless a
+# built-in hash is missing
+OPENSSL = ("import hashlib, hmac, secrets\n"
+           "mapped = False\n"
+           "if sys.platform.startswith('linux'):\n"
+           "    with open('/proc/self/maps') as fh:\n"
+           "        mapped = 'libcrypto' in fh.read()\n"
+           "print(sys.modules.get('_hashlib') is not None, mapped)\n")
+
 
 def test_no_command_imports_scipy_package(dataset_path, tmp_path):
     # topocf.csr loads scipy's compiled sparse kernels from their file, so
@@ -666,14 +714,16 @@ def test_no_command_imports_scipy_package(dataset_path, tmp_path):
                  "write_interactions(heavy_tailed_graph(num_users=12, "
                  "num_items=10, num_interactions=48, seed=1), os.devnull)\n")
     # a whole run-all, whose explain and alpha sweep fit the regressions;
-    # its summary goes to devnull so that stdout holds only the check's
+    # its summary and log lines go to devnull so that stdout holds only the
+    # check's and stderr only what the imports wrote
     args = ["--out", str(tmp_path / "out"), "--jobs", "1", "run-all",
             f"dataset={dataset_path}", "num_samples=28", "master_seed=3",
             *FAST_MODEL_LINES, "models=lightgcn"]
     run_all = ("import contextlib\n"
                "from topocf.cli import main\n"
                "with open(os.devnull, 'w') as fh, "
-               "contextlib.redirect_stdout(fh):\n"
+               "contextlib.redirect_stdout(fh), "
+               "contextlib.redirect_stderr(fh):\n"
                f"    assert main({args!r}) == 0\n")
     absent = ("scipy", "scipy.sparse", "scipy._lib._array_api", "numpy.f2py",
               "concurrent.futures", "scipy.linalg", "scipy.sparse.csgraph",
@@ -681,11 +731,47 @@ def test_no_command_imports_scipy_package(dataset_path, tmp_path):
               "numpy.ma", "numpy.char", "numpy.strings", "csv")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     for setup in ("import topocf.cli\n", train_all, gen_input, run_all):
+        cli = "topocf.cli" in setup
         code = (f"import os, sys\n{setup}"
-                f"print(sorted(m for m in {absent!r} if m in sys.modules))")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             check=True, capture_output=True, text=True).stdout
-        assert out.strip() == "[]", setup
+                f"print(sorted(m for m in {absent!r} if m in sys.modules))\n"
+                + (OPENSSL if cli else ""))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              check=True, capture_output=True, text=True)
+        if cli:
+            # a process that imports the CLI maps no OpenSSL either
+            assert (proc.stdout, proc.stderr) == ("[]\nFalse False\n",
+                                                  ""), setup
+        else:
+            assert proc.stdout.strip() == "[]", setup
+
+
+def test_train_maps_no_openssl(dataset_path, tmp_path):
+    args = ["--out", str(tmp_path / "out"), "--jobs", "1", "train",
+            f"dataset={dataset_path}", "master_seed=3", *FAST_MODEL_LINES,
+            "num_samples=4"]
+    code = ("import contextlib, os, sys\n"
+            "from topocf.cli import main\n"
+            "with open(os.devnull, 'w') as fh, "
+            "contextlib.redirect_stdout(fh), contextlib.redirect_stderr(fh):\n"
+            f"    assert main({args!r}) == 0\n" + OPENSSL)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert (proc.stdout, proc.stderr) == ("False False\n", "")
+
+
+def test_cli_keeps_openssl_without_a_builtin_sha512():
+    # some Pythons take sha512 from OpenSSL alone: with _hashlib marked
+    # absent there, random's import of sha512, and so numpy.random's
+    # import, would fail. The CLI keeps OpenSSL on such an interpreter
+    hidden = "_sha2" if sys.version_info >= (3, 12) else "_sha512"
+    code = ("import sys\n"
+            f"sys.modules[{hidden!r}] = None\n"
+            "import topocf.cli, numpy.random\n" + OPENSSL)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout.startswith("True ") and proc.stderr == ""
 
 
 def test_importing_a_module_loads_only_what_it_imports():
