@@ -101,10 +101,10 @@ def _dispatch(command, cfg, resume):
         return 0
 
     if command in ("characterize", "train"):
-        _, samples, digests, ledger, result = pipeline.start_run(cfg, resume)
+        _, samples, digests, result = pipeline.start_run(cfg, resume)
         stage = (pipeline.characterize_samples if command == "characterize"
                  else pipeline.train_samples)
-        stage(cfg, samples, digests, ledger, result)
+        stage(cfg, samples, digests, result)
         return _finish(result)
 
     result, samples, vectors, rows = pipeline.run_experiment(cfg, resume)

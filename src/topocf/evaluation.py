@@ -82,10 +82,11 @@ def evaluate(model, split, k=20, phase="test"):
                              f"overflow in their products")
         for part in excluded:
             scores[_block_entries(part, rows)] = -np.inf
-        kth = np.partition(scores, num_items - kk, axis=1)[:, num_items - kk]
+        # a copied column: partition's block-size result is freed at once
+        kth = np.partition(scores, num_items - kk, axis=1)[:, [num_items - kk]]
         # every row has at least kk candidates; nonzero lists them row by
         # row, and sorting keeps the rows in place
-        r, c = np.nonzero(scores >= kth[:, None])
+        r, c = np.nonzero(scores >= kth)
         order = np.lexsort((c, -scores[r, c], r))
         first = np.searchsorted(r, np.arange(len(rows)))
         top = c[order][first[:, None] + np.arange(kk)]
@@ -95,6 +96,7 @@ def evaluate(model, split, k=20, phase="test"):
         recalls.append(hits.sum(axis=1))
         # left to right, the order of a running sum over the ranks
         dcgs.append(np.cumsum(hits * discount, axis=1)[:, -1])
+        del scores, relevant, r, c, order, top  # before the next product
     recall = np.concatenate(recalls) / sizes
     ndcg = np.concatenate(dcgs) / ideal[np.minimum(k, sizes) - 1]
     return EvaluationResult(recall=float(np.mean(recall)),

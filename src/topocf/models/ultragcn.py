@@ -108,7 +108,7 @@ class UltraGCN(EmbeddingModel):
         N, I = self.cfg.negatives, self.num_items
         users, pos = batch[:, 0], batch[:, 1]
         B = len(batch)
-        negs = rng.integers(I, size=(B, N))
+        negs = rng.integers(I, size=(B, N), dtype=np.int32)
         # requested after the negatives, so that the first batch allocates
         # them above the negatives' block, which every batch then draws
         # into again instead of growing the heap

@@ -18,7 +18,7 @@ A run lays out its output directory as::
     rq2/                          per-(alpha, model) regression reports
     report.md                     the regressions this run fitted, in
                                   config order
-    ledger.json                   content-hash resume state
+    ledger.json                   resume cells and the file index
 
 ``explain`` runs ingest -> sample -> characterize -> train -> explain;
 ``rq2`` adds the alpha sweep and ``run-all`` adds report.md on top, so the
@@ -43,13 +43,12 @@ order the stages fit them: every model in ``models`` order, then every
 alpha in ``alphas`` order times ``models``. ``report.md`` is those
 sections, so it holds exactly the tables this run fitted.
 
-Each stage removes from its own directory every file under a name it
-writes (``SAMPLE_NAME``, ``CHARS_NAME``, ``METRICS_NAME``, ``REPORT_NAME``,
-``RQ2_NAME``) that an earlier run into the same ``out_dir`` left and this
-run neither wrote nor reused (a failed cell's or fit's too). So of those
-names, ``samples/``, ``chars/``, ``metrics/``, ``reports/`` and ``rq2/``
-hold only this run's tables, the ones its manifest, aggregates and
-``report.md`` name; files under other names are left alone.
+The ledger's file index lists the files each stage (sample, chars, train,
+explain, rq2, report) wrote or reused when it last ran. A finishing stage
+removes the files the previous index listed under it that this run did not
+write (a failed cell's table, a sample no longer drawn) and drops its cells
+this run neither ran nor reused. A stage that did not run keeps its files
+and cells; a file no index lists is left alone.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -72,7 +70,7 @@ from .evaluation import evaluate
 from .explain import DesignError, build_design, fit_ols, render_markdown
 from .graph import (GraphError, ingest_and_build,
                     largest_connected_component, write_interactions)
-from .models.base import MODEL_KINDS, train_model
+from .models.base import train_model
 from .models.split import split_dataset
 from .seeds import stable_seed
 
@@ -80,14 +78,6 @@ from .seeds import stable_seed
 MANIFEST_HEADER = ("sample_id,strategy,mu,seed,num_users,num_items,"
                    "num_interactions")
 CHARS_HEADER = "sample_id," + ",".join(chars.SHORTHAND_NAMES)
-# the file names each stage writes in its own directory, as regexes over a
-# whole name: a stage removes a stale file only if its name matches
-_KIND = "(" + "|".join(MODEL_KINDS) + ")"
-SAMPLE_NAME = r"\d+\.tsv"
-CHARS_NAME = r"\d+\.csv"
-METRICS_NAME = rf"\d+_{_KIND}\.csv"
-REPORT_NAME = rf"report_{_KIND}\.(csv|md)"
-RQ2_NAME = rf"alpha_[0-9.e+-]+_{_KIND}\.(csv|md)"
 METRICS_HEADER = ("sample_id,model,recall@20,ndcg@20,epochs_trained,"
                   "stopped_early,best_epoch")
 REPORT_HEADER = "characteristic,coefficient,std_err,t,p,stars,identified"
@@ -125,17 +115,6 @@ def read_rows(path, header, parse):
         return [parse(line.rstrip("\n").split(",")) for line in fh]
 
 
-def _remove_stale(directory, pattern, stems):
-    """Remove each file in ``directory`` whose whole name matches the regex
-    ``pattern`` and, without its extension, is not in ``stems``: a table an
-    earlier run into the same ``out_dir`` left that this run neither wrote
-    nor reused. Names no stage writes are left alone."""
-    for name in os.listdir(directory):
-        if (re.fullmatch(pattern, name)
-                and os.path.splitext(name)[0] not in stems):
-            os.remove(os.path.join(directory, name))
-
-
 def report_rows(report, statistics=()):
     """A regression CSV's rows under its ``statistic,value`` header: the
     given ``(name, value)`` statistics, then R2, adj_R2, M, C and
@@ -149,6 +128,7 @@ def report_rows(report, statistics=()):
 
 @dataclass
 class RunResult:
+    ledger: RunLedger
     failures: list = field(default_factory=list)
     sections: list = field(default_factory=list)   # report.md's tables
 
@@ -193,39 +173,73 @@ def code_digest():
     return h.hexdigest()
 
 
+def _in_out_dir(rel):
+    """Whether an index entry names a file under the output directory other
+    than the ledger: a normalized relative path without a ``..`` part."""
+    return (isinstance(rel, str) and not os.path.isabs(rel)
+            and os.path.normpath(rel) == rel and ".." not in rel.split("/")
+            and rel != "ledger.json")
+
+
 class RunLedger:
-    """Per-cell status records with content hashes of inputs and outputs.
+    """Per-cell status records with content hashes of inputs and outputs,
+    and the file index: the files each stage wrote or reused.
 
     A cell is re-run iff its status is not done, an input hash changed, or
     an output file is missing or was modified since it was recorded.
     """
 
     def __init__(self, path, resume):
-        """Start empty, or with ``resume`` from the cells ``path`` holds."""
+        """Start with the file index ``path`` holds and, with ``resume``,
+        its cells. A resume refuses a ledger it cannot read; a fresh run
+        starts empty over one."""
         self.path = path
         self.base = os.path.dirname(os.path.abspath(path))
-        self.cells = {}
-        if resume and os.path.exists(path):
-            try:
-                with open(path) as fh:
-                    held = json.load(fh)
-            except ValueError as exc:  # undecodable bytes or not JSON
-                raise InputError(f"{path}: {exc}") from exc
-            cells = held.get("cells", {}) if isinstance(held, dict) else None
+        self.cells, self.files = {}, {}
+        if not os.path.exists(path):
+            return
+        try:
+            with open(path) as fh:
+                held = json.load(fh)
+            if not isinstance(held, dict):
+                raise ValueError("not an object")
+            cells = held.get("cells", {}) if resume else {}
+            files = held.get("files", {})
             if not (isinstance(cells, dict) and all(
                     isinstance(cell, dict)
                     and isinstance(cell.get("outputs", {}), dict)
-                    for cell in cells.values())):
-                raise InputError(f"{path}: not an object whose cells, and "
-                                 f"their outputs, are objects")
-            self.cells = cells
+                    for cell in cells.values())
+                    and isinstance(files, dict) and all(
+                        isinstance(rels, list) and all(map(_in_out_dir, rels))
+                        for rels in files.values())):
+                raise ValueError("its cells or their outputs are not objects, "
+                                 "or its index names a file outside --out")
+        except ValueError as exc:  # also undecodable bytes or not JSON
+            if resume:
+                raise InputError(f"{path}: {exc}") from exc
+            return
+        self.cells, self.files = cells, files
 
     def save(self):
         tmp = self.path + ".tmp"
         with open(tmp, "w") as fh:
-            json.dump({"version": 1, "cells": self.cells}, fh, indent=1,
-                      sort_keys=True)
+            json.dump({"version": 2, "cells": self.cells, "files": self.files},
+                      fh, indent=1, sort_keys=True)
         os.replace(tmp, self.path)
+
+    def finish(self, stage, paths, keys=()):
+        """Index ``paths`` as the files ``stage`` wrote or reused in this
+        run, remove each file the previous index listed under ``stage`` that
+        is not among them, drop the stage's cells (keyed ``<stage>:...``)
+        not in the set ``keys``, and save."""
+        files = sorted(os.path.relpath(p, self.base) for p in paths)
+        for rel in set(self.files.get(stage, ())).difference(files):
+            if os.path.isfile(os.path.join(self.base, rel)):
+                os.remove(os.path.join(self.base, rel))
+        self.files[stage] = files
+        self.cells = {key: cell for key, cell in self.cells.items()
+                      if key.split(":")[0] != stage or key in keys}
+        self.save()
 
     def is_current(self, key, input_hashes):
         cell = self.cells.get(key)
@@ -283,27 +297,27 @@ def _train_cell(args):
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _run_ledgered(cfg, ledger, result, directory, pattern, cells, fn, header,
+def _run_ledgered(cfg, result, stage, directory, table, cells, fn, header,
                   parse, note=lambda row: ""):
-    """Run ``(key, label, inputs, stem, work)`` cells, each with its table
-    at ``directory/<stem>.csv``; return their rows.
+    """Run ``stage``'s ``(key, label, inputs, stem, work)`` cells, each with
+    its table at ``out_dir/directory/<stem>.csv``, write their rows sorted
+    to ``out_dir/table`` and finish the stage; return the rows.
 
     A cell the ledger holds as current is read back with
     ``read_rows(path, header, parse)``; the rest run ``fn(work)`` in
     ``cfg.jobs`` processes, and each row is written to its table under
     ``header`` and marked in the ledger. Reused rows come first, then new
-    ones in cell order. Any other file in ``directory`` whose name matches
-    the regex ``pattern``, such as a failed cell's or a sample's this run no
-    longer draws, is removed.
+    ones in cell order. A failed cell's table is not among the stage's
+    files, so one an earlier run left is removed.
     """
+    directory = os.path.join(cfg.out_dir, directory)
     os.makedirs(directory, exist_ok=True)
-    rows, todo, kept = [], [], set()
+    rows, todo, paths = [], [], []
     for cell in cells:
         key, label, inputs, stem, _ = cell
-        if ledger.is_current(key, inputs):
-            rows.extend(read_rows(os.path.join(directory, stem + ".csv"),
-                                  header, parse))
-            kept.add(stem)
+        if result.ledger.is_current(key, inputs):
+            paths.append(os.path.join(directory, stem + ".csv"))
+            rows.extend(read_rows(paths[-1], header, parse))
             _log(f"{label}: reused")
         else:
             todo.append(cell)
@@ -317,18 +331,18 @@ def _run_ledgered(cfg, ledger, result, directory, pattern, cells, fn, header,
         outcomes = map(fn, work)
     for (key, label, inputs, stem, _), (row, error) in zip(todo, outcomes):
         if error is not None:
-            ledger.mark_failed(key, inputs, error)
+            result.ledger.mark_failed(key, inputs, error)
             result.failures.append((key, error))
             _log(f"{label}: FAILED ({error})")
             continue
-        path = os.path.join(directory, stem + ".csv")
-        write_rows(path, header, [row])
-        ledger.mark_done(key, inputs, [path])
+        paths.append(os.path.join(directory, stem + ".csv"))
+        write_rows(paths[-1], header, [row])
+        result.ledger.mark_done(key, inputs, paths[-1:])
         rows.append(row)
-        kept.add(stem)
         _log(f"{label}: done{note(row)}")
-    ledger.save()
-    _remove_stale(directory, pattern, kept)
+    paths.append(os.path.join(cfg.out_dir, table))
+    write_rows(paths[-1], header, sorted(rows))
+    result.ledger.finish(stage, paths, {cell[0] for cell in cells})
     return rows
 
 
@@ -348,25 +362,24 @@ def load_dataset(cfg):
 def prepare_samples(cfg, lcc):
     """Deterministically (re)generate the sample pool and persist it.
 
-    Returns the samples and each sample file's digest, taken as it is
-    written. A sample file this pool does not hold is removed."""
+    Returns the samples, each sample file's digest and the paths of the
+    sample files and the manifest."""
     sample_dir = os.path.join(cfg.out_dir, "samples")
     os.makedirs(sample_dir, exist_ok=True)
     samples = sampling.generate_samples(
         lcc, cfg.num_samples, mu_range=(cfg.mu_min, cfg.mu_max),
         strategies=cfg.strategies, master_seed=cfg.master_seed)
-    digests = {s.spec.sample_id:
-               file_hash(sampling.write_sample_edges(s, sample_dir))
-               for s in samples}
-    write_rows(os.path.join(cfg.out_dir, "manifest.csv"), MANIFEST_HEADER,
+    paths = [sampling.write_sample_edges(s, sample_dir) for s in samples]
+    digests = {s.spec.sample_id: file_hash(p) for s, p in zip(samples, paths)}
+    paths.append(os.path.join(cfg.out_dir, "manifest.csv"))
+    write_rows(paths[-1], MANIFEST_HEADER,
                [(s.spec.sample_id, s.spec.strategy, s.spec.mu, s.spec.seed,
                  s.graph.num_users, s.graph.num_items,
                  s.graph.num_interactions) for s in samples])
-    _remove_stale(sample_dir, SAMPLE_NAME, {str(sid) for sid in digests})
-    return samples, digests
+    return samples, digests, paths
 
 
-def characterize_samples(cfg, samples, digests, ledger, result):
+def characterize_samples(cfg, samples, digests, result):
     """Per-sample characteristic vectors, reusing current ledger cells,
     aggregated into ``characteristics.csv``."""
     cells = []
@@ -375,16 +388,12 @@ def characterize_samples(cfg, samples, digests, ledger, result):
         cells.append((f"chars:{sid}", f"characterize[{sid}]",
                       {"sample": digests[sid], "code": code_digest()},
                       str(sid), (sid, s.graph)))
-    rows = sorted(_run_ledgered(cfg, ledger, result,
-                                os.path.join(cfg.out_dir, "chars"),
-                                CHARS_NAME, cells, _characterize_cell,
-                                CHARS_HEADER, _chars_row))
-    write_rows(os.path.join(cfg.out_dir, "characteristics.csv"), CHARS_HEADER,
-               rows)
-    return {sid: values for sid, *values in rows}
+    rows = _run_ledgered(cfg, result, "chars", "chars", "characteristics.csv",
+                         cells, _characterize_cell, CHARS_HEADER, _chars_row)
+    return {sid: values for sid, *values in sorted(rows)}
 
 
-def train_samples(cfg, samples, digests, ledger, result):
+def train_samples(cfg, samples, digests, result):
     """Per-(sample, model) training and evaluation cells, aggregated into
     ``metrics.csv``; each model's mean recall and nDCG over its completed
     rows is logged."""
@@ -399,12 +408,10 @@ def train_samples(cfg, samples, digests, ledger, result):
                           f"{sid}_{kind}",
                           (sid, s.graph, kind, model_cfg, s.spec.seed)))
     rows = _run_ledgered(
-        cfg, ledger, result, os.path.join(cfg.out_dir, "metrics"),
-        METRICS_NAME, cells, _train_cell, METRICS_HEADER, _metric_row,
+        cfg, result, "train", "metrics", "metrics.csv", cells, _train_cell,
+        METRICS_HEADER, _metric_row,
         lambda row: f" (recall@20={row.recall:.4f}, "
                     f"{row.epochs_trained} epochs)")
-    write_rows(os.path.join(cfg.out_dir, "metrics.csv"), METRICS_HEADER,
-               sorted(rows))
     for kind in cfg.models:
         done = [row for row in rows if row.model == kind]
         if done:
@@ -415,12 +422,12 @@ def train_samples(cfg, samples, digests, ledger, result):
     return rows
 
 
-def _regression_table(result, key, label, vectors, metric_rows, kind,
+def _regression_table(result, paths, key, label, vectors, metric_rows, kind,
                       stem, title, statistics=(), preamble=""):
     """Fit ``kind``'s regression, write ``<stem>.csv`` (``statistics``
-    rows first) and ``<stem>.md`` (``preamble`` first) and add the latter's
-    text to ``result.sections``; or record the failure under ``key`` and
-    return None."""
+    rows first) and ``<stem>.md`` (``preamble`` first), add both to
+    ``paths`` and the latter's text to ``result.sections``; or record the
+    failure under ``key`` and return None."""
     metrics = {row.sample_id: row.recall for row in metric_rows
                if row.model == kind}
     try:
@@ -436,65 +443,70 @@ def _regression_table(result, key, label, vectors, metric_rows, kind,
         report, title=f"{title} (Recall@20)") + "\n"
     with open(stem + ".md", "w", encoding="utf-8") as fh:
         fh.write(section)
+    paths += [stem + ".csv", stem + ".md"]
     result.sections.append(section)
     return report
 
 
 def fit_reports(cfg, vectors, metric_rows, result):
     """Per-model regressions over every sample, written to ``reports/``;
-    any other ``report_<model>`` table there is removed."""
+    returns the paths written."""
     report_dir = os.path.join(cfg.out_dir, "reports")
     os.makedirs(report_dir, exist_ok=True)
-    kept = set()
+    paths = []
     for kind in cfg.models:
-        stem = f"report_{kind}"
         report = _regression_table(
-            result, f"explain:report:{kind}", f"explain[{kind}]", vectors,
-            metric_rows, kind, os.path.join(report_dir, stem), kind)
+            result, paths, f"explain:report:{kind}", f"explain[{kind}]",
+            vectors, metric_rows, kind,
+            os.path.join(report_dir, f"report_{kind}"), kind)
         if report is not None:
-            kept.add(stem)
             _log(f"explain[{kind}]: R2={report.r2:.3f} "
                  f"(adj {report.adj_r2:.3f}, M={report.num_rows})")
-    _remove_stale(report_dir, REPORT_NAME, kept)
+    return paths
 
 
 def emit_graph_diagnostics(lcc, vectors, out):
     """Correlation matrix of the characteristics plus the user and item
-    degree histograms of the ingested graph."""
+    degree histograms of the ingested graph; returns the paths written."""
     vecs = [v for _, v in sorted(vectors.items())]
+    paths = []
     try:
         matrix = chars.pearson_matrix(vecs)
-        write_rows(os.path.join(out, "correlations.csv"),
-                   "," + ",".join(chars.SHORTHAND_NAMES),
+        paths.append(os.path.join(out, "correlations.csv"))
+        write_rows(paths[-1], "," + ",".join(chars.SHORTHAND_NAMES),
                    [(name, *row) for name, row
                     in zip(chars.SHORTHAND_NAMES, matrix.tolist())])
     except ValueError as exc:
         _log(f"correlations: skipped ({exc})")
     for partition, degrees in (("user", lcc.user_degrees),
                                ("item", lcc.item_degrees)):
-        chars.write_degree_histogram(
-            degrees, os.path.join(out, f"degree_distribution_{partition}.tsv"))
+        paths.append(os.path.join(out, f"degree_distribution_{partition}.tsv"))
+        chars.write_degree_histogram(degrees, paths[-1])
+    return paths
 
 
 def start_run(cfg, resume=False):
     """Set-up shared by every command that writes outputs: open the ledger
-    (empty unless resuming), keep the dataset's LCC in ``lcc_edges.tsv``
-    and write the sample pool.
+    (with its cells only if resuming), keep the dataset's LCC in
+    ``lcc_edges.tsv``, write the sample pool and finish the ``sample``
+    stage.
 
-    Returns (lcc, samples, digests, ledger, result), ``digests`` mapping
-    each sample id to its sample file's digest.
+    Returns (lcc, samples, digests, result), ``digests`` mapping each
+    sample id to its sample file's digest.
     """
     out = cfg.out_dir
     lcc = load_dataset(cfg)
     os.makedirs(out, exist_ok=True)
     ledger = RunLedger(os.path.join(out, "ledger.json"), resume)
-    write_interactions(lcc, os.path.join(out, "lcc_edges.tsv"))
+    lcc_path = os.path.join(out, "lcc_edges.tsv")
+    write_interactions(lcc, lcc_path)
     _log(f"ingest: LCC with {lcc.num_users} users, {lcc.num_items} items, "
          f"{lcc.num_interactions} interactions")
 
-    samples, digests = prepare_samples(cfg, lcc)
+    samples, digests, paths = prepare_samples(cfg, lcc)
+    ledger.finish("sample", [lcc_path, *paths])
     _log(f"sample: wrote {len(samples)} sub-datasets")
-    return lcc, samples, digests, ledger, RunResult()
+    return lcc, samples, digests, RunResult(ledger)
 
 
 def run_experiment(cfg, resume=False):
@@ -503,11 +515,12 @@ def run_experiment(cfg, resume=False):
     Cell failures are recorded and skipped; regressions use the completed
     rows and note the attrition.
     """
-    lcc, samples, digests, ledger, result = start_run(cfg, resume)
-    vectors = characterize_samples(cfg, samples, digests, ledger, result)
-    metric_rows = train_samples(cfg, samples, digests, ledger, result)
-    fit_reports(cfg, vectors, metric_rows, result)
-    emit_graph_diagnostics(lcc, vectors, cfg.out_dir)
+    lcc, samples, digests, result = start_run(cfg, resume)
+    vectors = characterize_samples(cfg, samples, digests, result)
+    metric_rows = train_samples(cfg, samples, digests, result)
+    result.ledger.finish("explain", [
+        *fit_reports(cfg, vectors, metric_rows, result),
+        *emit_graph_diagnostics(lcc, vectors, cfg.out_dir)])
     return result, samples, vectors, metric_rows
 
 
@@ -518,9 +531,9 @@ def rq2_sweep(cfg, samples, vectors, metric_rows, result):
     complementary count of edge-dropout samples form the design set, where
     total is the size of the smaller strategy pool; each model's regression
     is refitted on that set. Each report leads with the mean
-    users/items/interactions of the selected samples; any other
-    ``alpha_<alpha>_<model>`` table in ``rq2/`` is removed. Returns the
-    reports by (alpha, model).
+    users/items/interactions of the selected samples. The tables and
+    ``rq2/summary.csv`` finish the ``rq2`` stage. Returns the reports by
+    (alpha, model).
     """
     rq2_dir = os.path.join(cfg.out_dir, "rq2")
     os.makedirs(rq2_dir, exist_ok=True)
@@ -531,9 +544,7 @@ def rq2_sweep(cfg, samples, vectors, metric_rows, result):
         raise sampling.SamplePoolError(
             "rq2 needs both node-dropout and edge-dropout samples "
             f"(pools hold {len(node_pool)} and {len(edge_pool)})")
-    summary_rows = []
-    reports = {}
-    kept = set()
+    summary_rows, reports, paths = [], {}, []
     for alpha in cfg.alphas:
         selected = sampling.mix_for_alpha(node_pool, edge_pool, alpha, total)
         ids = {s.spec.sample_id for s in selected}
@@ -543,11 +554,10 @@ def rq2_sweep(cfg, samples, vectors, metric_rows, result):
         sub_vectors = {sid: vectors[sid] for sid in ids if sid in vectors}
         sub_metrics = [row for row in metric_rows if row.sample_id in ids]
         for kind in cfg.models:
-            stem = f"alpha_{alpha:g}_{kind}"
             report = _regression_table(
-                result, f"rq2:alpha={alpha:g}:{kind}",
+                result, paths, f"rq2:alpha={alpha:g}:{kind}",
                 f"rq2[alpha={alpha:g},{kind}]", sub_vectors, sub_metrics,
-                kind, os.path.join(rq2_dir, stem),
+                kind, os.path.join(rq2_dir, f"alpha_{alpha:g}_{kind}"),
                 f"{kind} at alpha={alpha:g}",
                 statistics=[("alpha", f"{alpha:g}"), ("mean_users", users),
                             ("mean_items", items),
@@ -558,23 +568,23 @@ def rq2_sweep(cfg, samples, vectors, metric_rows, result):
             if report is None:
                 continue
             reports[(alpha, kind)] = report
-            kept.add(stem)
             summary_rows.append((f"{alpha:g}", kind, report.r2,
                                  report.adj_r2, report.num_rows, users, items,
                                  interactions))
             _log(f"rq2[alpha={alpha:g},{kind}]: R2={report.r2:.3f} "
                  f"(M={report.num_rows})")
-    write_rows(os.path.join(rq2_dir, "summary.csv"),
-               "alpha,model,R2,adj_R2,M,mean_users,mean_items,"
+    paths.append(os.path.join(rq2_dir, "summary.csv"))
+    write_rows(paths[-1], "alpha,model,R2,adj_R2,M,mean_users,mean_items,"
                "mean_interactions", summary_rows)
-    _remove_stale(rq2_dir, RQ2_NAME, kept)
+    result.ledger.finish("rq2", paths)
     return reports
 
 
 def emit_report(cfg, result):
     """Write ``report.md``: a title, then the regression sections this run
     fitted, in the order it fitted them."""
-    with open(os.path.join(cfg.out_dir, "report.md"), "w",
-              encoding="utf-8") as fh:
+    path = os.path.join(cfg.out_dir, "report.md")
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("# Topology-performance analysis\n\n")
         fh.write("\n\n".join(result.sections))
+    result.ledger.finish("report", [path])

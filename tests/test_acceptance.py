@@ -22,7 +22,7 @@ from topocf.models.dgcf import DGCFPropagator
 from topocf.models.lightgcn import LightGCNPropagator
 from topocf.models.split import Split, split_dataset
 from topocf.models.svdgcn import normalized_interactions
-from topocf.pipeline import MetricRow, rq2_sweep, RunResult
+from topocf.pipeline import MetricRow, RunLedger, RunResult, rq2_sweep
 from topocf.config import parse_config
 from topocf.sampling import (EDGE_DROPOUT, NODE_DROPOUT, edge_dropout,
                              generate_samples, node_dropout, round_half_up)
@@ -326,7 +326,7 @@ def test_acceptance_8_mixing_sweep(planted_pool, tmp_path):
                              ndcg=y[sid], epochs_trained=1,
                              stopped_early=False, best_epoch=1)
                    for sid in sorted(y)]
-    result = RunResult()
+    result = RunResult(RunLedger(str(tmp_path / "ledger.json"), False))
     reports = rq2_sweep(cfg, samples, vectors, metric_rows, result)
 
     node_pool = [s for s in samples if s.spec.strategy == NODE_DROPOUT]

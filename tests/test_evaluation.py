@@ -1,6 +1,7 @@
 """Recall@K and nDCG@K semantics, exclusion rules, random baseline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from topocf import evaluation
 from topocf.evaluation import evaluate
 from topocf.models.base import TrainedModel
 from topocf.models.split import Split, split_dataset
+from topocf.synthetic import heavy_tailed_graph
 
 from conftest import make_graph, random_bipartite, row_items, two_block_graph
 from test_acceptance import _oracle_evaluate, _random_split
@@ -130,6 +132,31 @@ def test_evaluate_blocks_match_oracle(users_per_block, monkeypatch):
             users = split.test_users if phase == "test" else split.valid_users
             assert got.num_users == len(users)
         checked += 1
+
+
+def test_evaluate_holds_about_one_block_of_scores():
+    """Ranking keeps one block's scores and the one partitioned copy of
+    them alive, not the last block's copy or arrays while the next block is
+    scored: the traced peak stays under 2.5 blocks, where keeping them
+    reads about 3.7."""
+    g = heavy_tailed_graph(num_users=3000, num_items=2000,
+                           num_interactions=30000, seed=3)
+    split = split_dataset(g, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    model = TrainedModel(*(rng.standard_normal((n, 16), dtype=np.float32)
+                           for n in (g.num_users, g.num_items)))
+    block = evaluation.BLOCK_BYTES // (4 * g.num_items)
+    assert -(-len(split.test_users) // block) == 17
+    expected = evaluate(model, split, phase="test")
+    tracemalloc.start()
+    try:
+        got = evaluate(model, split, phase="test")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak <= 2.5 * evaluation.BLOCK_BYTES, (
+        peak / evaluation.BLOCK_BYTES)
 
 
 def test_evaluate_refuses_scores_that_overflow():

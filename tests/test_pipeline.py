@@ -371,9 +371,9 @@ def test_resume_reruns_every_cell_that_other_code_computed(dataset_path,
 
     def resume():
         calls.update(chars=0, train=0)
-        _, samples, digests, ledger, result = pipeline.start_run(cfg, True)
-        pipeline.characterize_samples(cfg, samples, digests, ledger, result)
-        pipeline.train_samples(cfg, samples, digests, ledger, result)
+        _, samples, digests, result = pipeline.start_run(cfg, True)
+        pipeline.characterize_samples(cfg, samples, digests, result)
+        pipeline.train_samples(cfg, samples, digests, result)
         assert not result.failures, result.failures
         return dict(calls)
 
@@ -438,8 +438,9 @@ def _tree(out):
 
 def test_serial_and_parallel_runs_are_byte_identical(dataset_path, tmp_path):
     # the whole run-all tree (ledger, chars/, metrics/, reports/, rq2/ and
-    # report.md) of a serial run, a two-process run, and a resumed run
-    # after one chars and one metrics cell were deleted
+    # report.md) of a serial run, a two-process run, a resumed run after
+    # one chars and one metrics cell were deleted, and a resumed train,
+    # which leaves the tables of the stages it does not run as they were
     args = [f"dataset={dataset_path}", "num_samples=28", "master_seed=3",
             *FAST_MODEL_LINES, "models=lightgcn"]
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
@@ -455,6 +456,8 @@ def test_serial_and_parallel_runs_are_byte_identical(dataset_path, tmp_path):
     os.remove(parallel / "metrics" / "3_lightgcn.csv")
     assert main(["--out", str(parallel), "--jobs", "2", "--resume",
                  "run-all", *args]) == 0
+    assert _tree(parallel) == expected
+    assert main(["--out", str(parallel), "--resume", "train", *args]) == 0
     assert _tree(parallel) == expected
 
 
@@ -590,8 +593,8 @@ def _report_titles(out):
 def test_emit_report_concatenates_sections(full_run):
     # each model in models order, then each alpha in alphas order x models;
     # sorted by file name, alpha=0.3 and 0.7 would come before alpha=0
-    cfg, _, samples, vectors, metric_rows = full_run
-    result = pipeline.RunResult()
+    cfg, run, samples, vectors, metric_rows = full_run
+    result = pipeline.RunResult(run.ledger)
     pipeline.fit_reports(cfg, vectors, metric_rows, result)
     pipeline.rq2_sweep(cfg, samples, vectors, metric_rows, result)
     pipeline.emit_report(cfg, result)
@@ -659,6 +662,31 @@ def test_a_run_removes_the_tables_it_no_longer_makes(dataset_path, tmp_path):
                                 "summary.csv"])):
         assert sorted(os.listdir(out / sub)) == sorted(
             names + others[sub] + ["notes.txt", "notes.csv", "notes.tsv"])
+    # the ledger holds the cells of this run alone, and its file index
+    # every file this run wrote
+    held = json.loads((out / "ledger.json").read_text())
+    assert sorted(held["cells"]) == sorted(
+        [f"chars:{sid}" for sid in ids]
+        + [f"train:{sid}:lightgcn" for sid in ids])
+    extra = {f"{sub}/{name}" for sub, names in others.items()
+             for name in names + ["notes.txt", "notes.csv", "notes.tsv"]}
+    assert sorted(rel for rels in held["files"].values() for rel in rels) == (
+        sorted(set(_tree(out)) - extra - {"ledger.json"}))
+
+
+def test_a_run_that_skips_the_correlations_removes_the_old_table(
+        dataset_path, tmp_path, capsys):
+    # too few samples for the regression (exit 1), but 4 still correlate
+    out = tmp_path / "out"
+    args = ["--out", str(out), "explain", f"dataset={dataset_path}",
+            "master_seed=3", *FAST_MODEL_LINES, "models=lightgcn"]
+    assert main([*args, "num_samples=4"]) == 1
+    assert (out / "correlations.csv").exists()
+    capsys.readouterr()
+    assert main([*args, "num_samples=2"]) == 1
+    assert "correlations: skipped" in capsys.readouterr().err
+    assert not (out / "correlations.csv").exists()
+    assert (out / "degree_distribution_user.tsv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -844,21 +872,55 @@ def test_cli_fresh_run_ignores_a_corrupt_ledger(dataset_path, tmp_path):
         assert sorted(json.load(fh)["cells"]) == ["chars:0", "chars:1"]
 
 
+# file index entries that name no file of a run's own: a file outside
+# --out, by a parent part or absolutely (VICTIM stands for the latter's
+# path), and the ledger itself
+OUTSIDE = {"index-parent": "../victim", "index-absolute": "VICTIM",
+           "index-ledger": "ledger.json"}
+
+
+def _index_holding(entry):
+    return json.dumps({"files": {"sample": [entry]}}).encode()
+
+
 @pytest.mark.parametrize(
     "content", [b"{not json", b"\xff\xfe", b"[]", b'{"cells": []}',
                 b'{"cells": {"chars:0": 1}}',
-                b'{"cells": {"chars:0": {"outputs": ["chars/0.csv"]}}}'],
+                b'{"cells": {"chars:0": {"outputs": ["chars/0.csv"]}}}',
+                *map(_index_holding, OUTSIDE.values())],
     ids=["not-json", "not-text", "list", "cells-list", "cell-not-object",
-         "outputs-list"])
+         "outputs-list", *OUTSIDE])
 def test_cli_resume_over_a_corrupt_ledger_exits_two(dataset_path, tmp_path,
                                                     capsys, content):
     out = tmp_path / "out"
     out.mkdir()
-    (out / "ledger.json").write_bytes(content)
+    victim = tmp_path / "victim"
+    victim.write_text("kept\n")
+    (out / "ledger.json").write_bytes(
+        content.replace(b"VICTIM", str(victim).encode()))
     args = ["--out", str(out), "--resume", "characterize",
             f"dataset={dataset_path}", "num_samples=2"]
     assert main(args) == 2
     _one_error_line(capsys, str(out / "ledger.json"))
+    assert victim.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("entry", OUTSIDE.values(), ids=OUTSIDE)
+def test_cli_fresh_run_ignores_an_index_entry_outside_its_files(
+        dataset_path, tmp_path, entry):
+    out = tmp_path / "out"
+    out.mkdir()
+    victim = tmp_path / "victim"
+    victim.write_text("kept\n")
+    entry = entry.replace("VICTIM", str(victim))
+    (out / "ledger.json").write_bytes(_index_holding(entry))
+    assert main(["--out", str(out), "characterize", f"dataset={dataset_path}",
+                 "num_samples=2"]) == 0
+    assert victim.read_text() == "kept\n"
+    held = json.loads((out / "ledger.json").read_text())
+    assert sorted(held["cells"]) == ["chars:0", "chars:1"]
+    assert held["files"]["sample"] == [
+        "lcc_edges.tsv", "manifest.csv", "samples/0.tsv", "samples/1.tsv"]
 
 
 def test_cli_sample_writes_to_out_flag_dir(dataset_path, tmp_path, capsys):

@@ -169,7 +169,7 @@ def test_manifest_round_trip(tmp_path):
                            seed=8)
     cfg = parse_config([f"out_dir={tmp_path}", "num_samples=5",
                         "master_seed=3"])
-    samples, _ = prepare_samples(cfg, g)
+    samples, *_ = prepare_samples(cfg, g)
     path = tmp_path / "manifest.csv"
     header = path.read_text().splitlines()[0]
     assert header == ("sample_id,strategy,mu,seed,num_users,num_items,"
